@@ -2,7 +2,6 @@
 multiplicities of Frobenius-kernel Ext groups between Weyl-type modules."""
 
 from .affine import (
-    AffineElement,
     AffineWeylGroup,
     AlcoveLocation,
     get_group,

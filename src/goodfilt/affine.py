@@ -1,13 +1,20 @@
 """The affine Weyl group W_p = W x pZR with dot action and alcove geometry.
 
-Elements are exact affine transformations stored in a p-independent form:
-a pair (finite matrix w acting on fundamental coordinates, translation
-vector nu in the root lattice ZR, fundamental coordinates).  At a prime p
-the element acts on the rho-shifted coordinate m = lambda + rho by
-``m -> w(m) + p*nu``, i.e. ``x . lambda = w(lambda + rho) + p*nu - rho``.
-The abstract Coxeter system depends only on (series, rank); p enters only
-through the dot action and the weight <-> element dictionary, so lengths,
-reduced words and Kazhdan-Lusztig data are reusable across primes.
+A group element is a small ``int`` indexing arrays owned by its group: its
+Coxeter length, its right descents, and its row ``(x s_0, ..., x s_r)`` of
+the right-multiplication table.  A row is filled on first use, creating
+the ids of neighbours not met before, so a group holds only what a
+computation reaches.  Products, reduced words, Bruhat order and lower
+ideals are walks in this table.
+
+Each id also keeps its matrix form, used only where weights are touched
+(``dot``, ``locate``) and to recognise an element reached along two paths:
+a p-independent pair (finite matrix w on fundamental coordinates,
+translation nu in the root lattice ZR, fundamental coordinates).  At a
+prime p the element acts on m = lambda + rho by ``m -> w(m) + p*nu``, i.e.
+``x . lambda = w(lambda + rho) + p*nu - rho``.  p enters only through the
+dot action and the weight <-> element dictionary, so lengths, reduced
+words and Kazhdan-Lusztig data are reusable across primes.
 
 Coxeter generators are the reflections in the walls of the antidominant
 alcove C_p^- (the alcove whose shifted points m satisfy
@@ -21,20 +28,24 @@ alcove C_p^- (the alcove whose shifted points m satisfy
 With this choice the Coxeter length of x equals the number of affine
 hyperplanes ``<m, beta^vee> = kp`` separating the alcove x(C_p^-) from
 C_p^-, which is what makes lengths of dominant weights grow with their
-distance from the antidominant chamber.  Lengths are computed exactly by
-the root-counting formula
+distance from the antidominant chamber.  A new neighbour x s_i gets its
+length once, when its id is created: l(x) + 1 exactly when C_p^- lies on
+the same side of the wall x(H_i) as x(C_p^-), which one root pairing
+decides.  The tests check this against the root-counting formula
 
     l(w, nu) = sum over positive roots beta of |<nu, beta^vee> + [w^{-1}(beta) < 0]|
 
-which is checked against the geometric separation count in the tests.
+and the geometric separation count.
 
-Elements are immutable values; the group object carries idempotent memo
-tables (length, canonical word, Bruhat order, lower ideals) whose entries
-are published atomically, so sharing a group across threads is safe.
+Concurrency: ids and rows are created under one lock, and a row is
+published by one assignment once its neighbours exist.  Table hits and the
+idempotent memos (Bruhat order, lower ideals, locate) take no lock, so a
+group is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +59,6 @@ from .errors import (
 from .roots import Matrix, RootSystem, Weight, check_weight
 
 __all__ = [
-    "AffineElement",
     "AlcoveLocation",
     "AffineWeylGroup",
     "get_group",
@@ -57,24 +67,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AffineElement:
-    """An element of the affine Weyl group as an exact transformation.
-
-    ``finite_part`` is the matrix of the finite Weyl component on
-    fundamental coordinates; ``translation`` is the root-lattice vector nu
-    (fundamental coordinates) so that at prime p the shifted action is
-    m -> finite_part(m) + p*nu.
-    """
-
-    finite_part: Matrix
-    translation: Weight
-
-
-@dataclass(frozen=True)
 class AlcoveLocation:
     """Result of locating a p-regular weight: lambda = element . antidominant_rep."""
 
-    element: AffineElement
+    element: int
     antidominant_rep: Weight
     length: int
 
@@ -90,13 +86,15 @@ def restricted_decompose(rs: RootSystem, weight, p: int) -> tuple[Weight, Weight
 
 
 class AffineWeylGroup:
-    """Arithmetic, lengths, descents and Bruhat order for one (series, rank)."""
+    """Arithmetic, lengths, descents and Bruhat order for one (series, rank).
+
+    Elements are the ints this group hands out (``identity``,
+    ``generators``, ``from_word``, ...); an id means nothing to another group.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = rs.rank
-        self.identity = AffineElement(_r._identity_matrix(n), tuple([0] * n))
-        gens = []
         a0 = rs.highest_short_root
         # reflection matrix of the highest short root on fundamental coordinates
         s0_mat = tuple(
@@ -106,157 +104,185 @@ class AffineWeylGroup:
             )
             for k in range(n)
         )
-        gens.append(AffineElement(s0_mat, tuple(-c for c in a0.fund_coords)))
-        for i in range(n):
-            gens.append(AffineElement(rs.simple_reflections[i], tuple([0] * n)))
-        self.generators = tuple(gens)  # index 0 = affine generator
-        self._inv_matrix: dict[Matrix, Matrix] = {}
-        self._length: dict[AffineElement, int] = {}
-        self._word: dict[AffineElement, tuple[int, ...]] = {}
-        self._leq: dict[tuple[AffineElement, AffineElement], bool] = {}
-        self._ideal: dict[AffineElement, frozenset] = {}
+        # per generator (index 0 = affine): matrix form, and the wall
+        # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
+        self._gens = ((s0_mat, tuple(-c for c in a0.fund_coords), a0.fund_coords, 1),) + tuple(
+            (rs.simple_reflections[i], (0,) * n, tuple(-c for c in rs.fund_of_simple(i)), 0)
+            for i in range(n)
+        )
+        self._coroot: dict[Weight, tuple[int, ...]] = {
+            tuple(e * c for c in b.fund_coords): tuple(e * c for c in b.coroot)
+            for b in rs.positive_roots
+            for e in (1, -1)
+        }
+        self._lock = threading.Lock()
+        self._form: list[tuple[Matrix, Weight]] = []  # id -> (finite_part, translation)
+        self._index: dict[tuple[Matrix, Weight], int] = {}  # matrix form -> id
+        self._rmul: list[tuple[int, ...] | None] = []  # id -> row, None until filled
+        self._length: list[int] = []
+        self._descents: list[tuple[int, ...] | None] = []  # set with the row
+        self._levels: list[list[int]] = []  # ids of length k, by canonical word
+        self._leq: dict[tuple[int, int], bool] = {}
+        self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
+
+    # -- the table ------------------------------------------------------------
+
+    @property
+    def identity(self) -> int:
+        if not self._length:
+            with self._lock:
+                if not self._length:
+                    n = self.rs.rank
+                    self._new((_r._identity_matrix(n), (0,) * n), 0)
+        return 0
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        return self.row(self.identity)  # index 0 = affine generator
+
+    def _new(self, form, length: int) -> int:
+        """Append an id; the caller holds the lock."""
+        x = len(self._form)
+        self._form.append(form)
+        self._rmul.append(None)
+        self._descents.append(None)
+        self._length.append(length)
+        self._index[form] = x
+        return x
+
+    def row(self, x: int) -> tuple[int, ...]:
+        """The right neighbours (x s_0, ..., x s_r), filled on first use."""
+        row = self._rmul[x]
+        if row is None:
+            row = self._fill_row(x)
+        return row
+
+    def _fill_row(self, x: int) -> tuple[int, ...]:
+        with self._lock:
+            row = self._rmul[x]
+            if row is not None:
+                return row
+            mat, tr = self._form[x]
+            lx = self._length[x]
+            h = self.rs.coxeter_number
+            row, descents = [], []
+            for i, (gmat, gtr, gamma, k) in enumerate(self._gens):
+                # l(x s_i) > l(x) iff C^- and x(C^-) lie on one side of x(H_i),
+                # i.e. f(x^{-1}(c)) > 0 for f = <., gamma^vee> + k p and c in C^-.
+                # Take c = -rho at p = h; <x^{-1} m, gamma^vee> = <m - p nu, (w gamma)^vee>.
+                c = self._coroot[_r._mat_vec(mat, gamma)]
+                up = k * h - sum(c) - h * sum(a * b for a, b in zip(c, tr)) > 0
+                ly = lx + 1 if up else lx - 1
+                form = (_r._mat_mul(mat, gmat), _r._vec_add(_r._mat_vec(mat, gtr), tr))
+                y = self._index.get(form)
+                if y is None:
+                    y = self._new(form, ly)
+                elif self._length[y] != ly:
+                    raise InternalInvariantError(
+                        f"neighbour {i} of an element of length {lx} has length {self._length[y]}"
+                    )
+                row.append(y)
+                if not up:
+                    descents.append(i)
+            self._descents[x] = tuple(descents)
+            row = self._rmul[x] = tuple(row)
+            return row
+
+    def _walk(self, x: int, word) -> int:
+        for i in word:
+            i = int(i)
+            if not 0 <= i <= self.rs.rank:
+                raise ConfigurationError(f"generator index {i} out of range 0..{self.rs.rank}")
+            x = self.row(x)[i]
+        return x
 
     # -- group arithmetic ------------------------------------------------
 
-    def multiply(self, a: AffineElement, b: AffineElement) -> AffineElement:
-        mat = _r._mat_mul(a.finite_part, b.finite_part)
-        tr = _r._vec_add(_r._mat_vec(a.finite_part, b.translation), a.translation)
-        return AffineElement(mat, tr)
+    def multiply(self, a: int, b: int) -> int:
+        return self._walk(a, self.canonical_word(b))
 
-    def _matrix_inverse(self, m: Matrix) -> Matrix:
-        cached = self._inv_matrix.get(m)
-        if cached is None:
-            frac = _r._mat_inv(m)
-            if any(c.denominator != 1 for row in frac for c in row):
-                raise InternalInvariantError("finite part is not invertible over Z")
-            cached = tuple(tuple(int(c) for c in row) for row in frac)
-            self._inv_matrix[m] = cached
-        return cached
+    def invert(self, x: int) -> int:
+        return self._walk(self.identity, reversed(self.canonical_word(x)))
 
-    def invert(self, x: AffineElement) -> AffineElement:
-        minv = self._matrix_inverse(x.finite_part)
-        return AffineElement(minv, tuple(-c for c in _r._mat_vec(minv, x.translation)))
-
-    def apply_generator(self, x: AffineElement, i: int, side: str = "right") -> AffineElement:
-        if not 0 <= i <= self.rs.rank:
-            raise ConfigurationError(f"generator index {i} out of range 0..{self.rs.rank}")
+    def apply_generator(self, x: int, i: int, side: str = "right") -> int:
         if side == "right":
-            return self.multiply(x, self.generators[i])
+            return self._walk(x, (i,))
         if side == "left":
-            return self.multiply(self.generators[i], x)
+            return self._walk(self._walk(self.identity, (i,)), self.canonical_word(x))
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
 
-    def from_word(self, word) -> AffineElement:
-        x = self.identity
-        for i in word:
-            x = self.apply_generator(x, int(i), "right")
-        return x
+    def from_word(self, word) -> int:
+        return self._walk(self.identity, word)
+
+    def matrix_form(self, x: int) -> tuple[Matrix, Weight]:
+        """(finite_part, translation): x acts on m = lambda + rho as m -> w(m) + p*nu."""
+        return self._form[x]
 
     # -- length, descents, canonical words --------------------------------
 
-    def length(self, x: AffineElement) -> int:
-        cached = self._length.get(x)
-        if cached is not None:
-            return cached
-        minv = self._matrix_inverse(x.finite_part)
-        pos = self.rs._positive_fund_set
-        total = 0
-        for beta in self.rs.positive_roots:
-            k = sum(c * t for c, t in zip(beta.coroot, x.translation))
-            if _r._mat_vec(minv, beta.fund_coords) not in pos:
-                k += 1
-            total += abs(k)
-        self._length[x] = total
-        return total
+    def length(self, x: int) -> int:
+        return self._length[x]
 
-    def right_descents(self, x: AffineElement) -> tuple[int, ...]:
-        lx = self.length(x)
-        return tuple(
-            i
-            for i in range(self.rs.rank + 1)
-            if self.length(self.multiply(x, self.generators[i])) < lx
-        )
+    def right_descents(self, x: int) -> tuple[int, ...]:
+        if self._rmul[x] is None:
+            self._fill_row(x)
+        return self._descents[x]
 
-    def canonical_word(self, x: AffineElement) -> tuple[int, ...]:
+    def canonical_word(self, x: int) -> tuple[int, ...]:
         """Reduced word obtained by stripping the lowest-indexed right descent.
 
         Deterministic, so words are stable cache keys across runs and primes.
         """
-        cached = self._word.get(x)
-        if cached is not None:
-            return cached
-        chain = []
-        cur = x
-        while cur != self.identity:
-            hit = self._word.get(cur)
-            if hit is not None:
-                break
-            lx = self.length(cur)
-            for i in range(self.rs.rank + 1):
-                nxt = self.multiply(cur, self.generators[i])
-                if self.length(nxt) < lx:
-                    chain.append((cur, i))
-                    cur = nxt
-                    break
-            else:  # pragma: no cover
-                raise InternalInvariantError("non-identity element with no descent")
-        suffix = self._word.get(cur, ())
-        for elt, i in reversed(chain):
-            suffix = self._word[elt] = suffix + (i,)
-        word = self._word.setdefault(x, suffix if x != self.identity else ())
-        return word
+        word = []
+        while self._length[x]:
+            i = self.right_descents(x)[0]
+            word.append(i)
+            x = self._rmul[x][i]
+        return tuple(reversed(word))
 
     # -- Bruhat order ------------------------------------------------------
 
-    def bruhat_leq(self, x: AffineElement, y: AffineElement) -> bool:
+    def bruhat_leq(self, x: int, y: int) -> bool:
         if x == y:
             return True
         key = (x, y)
         cached = self._leq.get(key)
-        if cached is not None:
-            return cached
-        lx, ly = self.length(x), self.length(y)
-        if lx >= ly:
-            result = False
-        else:
-            s = min(self.right_descents(y))
-            gen = self.generators[s]
-            ys = self.multiply(y, gen)
-            xs = self.multiply(x, gen)
-            if self.length(xs) < lx:
-                result = self.bruhat_leq(xs, ys)
-            else:
-                result = self.bruhat_leq(x, ys)
-        self._leq[key] = result
-        return result
+        if cached is None:
+            lengths = self._length
+            # for s with ys < y: x <= y iff xs <= ys when xs < x, else x <= ys
+            while 0 < lengths[x] < lengths[y]:
+                s = self.right_descents(y)[0]
+                xs = self.row(x)[s]
+                if lengths[xs] < lengths[x]:
+                    x = xs
+                y = self._rmul[y][s]
+            cached = self._leq[key] = x == y or not lengths[x]
+        return cached
 
-    def lower_ideal(self, y: AffineElement) -> frozenset:
+    def lower_ideal(self, y: int) -> frozenset:
         """The set {z : z <= y} in Bruhat order (finite for every y)."""
-        cached = self._ideal.get(y)
-        if cached is not None:
-            return cached
-        if y == self.identity:
-            result = frozenset([y])
-        else:
-            s = min(self.right_descents(y))
-            gen = self.generators[s]
-            below = self.lower_ideal(self.multiply(y, gen))
-            result = frozenset(below | {self.multiply(z, gen) for z in below})
-        self._ideal[y] = result
-        return result
+        chain = []
+        while y not in self._ideal and self._length[y]:
+            s = self.right_descents(y)[0]
+            chain.append((y, s))
+            y = self._rmul[y][s]
+        ideal = self._ideal.get(y)
+        if ideal is None:
+            ideal = self._ideal[y] = frozenset((y,))
+        for z, s in reversed(chain):
+            ideal = self._ideal[z] = ideal | {self.row(w)[s] for w in ideal}
+        return ideal
 
     # -- weights: dot action, regularity, location ------------------------
 
-    def dot(self, x: AffineElement, weight, p: int) -> Weight:
+    def dot(self, x: int, weight, p: int) -> Weight:
         if not (isinstance(p, int) and p >= 2):
             raise ConfigurationError(f"modulus p must be an integer >= 2, got {p!r}")
         lam = check_weight(self.rs, weight)
+        mat, tr = self._form[x]
         shifted = _r._vec_add(lam, self.rs.rho)
-        moved = _r._vec_add(
-            _r._mat_vec(x.finite_part, shifted),
-            tuple(p * c for c in x.translation),
-        )
+        moved = _r._vec_add(_r._mat_vec(mat, shifted), tuple(p * c for c in tr))
         return _r._vec_sub(moved, self.rs.rho)
 
     def is_p_regular(self, weight, p: int) -> bool:
@@ -335,20 +361,28 @@ class AffineWeylGroup:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def elements_up_to_length(self, bound: int) -> list[AffineElement]:
-        """All group elements of length <= bound, by breadth-first closure."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        for target in range(1, bound + 1):
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = self.multiply(x, g)
-                    if y not in seen and self.length(y) == target:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen, key=lambda e: (self.length(e), self.canonical_word(e)))
+    def elements_up_to_length(self, bound: int) -> list[int]:
+        """All group elements of length <= bound, by length then canonical word.
+
+        The breadth-first levels are kept, so each is built only once.
+        """
+        bound = max(bound, 0)
+        levels = self._levels
+        while len(levels) <= bound:
+            k = len(levels)
+            if k == 0:
+                level = [self.identity]
+            else:
+                level = list(
+                    dict.fromkeys(
+                        y for x in levels[k - 1] for y in self.row(x) if self._length[y] == k
+                    )
+                )
+                level.sort(key=self.canonical_word)
+            with self._lock:
+                if len(levels) == k:
+                    levels.append(level)
+        return [z for level in levels[: bound + 1] for z in level]
 
     def dominant_orbit(self, rep: Weight, p: int, max_length: int):
         """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length."""

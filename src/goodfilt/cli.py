@@ -4,8 +4,9 @@ Data goes to stdout (JSON by default, TSV with --format tsv); advisories
 and diagnostics go to stderr.  Exit codes: 0 success, 2 usage or
 configuration problems (including --strict advisory promotion and
 rejected cache files), 3 singular-weight rejection, 4 internal invariant
-violation.  Output is byte-stable for identical inputs and cache state:
-keys are emitted in sorted order everywhere.
+violation, including inputs too deep for the recursion limit.  Output is
+byte-stable for identical inputs and cache state: keys are emitted in
+sorted order everywhere.
 """
 
 from __future__ import annotations
@@ -390,6 +391,16 @@ def main(argv=None, out=None, err=None) -> int:
     except SingularWeightError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_SINGULAR
+    except RecursionError:
+        words = ", ".join(
+            f"--{k} has {len(getattr(args, k))} letters" for k in ("x", "y") if hasattr(args, k)
+        )
+        err.write(
+            f"internal error: {args.command} exceeded the recursion limit"
+            + (f" ({words})" if words else "")
+            + "\n"
+        )
+        return EXIT_INVARIANT
     except (
         ConfigurationError,
         PreconditionError,

@@ -19,16 +19,21 @@ immutable and insertion is idempotent (same key always yields the same
 polynomial), so concurrent lookups and racing writers are benign under
 CPython's atomic dict assignment.
 
+The memo is keyed on pairs of the group's integer element ids.
 Persistence is JSON lines: a header record followed by one record per
 entry keyed by canonical reduced words, so caches are independent of the
-prime and stable across runs.
+prime and of id numbering, and stable across runs.  A save replaces its
+target atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 
-from .affine import AffineElement, AffineWeylGroup
+from .affine import AffineWeylGroup
 from .errors import CacheFormatError, InternalInvariantError
 
 __all__ = ["IntPoly", "KLTable", "ZERO", "ONE"]
@@ -111,11 +116,11 @@ class KLTable:
 
     def __init__(self, group: AffineWeylGroup):
         self.group = group
-        self.memo: dict[tuple[AffineElement, AffineElement], IntPoly] = {}
+        self.memo: dict[tuple[int, int], IntPoly] = {}
 
     # -- core recursion ----------------------------------------------------
 
-    def kl(self, x: AffineElement, y: AffineElement) -> IntPoly:
+    def kl(self, x: int, y: int) -> IntPoly:
         if x == y:
             return ONE
         g = self.group
@@ -126,17 +131,16 @@ class KLTable:
         if cached is not None:
             return cached
 
-        s = min(g.right_descents(y))
-        gen = g.generators[s]
-        v = g.multiply(y, gen)
-        xs = g.multiply(x, gen)
+        s = g.right_descents(y)[0]
+        v = g.row(y)[s]
+        xs = g.row(x)[s]
         if g.length(xs) > g.length(x):
             result = self.kl(xs, y)
         else:
             result = self.kl(xs, v) + self.kl(x, v).scale_shift(1, 1)
             ly = g.length(y)
             for z in g.lower_ideal(v):
-                if g.length(g.multiply(z, gen)) < g.length(z) and g.bruhat_leq(x, z):
+                if s in g.right_descents(z) and g.bruhat_leq(x, z):
                     m = self.mu(z, v)
                     if m:
                         result = result - self.kl(x, z).scale_shift(
@@ -147,14 +151,14 @@ class KLTable:
         self.memo[key] = result
         return result
 
-    def mu(self, x: AffineElement, y: AffineElement) -> int:
+    def mu(self, x: int, y: int) -> int:
         """Coefficient of q^((l(y)-l(x)-1)/2) in P_{x,y}; 0 for even gaps."""
         gap = self.group.length(y) - self.group.length(x)
         if gap <= 0 or gap % 2 == 0:
             return 0
         return self.kl(x, y).coeff((gap - 1) // 2)
 
-    def c_coeff(self, u: AffineElement, v: AffineElement, s: int) -> int:
+    def c_coeff(self, u: int, v: int, s: int) -> int:
         """Coefficient of t^s in P_{u,v} read as a polynomial in t = sqrt(q).
 
         P_{u,v} is a polynomial in t^2, so odd or negative s give 0.
@@ -178,7 +182,17 @@ class KLTable:
 
     # -- persistence ---------------------------------------------------------
 
+    def _header(self) -> dict:
+        rs = self.group.rs
+        return {"format": "kltable", "version": 1, "series": rs.series, "rank": rs.rank}
+
     def save(self, path) -> None:
+        """Write the table to ``path`` atomically.
+
+        The records go to a temporary file in the same directory, which
+        replaces ``path`` only once complete, so an interrupted save leaves
+        the previous cache intact.
+        """
         g = self.group
         records = sorted(
             (
@@ -187,22 +201,27 @@ class KLTable:
             ),
             key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "format": "kltable",
-                "version": 1,
-                "series": g.rs.series,
-                "rank": g.rs.rank,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for xw, yw, coeffs in records:
-                fh.write(
-                    json.dumps(
-                        {"x": list(xw), "y": list(yw), "p_of_q": coeffs},
-                        sort_keys=True,
+        path = os.fspath(path)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
+                for xw, yw, coeffs in records:
+                    fh.write(
+                        json.dumps(
+                            {"x": list(xw), "y": list(yw), "p_of_q": coeffs},
+                            sort_keys=True,
+                        )
+                        + "\n"
                     )
-                    + "\n"
-                )
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)  # mkstemp makes it owner-only
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, path) -> int:
         """Merge a persisted table; returns the number of records loaded.
@@ -220,12 +239,7 @@ class KLTable:
                 header = json.loads(header_line)
             except json.JSONDecodeError as exc:
                 raise CacheFormatError(f"{path}: bad header: {exc}") from exc
-            expected = {
-                "format": "kltable",
-                "version": 1,
-                "series": g.rs.series,
-                "rank": g.rs.rank,
-            }
+            expected = self._header()
             if header != expected:
                 raise CacheFormatError(
                     f"{path}: header {header} does not match {expected}"
@@ -263,8 +277,9 @@ class KLTable:
         for key, poly in staged.items():
             existing = self.memo.get(key)
             if existing is not None and existing != poly:
+                x, y = (list(g.canonical_word(z)) for z in key)
                 raise CacheFormatError(
-                    f"{path}: record for {key} conflicts with computed value"
+                    f"{path}: record for x={x}, y={y} conflicts with computed value"
                 )
             self.memo[key] = poly
         return len(staged)

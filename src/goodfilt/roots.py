@@ -67,10 +67,6 @@ def _vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _vec_scale(k, a):
-    return tuple(k * x for x in a)
-
-
 def _mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 

@@ -120,6 +120,15 @@ def test_kl_bad_generator_index():
     assert code == 2
 
 
+def test_kl_deep_word_exits_4():
+    # the KL recursion goes deeper with every length step: 600 is past the limit
+    word = ",".join(str(i % 2) for i in range(600))
+    code, out, err = run(["kl", "--series", "A", "--rank", "1", "--x", "e", "--y", word])
+    assert code == 4
+    assert out == ""
+    assert "kl" in err and "--y has 600 letters" in err
+
+
 def test_kl_word_parse_error():
     code, _, _ = run(["kl", "--series", "A", "--rank", "1", "--x", "a", "--y", "1"])
     assert code == 2

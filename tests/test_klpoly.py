@@ -1,5 +1,9 @@
+import os
+from types import SimpleNamespace
+
 import pytest
 
+from goodfilt import klpoly
 from goodfilt.affine import get_group
 from goodfilt.errors import CacheFormatError
 from goodfilt.klpoly import ONE, ZERO, IntPoly, KLTable
@@ -107,6 +111,40 @@ def test_cache_roundtrip(tmp_path, a2_table):
     # byte-stable save
     loaded.save(tmp_path / "again.klcache")
     assert (tmp_path / "again.klcache").read_bytes() == path.read_bytes()
+
+
+def test_interrupted_save_keeps_previous_cache(tmp_path, a2_table, monkeypatch):
+    g = a2_table.group
+    y = g.from_word((0, 1, 2, 1, 0))
+    for x in g.lower_ideal(y):
+        a2_table.kl(x, y)
+    path = tmp_path / "a2.klcache"
+    a2_table.save(path)
+    before = path.read_bytes()
+    a2_table.kl(g.identity, g.from_word((0, 1, 2, 1, 0, 2)))
+
+    written = []
+    real_dumps = klpoly.json.dumps
+
+    def dumps(obj, **kwargs):  # fails on the fourth line: header and two records
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(klpoly, "json", SimpleNamespace(dumps=dumps))
+    with pytest.raises(OSError, match="disk full"):
+        a2_table.save(path)
+    monkeypatch.undo()
+    assert len(written) == 3
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["a2.klcache"]
+    assert KLTable(g).load(path) == before.count(b"\n") - 1
+
+    path.chmod(0o644)
+    a2_table.save(path)
+    assert path.stat().st_mode & 0o777 == 0o644
+    assert KLTable(g).load(path) == len(a2_table.memo)
 
 
 def test_cache_rejects_bad_header(tmp_path, a2_table):
