@@ -107,8 +107,8 @@ class AffineWeylGroup:
         # per generator (index 0 = affine): matrix form, and the wall
         # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
         self._gens = ((s0_mat, tuple(-c for c in a0.fund_coords), a0.fund_coords, 1),) + tuple(
-            (rs.simple_reflections[i], (0,) * n, tuple(-c for c in rs.fund_of_simple(i)), 0)
-            for i in range(n)
+            (refl, (0,) * n, tuple(-c for c in col), 0)
+            for refl, col in zip(rs.simple_reflections, rs.simple_columns)
         )
         self._coroot: dict[Weight, tuple[int, ...]] = {
             tuple(e * c for c in b.fund_coords): tuple(e * c for c in b.coroot)
@@ -336,7 +336,7 @@ class AffineWeylGroup:
             for i in range(self.rs.rank):
                 if m[i] > 0:
                     word.append(i + 1)
-                    col = self.rs.fund_of_simple(i)
+                    col = self.rs.simple_columns[i]
                     mi = m[i]
                     m = [v - mi * f for v, f in zip(m, col)]
                     break

@@ -1,10 +1,12 @@
 """Exact Weyl character arithmetic.
 
-Weight multiplicities come from the Freudenthal recursion, dimensions from
-the Weyl product formula (an independent consistency companion), and
-tensor-product decompositions into dual Weyl constituents from the
-Brauer-Klimyk rule: iterate over the weights of one factor, reflect the
-rho-shifted sum to the dominant chamber with its sign, and drop wall hits.
+Weight multiplicities come from the Freudenthal recursion over the dominant
+weights that a root-subtraction walk reaches from the highest weight
+(``dominant_below``), dimensions from the Weyl product formula (an
+independent consistency companion), and tensor-product decompositions into
+dual Weyl constituents from the Brauer-Klimyk rule: iterate over the weights
+of one factor, reflect the rho-shifted sum to the dominant chamber with its
+sign, and drop wall hits.
 
 All arithmetic is exact; the inner products needed by Freudenthal are
 evaluated through simple-root coordinates with the symmetrized form, so
@@ -26,10 +28,12 @@ from .roots import RootSystem, Weight
 
 __all__ = [
     "weight_multiplicities",
+    "dominant_below",
     "dominant_multiplicities",
     "dim_nabla",
     "dim_weight_space",
     "tensor_nabla_multiplicities",
+    "multi_tensor_nabla_multiplicities",
     "triple_tensor_nabla_multiplicities",
 ]
 
@@ -48,79 +52,58 @@ def _form(rs, fund_vec, root_coords):
     )
 
 
-def _norm2(rs, fund_vec):
-    """Exact (v, v) as a Fraction-free comparison key: returns Fraction."""
-    coords = _r.to_root_coords(rs, fund_vec)
-    return sum(v * c * d for v, c, d in zip(fund_vec, coords, rs.symmetrizer))
-
-
 @lru_cache(maxsize=None)
-def _dominant_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
-    """Dominant weights mu <= lam, ordered by descending height of mu."""
-    w0_lam = _r._mat_vec(rs.longest_element_action, lam)
-    bound = _r.root_lattice_coords(rs, tuple(a - b for a, b in zip(lam, w0_lam)))
-    if bound is None:
-        raise InternalInvariantError("lam - w0(lam) must lie in the root lattice")
-    seen = {tuple([0] * rs.rank): lam}
-    frontier = [tuple([0] * rs.rank)]
+def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+    """Pairs (mu, simple-root coordinates of lam - mu) over the dominant mu <= lam.
+
+    Ordered by ascending height of lam - mu, then by mu, so lam comes first.
+    A breadth-first walk from lam subtracts positive roots and keeps the
+    dominant results.  It reaches every dominant mu <= lam because every
+    covering relation of the dominance order on dominant weights is a
+    positive root (Stembridge, "The partial order of dominant weights",
+    Adv. Math. 136 (1998)); the tests check this against the root-lattice box.
+    """
+    lam = _require_dominant(rs, lam, "dominant weights below")
+    seen = {lam: (0,) * rs.rank}
+    frontier = [lam]
     while frontier:
         nxt = []
-        for c in frontier:
-            for i in range(rs.rank):
-                if c[i] < bound[i]:
-                    c2 = c[:i] + (c[i] + 1,) + c[i + 1:]
-                    if c2 not in seen:
-                        col = rs.fund_of_simple(i)
-                        seen[c2] = tuple(v - f for v, f in zip(seen[c], col))
-                        nxt.append(c2)
+        for mu in frontier:
+            c = seen[mu]
+            for beta in rs.positive_roots:
+                nu = tuple(v - f for v, f in zip(mu, beta.fund_coords))
+                if min(nu) >= 0 and nu not in seen:
+                    seen[nu] = tuple(a + b for a, b in zip(c, beta.simple_coords))
+                    nxt.append(nu)
         frontier = nxt
-    dominants = [
-        (sum(c), w)
-        for c, w in seen.items()
-        if all(x >= 0 for x in w)
-    ]
-    dominants.sort(key=lambda t: (t[0], t[1]))
-    return tuple(w for _, w in dominants)
+    return tuple(sorted(seen.items(), key=lambda t: (sum(t[1]), t[0])))
 
 
 @lru_cache(maxsize=None)
 def dominant_multiplicities(rs: RootSystem, lam: Weight):
-    """Freudenthal recursion: multiplicities at the dominant weights <= lam."""
+    """Freudenthal recursion: multiplicities at the dominant weights <= lam.
+
+    Each beta-string above mu is followed until its first weight outside the
+    character: weight strings are unbroken, and every dominant weight above
+    mu is already in ``mult`` because the support is visited by height.
+    """
     lam = _require_dominant(rs, lam, "weight multiplicities")
-    supp = _dominant_below(rs, lam)
     mult = {lam: 1}
-    lam_norm = _norm2(rs, tuple(a + b for a, b in zip(lam, rs.rho)))
-    two_rho = tuple(2 * x for x in rs.rho)
-    for mu in supp:
-        if mu == lam:
-            continue
+    lam_2rho = tuple(a + 2 * r for a, r in zip(lam, rs.rho))
+    for mu, diff_coords in dominant_below(rs, lam)[1:]:
         acc = 0
         for beta in rs.positive_roots:
-            k = 1
+            step = 2 * beta.length_half  # (beta, beta)
+            up = mu
+            form = _form(rs, mu, beta.simple_coords)
             while True:
-                up = tuple(v + k * f for v, f in zip(mu, beta.fund_coords))
-                dom = _r.dominant_conjugate(rs, up)
-                m = mult.get(dom, 0)
-                if m:
-                    acc += m * _form(rs, up, beta.simple_coords)
-                else:
-                    # past the orbit support once the string is climbing
-                    shifted = tuple(a + b for a, b in zip(up, rs.rho))
-                    if (
-                        _norm2(rs, shifted) > lam_norm
-                        and _form(rs, up, beta.simple_coords) >= 0
-                    ):
-                        break
-                k += 1
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        diff_coords = _r.root_lattice_coords(rs, diff)
-        if diff_coords is None:
-            raise InternalInvariantError("support weight not below lam in root lattice")
-        denom = _form(
-            rs,
-            tuple(a + b + c for a, b, c in zip(lam, mu, two_rho)),
-            diff_coords,
-        )
+                up = tuple(v + f for v, f in zip(up, beta.fund_coords))
+                form += step
+                m = mult.get(_r.to_dominant_chamber(rs, up)[0], 0)
+                if not m:
+                    break
+                acc += m * form
+        denom = _form(rs, tuple(a + b for a, b in zip(lam_2rho, mu)), diff_coords)
         num = 2 * acc
         if denom <= 0 or num % denom:
             raise InternalInvariantError(
@@ -172,29 +155,6 @@ def dim_weight_space(rs: RootSystem, tau, xi) -> int:
     return dominant_multiplicities(rs, tau).get(dom, 0)
 
 
-def _dominantize_signed(rs: RootSystem, shifted):
-    """Reflect a rho-shifted vector to the dominant chamber, tracking the sign.
-
-    Returns (dominant vector, sign) with sign 0 when the vector lies on a
-    wall (some coordinate vanishes along the way or at the end).
-    """
-    v = list(shifted)
-    sign = 1
-    while True:
-        for i in range(rs.rank):
-            if v[i] == 0:
-                return None, 0
-            if v[i] < 0:
-                col = rs.fund_of_simple(i)
-                vi = v[i]
-                for k in range(rs.rank):
-                    v[k] -= vi * col[k]
-                sign = -sign
-                break
-        else:
-            return tuple(v), sign
-
-
 @lru_cache(maxsize=None)
 def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
     small, big = (a, b) if dim_nabla(rs, a) <= dim_nabla(rs, b) else (b, a)
@@ -202,7 +162,7 @@ def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
     big_shifted = tuple(x + r for x, r in zip(big, rs.rho))
     for nu, mult in _full_character(rs, small).items():
         shifted = tuple(x + n for x, n in zip(big_shifted, nu))
-        dom, sign = _dominantize_signed(rs, shifted)
+        dom, sign = _r.to_dominant_chamber(rs, shifted)
         if sign:
             omega = tuple(x - r for x, r in zip(dom, rs.rho))
             acc[omega] = acc.get(omega, 0) + sign * mult
@@ -227,13 +187,21 @@ def tensor_nabla_multiplicities(rs: RootSystem, a, b) -> dict[Weight, int]:
     return dict(_tensor_cached(rs, a, b))
 
 
+def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, int]:
+    """Constituents of a product of one or more dual Weyl characters, folded pairwise."""
+    if not weights:
+        raise PreconditionError("tensor decomposition needs at least one weight")
+    weights = [_require_dominant(rs, w, "tensor decomposition") for w in weights]
+    out = {weights[0]: 1}
+    for c in weights[1:]:
+        folded: dict[Weight, int] = {}
+        for nu, k in out.items():
+            for omega, m in _tensor_cached(rs, nu, c).items():
+                folded[omega] = folded.get(omega, 0) + k * m
+        out = folded
+    return out
+
+
 def triple_tensor_nabla_multiplicities(rs: RootSystem, a, b, c) -> dict[Weight, int]:
     """Constituents of a threefold product, folded pairwise."""
-    a = _require_dominant(rs, a, "tensor decomposition")
-    b = _require_dominant(rs, b, "tensor decomposition")
-    c = _require_dominant(rs, c, "tensor decomposition")
-    out: dict[Weight, int] = {}
-    for nu, k in _tensor_cached(rs, a, b).items():
-        for omega, m in _tensor_cached(rs, nu, c).items():
-            out[omega] = out.get(omega, 0) + k * m
-    return {w: m for w, m in out.items() if m}
+    return multi_tensor_nabla_multiplicities(rs, a, b, c)

@@ -257,17 +257,7 @@ def cmd_kl(args, out, err) -> int:
 
 def cmd_tensor(args, out, err) -> int:
     rs = _r.build_root_system(args.series, args.rank)
-    weights = args.weights
-    if len(weights) == 1:
-        entries = {tuple(weights[0]): 1}
-    else:
-        entries = ch.tensor_nabla_multiplicities(rs, weights[0], weights[1])
-        for extra in weights[2:]:
-            folded = {}
-            for nu, k in entries.items():
-                for omega, m in ch.tensor_nabla_multiplicities(rs, nu, extra).items():
-                    folded[omega] = folded.get(omega, 0) + k * m
-            entries = folded
+    entries = ch.multi_tensor_nabla_multiplicities(rs, *args.weights)
     emit_table(entries, args.format, out)
     return EXIT_OK
 

@@ -252,9 +252,11 @@ def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
 
 def _tau_candidates_for_omega(ws, omega, shift, rep, p, shifted_of_tau):
     """Dominant tau <= omega + shift whose shifted weight is linked to rep."""
+    if min(omega) < 0:  # never a constituent; the walk needs a dominant top
+        return []
     top = tuple(o + s for o, s in zip(omega, shift))
     out = []
-    for tau in ch._dominant_below(ws.rs, top):
+    for tau, _ in ch.dominant_below(ws.rs, top):
         shifted = shifted_of_tau(tau)
         if ws.group.is_p_regular(shifted, p):
             if ws.group.locate(shifted, p).antidominant_rep == rep:

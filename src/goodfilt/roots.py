@@ -16,13 +16,15 @@ Conventions, fixed once and used by every other module:
   is the highest coroot, which is what the Jantzen-region bound pairs
   against.
 
-Everything is computed with exact integer (or Fraction) arithmetic; no
-floats anywhere.  RootSystem instances are immutable and freely shareable
-between threads; every function here is pure.
+Everything is computed with exact integer arithmetic: the inverse Cartan
+matrix is stored as integers over one common denominator, and only the
+public ``to_root_coords`` returns Fractions.  RootSystem instances are
+immutable and freely shareable between threads; every function here is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,8 +135,9 @@ class RootSystem:
     highest_short_root: Root
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
     simple_reflections: tuple[Matrix, ...]
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
-    _positive_fund_set: frozenset
+    simple_columns: tuple[Weight, ...]  # alpha_i in fundamental coordinates
+    inverse_cartan: Matrix  # inverse Cartan matrix times inverse_cartan_den
+    inverse_cartan_den: int
 
     # Construction is deterministic, so identity on (series, rank) is safe
     # and keeps hashing cheap for the memo tables built on top.
@@ -154,10 +157,6 @@ class RootSystem:
     @property
     def simple_roots(self) -> tuple[Root, ...]:
         return self.positive_roots[: self.rank]
-
-    def fund_of_simple(self, i: int) -> Weight:
-        """Fundamental coordinates of alpha_i (column i of the Cartan matrix)."""
-        return tuple(self.cartan[k][i] for k in range(self.rank))
 
 
 def _cartan_matrix(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
@@ -331,9 +330,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
             f"{series}{rank}: <rho, alpha_0^vee> = {sum(top_short.coroot)} != h-1 = {coxeter - 1}"
         )
 
+    columns = tuple(zip(*cartan))
     refl = []
-    for i in range(rank):
-        col = tuple(cartan[k][i] for k in range(rank))
+    for i, col in enumerate(columns):
         refl.append(
             tuple(
                 tuple((1 if k == j else 0) - (col[k] if j == i else 0) for j in range(rank))
@@ -345,6 +344,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         raise InternalInvariantError(f"{series}{rank}: w0 action is not an involution")
 
     inv_cartan = _mat_inv(cartan)
+    inv_den = math.lcm(*(x.denominator for row in inv_cartan for x in row))
     return RootSystem(
         series=series,
         rank=rank,
@@ -356,8 +356,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         highest_short_root=top_short,
         longest_element_action=w0,
         simple_reflections=tuple(refl),
-        inverse_cartan=inv_cartan,
-        _positive_fund_set=frozenset(r.fund_coords for r in roots),
+        simple_columns=columns,
+        inverse_cartan=tuple(tuple(int(x * inv_den) for x in row) for row in inv_cartan),
+        inverse_cartan_den=inv_den,
     )
 
 
@@ -429,21 +430,24 @@ def validate_p(rs: RootSystem, p: int) -> PrimeReport:
     return PrimeReport(p=p, p_odd=odd, p_ge_2h_minus_2=big, warnings=tuple(warnings))
 
 
+def _scaled_root_coords(rs: RootSystem, w: Weight) -> tuple[int, ...]:
+    """inverse_cartan_den times the simple-root coordinates of w."""
+    return tuple(sum(a * x for a, x in zip(row, w)) for row in rs.inverse_cartan)
+
+
 def to_root_coords(rs: RootSystem, weight) -> tuple[Fraction, ...]:
     """Coefficients of a weight over the simple roots (exact rationals)."""
-    w = check_weight(rs, weight)
-    return tuple(
-        sum(rs.inverse_cartan[i][j] * w[j] for j in range(rs.rank))
-        for i in range(rs.rank)
-    )
+    den = rs.inverse_cartan_den
+    return tuple(Fraction(c, den) for c in _scaled_root_coords(rs, check_weight(rs, weight)))
 
 
 def root_lattice_coords(rs: RootSystem, weight) -> tuple[int, ...] | None:
     """Integer simple-root coordinates, or None when weight is not in ZR."""
-    coords = to_root_coords(rs, weight)
-    if any(c.denominator != 1 for c in coords):
+    den = rs.inverse_cartan_den
+    coords = _scaled_root_coords(rs, check_weight(rs, weight))
+    if any(c % den for c in coords):
         return None
-    return tuple(int(c) for c in coords)
+    return tuple(c // den for c in coords)
 
 
 def dominance_leq(rs: RootSystem, a, b) -> bool:
@@ -453,18 +457,28 @@ def dominance_leq(rs: RootSystem, a, b) -> bool:
     return coords is not None and all(c >= 0 for c in coords)
 
 
-def dominant_conjugate(rs: RootSystem, weight) -> Weight:
-    """The unique dominant weight in the finite Weyl orbit."""
-    v = list(check_weight(rs, weight))
+def to_dominant_chamber(rs: RootSystem, v: Weight) -> tuple[Weight, int]:
+    """Reflect v into the dominant chamber, lowest negative coordinate first.
+
+    Returns the dominant conjugate and the sign det(w) of the walk, with
+    sign 0 when v lies on a wall (its conjugate has a zero coordinate).
+    ``v`` is not validated; public callers go through ``dominant_conjugate``.
+    """
+    cols = rs.simple_columns
+    sign = 1
     while True:
-        for i in range(rs.rank):
-            if v[i] < 0:
-                col = rs.fund_of_simple(i)
-                vi = v[i]
-                v = [v[k] - vi * col[k] for k in range(rs.rank)]
+        for i, vi in enumerate(v):
+            if vi < 0:
                 break
         else:
-            return tuple(v)
+            return v, (sign if all(v) else 0)
+        v = tuple(a - vi * c for a, c in zip(v, cols[i]))
+        sign = -sign
+
+
+def dominant_conjugate(rs: RootSystem, weight) -> Weight:
+    """The unique dominant weight in the finite Weyl orbit."""
+    return to_dominant_chamber(rs, check_weight(rs, weight))[0]
 
 
 def weyl_orbit(rs: RootSystem, weight) -> frozenset:
@@ -475,10 +489,9 @@ def weyl_orbit(rs: RootSystem, weight) -> frozenset:
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(rs.rank):
-                if v[i] != 0:
-                    col = rs.fund_of_simple(i)
-                    img = tuple(v[k] - v[i] * col[k] for k in range(rs.rank))
+            for vi, col in zip(v, rs.simple_columns):
+                if vi != 0:
+                    img = tuple(a - vi * c for a, c in zip(v, col))
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)

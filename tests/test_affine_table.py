@@ -26,7 +26,7 @@ def generator_forms(rs):
     s0 = [[int(k == j) - a0.fund_coords[k] * a0.coroot[j] for j in range(n)] for k in range(n)]
     forms = [(s0, [-c for c in a0.fund_coords])]
     for i in range(n):
-        alpha = rs.fund_of_simple(i)
+        alpha = [rs.cartan[k][i] for k in range(n)]
         mat = [[int(k == j) - alpha[k] * int(j == i) for j in range(n)] for k in range(n)]
         forms.append((mat, [0] * n))
     return forms

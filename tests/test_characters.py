@@ -1,11 +1,61 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from goodfilt import characters as ch
 from goodfilt import roots as r
 from goodfilt.errors import PreconditionError
-from goodfilt.roots import build_root_system
+from goodfilt.roots import _RANK_RANGE, build_root_system
+
+BOX_LIMIT = 3000  # largest root-lattice box of a drawn weight
+BOX_CAP = 60000  # largest box of a chosen weight
+
+
+def box_bound(rs, lam):
+    """Simple-root coordinates of lam - w0(lam), the far corner of the box."""
+    w0_lam = r._mat_vec(rs.longest_element_action, lam)
+    return r.root_lattice_coords(rs, tuple(a - b for a, b in zip(lam, w0_lam)))
+
+
+def box_size(rs, lam):
+    size = 1
+    for b in box_bound(rs, lam):
+        size *= b + 1
+    return size
+
+
+def box_dominant_below(rs, lam):
+    """Reference for dominant_below: every point lam - sum c_i alpha_i of the box
+    0 <= c <= coords(lam - w0 lam), kept when dominant, in the walk's order."""
+    cols = [tuple(rs.cartan[k][i] for k in range(rs.rank)) for i in range(rs.rank)]
+    bound = box_bound(rs, lam)
+    found = []
+
+    def fill(i, mu, c):
+        if i == rs.rank:
+            if min(mu) >= 0:
+                found.append((mu, c))
+            return
+        for ci in range(bound[i] + 1):
+            fill(i + 1, mu, c + (ci,))
+            mu = tuple(a - b for a, b in zip(mu, cols[i]))
+
+    fill(0, tuple(lam), ())
+    return tuple(sorted(found, key=lambda t: (sum(t[1]), t[0])))
+
+
+def orbit_size(rs, mu):
+    """|W mu| for dominant mu, from |W_J| = prod over the positive roots of the
+    parabolic subsystem J = {i : mu_i = 0} of (ht + 1) / ht (Macdonald)."""
+    size = Fraction(1)
+    for beta in rs.positive_roots:
+        if any(c and m for c, m in zip(beta.simple_coords, mu)):
+            size *= Fraction(beta.height + 1, beta.height)
+    assert size.denominator == 1
+    return int(size)
 
 
 def product_character(rs, a, b):
@@ -108,10 +158,55 @@ def test_freudenthal_total_matches_weyl_dimension(a1, a2, b2):
         for lam in itertools.product(range(0, 5), repeat=2):
             total = sum(ch.weight_multiplicities(rs, lam).values())
             assert total == ch.dim_nabla(rs, lam), lam
+            for mu in ch.dominant_multiplicities(rs, lam):
+                assert orbit_size(rs, mu) == len(r.weyl_orbit(rs, mu))
     g2 = build_root_system("G", 2)
     for lam in itertools.product(range(0, 4), repeat=2):
         total = sum(ch.weight_multiplicities(g2, lam).values())
         assert total == ch.dim_nabla(g2, lam), lam
+    # every fundamental weight at high rank, where the full character is too
+    # large to list: dominant multiplicities times orbit sizes
+    for series, rank in [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("E", 6),
+                         ("E", 7), ("E", 8), ("F", 4), ("G", 2)]:
+        rs = build_root_system(series, rank)
+        weights = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        if series == "E" and rank == 8:
+            weights.append((0,) * 7 + (2,))  # box of 2.08e9 points
+        for lam in weights:
+            total = sum(
+                m * orbit_size(rs, mu) for mu, m in ch.dominant_multiplicities(rs, lam).items()
+            )
+            assert total == ch.dim_nabla(rs, lam), (rs, lam)
+
+
+def test_dominant_below_matches_box_on_every_type():
+    # per type, the nonzero weights of coordinate sum <= 2 with the smallest
+    # boxes; E8 has none within reach (omega_8 alone has 1.4e7 box points)
+    for series, (lo, hi) in _RANK_RANGE.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(series, rank)
+            weights = [
+                lam for lam in itertools.product(range(3), repeat=rank) if 0 < sum(lam) <= 2
+            ]
+            sized = sorted((box_size(rs, lam), lam) for lam in weights)
+            chosen = [(0,) * rank] + [lam for size, lam in sized[:4] if size <= BOX_CAP]
+            assert len(chosen) > 1 or (series, rank) == ("E", 8)
+            for lam in chosen:
+                assert ch.dominant_below(rs, lam) == box_dominant_below(rs, lam), (rs, lam)
+
+
+SMALL_TYPES = [("A", n) for n in range(1, 5)] + [("B", n) for n in range(2, 5)] + [
+    ("C", n) for n in range(2, 5)
+] + [("D", 4), ("F", 4), ("G", 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.data())
+def test_dominant_below_matches_box_property(typ, data):
+    rs = build_root_system(*typ)
+    lam = tuple(data.draw(st.lists(st.integers(0, 4), min_size=rs.rank, max_size=rs.rank)))
+    assume(box_size(rs, lam) <= BOX_LIMIT)
+    assert ch.dominant_below(rs, lam) == box_dominant_below(rs, lam)
 
 
 def test_character_is_weyl_invariant(a2, b2):

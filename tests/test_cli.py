@@ -101,6 +101,10 @@ def test_tensor_single_weight():
     code, out, _ = run(["tensor", "--series", "A", "--rank", "2", "--weights", "2,1"])
     assert code == 0
     assert json.loads(out) == {"2,1": 1}
+    # a lone weight is validated like the factors of a product
+    for bad in ("-1,2", "2,1,0"):
+        code, out, err = run(["tensor", "--series", "A", "--rank", "2", f"--weights={bad}"])
+        assert code == 2 and out == "" and f"({bad.replace(',', ', ')})" in err
 
 
 def test_extmult_omega_filter():
