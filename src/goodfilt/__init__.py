@@ -37,7 +37,7 @@ from .extmult import (
     weight_space_identity_check,
     small_c,
 )
-from .klpoly import IntPoly, KLTable
+from .klpoly import KLTable
 from .roots import (
     PrimeReport,
     Root,

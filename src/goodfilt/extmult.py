@@ -65,6 +65,7 @@ __all__ = [
     "multiplicity_table",
     "IdentityCheckResult",
     "weight_space_identity_check",
+    "run_identity_box",
     "DualityReport",
     "duality_self_test",
 ]
@@ -277,35 +278,35 @@ def _tau_candidates_windowed(ws, base, rep, p, max_len):
 
 
 def _variant_parts(ws, query):
-    """Per-variant plumbing: partner weight, shifted base, KL factor, tensor factors."""
+    """Per-variant plumbing: partner weight, shifted base, twist, KL and tensor factors.
+
+    The KL factor of tau is read at the shifted weight base + p * twist(tau).
+    The twist is tau-star for delta_red and the identity otherwise; both are
+    involutions.
+    """
     lam0, lam1 = restricted_decompose(ws.rs, query.lam, query.p)
     mu0, mu1 = restricted_decompose(ws.rs, query.mu, query.p)
     star = lambda w: _r.star(ws.rs, w)
+    same = lambda w: w
+    n, p = query.n, query.p
     if query.variant == "red_red":
-        partner = mu0
-        base = lam0
-        kl = lambda tau: big_C(ws, tuple(b + query.p * t for b, t in zip(base, tau)), mu0, query.n, query.p)
+        partner, base, twist = mu0, lam0, same
+        kl = lambda shifted: big_C(ws, shifted, mu0, n, p)
         tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(ws.rs, star(lam1), mu1, tau)
         shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
     elif query.variant == "delta_red":
-        partner = query.lam
-        base = mu0
-        kl = lambda tau: small_c(
-            ws, query.lam, tuple(b + query.p * t for b, t in zip(base, star(tau))), query.n, query.p
-        )
+        partner, base, twist = query.lam, mu0, star
+        kl = lambda shifted: small_c(ws, query.lam, shifted, n, p)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, tau, mu1)
         shift = star(mu1)
     elif query.variant == "red_nabla":
-        partner = query.mu
-        base = lam0
-        kl = lambda tau: small_c(
-            ws, query.mu, tuple(b + query.p * t for b, t in zip(base, tau)), query.n, query.p
-        )
+        partner, base, twist = query.mu, lam0, same
+        kl = lambda shifted: small_c(ws, query.mu, shifted, n, p)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, lam1, tau)
         shift = star(lam1)
     else:  # pragma: no cover - validated earlier
         raise ConfigurationError(query.variant)
-    return partner, base, kl, tensor, shift
+    return partner, base, twist, kl, tensor, shift
 
 
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
@@ -317,20 +318,19 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     window around the partner weight (see _QDEG_MARGIN); entries with
     value zero are omitted either way.
     """
+    return _assemble(ws, query, omegas, twisted=True)
+
+
+def _assemble(ws, query, omegas, twisted):
+    """``multiplicity_table``; with ``twisted`` false the KL slot reads tau
+    where the formula has twist(tau) (used only by the duality self-test)."""
     query = query.validated(ws)
-    partner, base, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
+    partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
+    if not twisted:
+        twist = lambda tau: tau
+    shifted_of_tau = lambda tau: tuple(b + query.p * t for b, t in zip(base, twist(tau)))
     loc_partner = ws.group.locate(partner, query.p)
     rep = loc_partner.antidominant_rep
-
-    if query.variant == "delta_red":
-        # the KL slot carries mu0 + p * star(tau); the tensor slot plain tau
-        shifted_of_tau = lambda tau: tuple(
-            b + query.p * t for b, t in zip(base, _r.star(ws.rs, tau))
-        )
-        tau_of_diff = lambda d: _r.star(ws.rs, d)
-    else:
-        shifted_of_tau = lambda tau: tuple(b + query.p * t for b, t in zip(base, tau))
-        tau_of_diff = lambda d: d
 
     if omegas is not None:
         taus = []
@@ -344,11 +344,11 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     else:
         max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN
         raw = _tau_candidates_windowed(ws, base, rep, query.p, max_len)
-        taus = [tau_of_diff(t) for t in raw]
+        taus = [twist(t) for t in raw]  # the twist is its own inverse
 
     acc: dict[Weight, int] = {}
     for tau in taus:
-        k = kl_factor(tau)
+        k = kl_factor(shifted_of_tau(tau))
         if not k:
             continue
         for omega, m in tensor_factor(tau).items():
@@ -431,6 +431,62 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
     return IdentityCheckResult(lhs=lhs, rhs=rhs, xi=xi, mu=mu, tau=tau)
 
 
+def _box_weights(rs, max_pairing):
+    """Dominant weights with <w + rho, alpha_0^vee> < max_pairing."""
+    cor = rs.highest_short_root.coroot
+    base = sum(cor)  # <rho, alpha_0^vee> = h - 1
+    out = []
+
+    def rec(i, prefix, acc):
+        if i == rs.rank:
+            out.append(tuple(prefix))
+            return
+        c = 0
+        while acc + cor[i] * c + base < max_pairing:
+            rec(i + 1, prefix + [c], acc + cor[i] * c)
+            c += 1
+
+    rec(0, [], 0)
+    return out
+
+
+def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) -> dict:
+    """Run the two-path identity over every decomposable p-regular mu in a box.
+
+    For each mu the constituents tau range over the dominant weights whose
+    p-fold stretch stays within tau_pad extra alcove layers above the box.
+    Returns the counts of mus ("cases") and of checks ("tau_checks"), and the
+    failing ``IdentityCheckResult``s ("failures").
+    """
+    rs = ws.rs
+    alpha0 = rs.highest_short_root
+    h = rs.coxeter_number
+    cases = 0
+    tau_checks = 0
+    failures = []
+    for mu in _box_weights(rs, max_pairing):
+        if not ws.group.is_p_regular(mu, p):
+            continue
+        try:
+            finite_weyl_shift_decompose(ws, mu, p)
+        except DecompositionError:
+            continue
+        cases += 1
+        mu_depth = sum(
+            c * (v + r) for c, v, r in zip(alpha0.coroot, mu, rs.rho)
+        )
+        tau_bound = mu_depth + tau_pad * p * h
+        for tau in _box_weights(rs, tau_bound // p + h + 2):
+            stretched = tuple(p * t + r for t, r in zip(tau, rs.rho))
+            if sum(c * v for c, v in zip(alpha0.coroot, stretched)) > tau_bound:
+                continue
+            result = weight_space_identity_check(ws, mu, tau, p)
+            tau_checks += 1
+            if not result.ok:
+                failures.append(result)
+    return {"cases": cases, "tau_checks": tau_checks, "failures": failures}
+
+
 @dataclass(frozen=True)
 class DualityReport:
     """Comparison of the red_nabla table against the dualized delta_red table.
@@ -451,27 +507,6 @@ class DualityReport:
     dual_delta_red_unstarred: tuple
 
 
-def _delta_red_table_unstarred(ws, query, max_len_pad=0):
-    """delta_red with the tau-star in the KL slot replaced by tau."""
-    query = query.validated(ws)
-    mu0, mu1 = restricted_decompose(ws.rs, query.mu, query.p)
-    partner = query.lam
-    loc_partner = ws.group.locate(partner, query.p)
-    rep = loc_partner.antidominant_rep
-    max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN + max_len_pad
-    taus = _tau_candidates_windowed(ws, mu0, rep, query.p, max_len)
-    acc: dict[Weight, int] = {}
-    for tau in taus:
-        k = small_c(
-            ws, query.lam, tuple(b + query.p * t for b, t in zip(mu0, tau)), query.n, query.p
-        )
-        if not k:
-            continue
-        for omega, m in ch.tensor_nabla_multiplicities(ws.rs, tau, mu1).items():
-            acc[omega] = acc.get(omega, 0) + k * m
-    return tuple(sorted((w, m) for w, m in acc.items() if m))
-
-
 def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
     """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) under star."""
     lam = _r.check_weight(ws.rs, lam)
@@ -484,7 +519,7 @@ def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
     )
     dual = multiplicity_table(ws, dual_query).entries
     dual_starred = tuple(sorted((_r.star(ws.rs, w), m) for w, m in dual))
-    dual_un = _delta_red_table_unstarred(ws, dual_query)
+    dual_un = _assemble(ws, dual_query, None, twisted=False).entries
     dual_un_starred = tuple(sorted((_r.star(ws.rs, w), m) for w, m in dual_un))
     return DualityReport(
         lam=lam,

@@ -1,18 +1,19 @@
 """Kazhdan-Lusztig polynomials for the affine Coxeter system.
 
-Polynomials live in the variable q = t^2 with arbitrary-precision integer
-coefficients.  The table computes P_{x,y} on demand by the right-descent
-recursion: for s with ys < y and v := ys,
+Polynomials live in the variable q = t^2.  A polynomial is the tuple of
+its integer coefficients, lowest degree first, with no trailing zeros, so
+1 is (1,) and 0 is ().  The table computes P_{x,y} on demand by the
+right-descent recursion: for s with ys < y and v := ys,
 
     P_{x,y} = P_{xs,y}                                    if xs > x,
     P_{x,y} = P_{xs,v} + q P_{x,v}
               - sum over z with x <= z <= v, zs < z of
                 mu(z, v) q^{(l(y)-l(z))/2} P_{x,z}        if xs < x,
 
-with P_{x,x} = 1 and P_{x,y} = 0 unless x <= y in Bruhat order.  Every
-computed entry is checked against the defining invariants (constant term
-1, nonnegative coefficients, 2 deg_q <= l(y) - l(x) - 1) before being
-stored; a violation raises rather than poisoning the memo.
+with P_{x,x} = 1 and P_{x,y} = 0 unless x <= y in Bruhat order.  One check
+of the defining invariants (constant term 1, nonnegative coefficients,
+2 deg_q <= l(y) - l(x) - 1) guards every entry before it is stored, computed
+or loaded; a violation raises rather than poisoning the memo.
 
 Concurrency: the memo dict is the only shared state.  Entries are
 immutable and insertion is idempotent (same key always yields the same
@@ -36,79 +37,39 @@ import tempfile
 from .affine import AffineWeylGroup
 from .errors import CacheFormatError, InternalInvariantError
 
-__all__ = ["IntPoly", "KLTable", "ZERO", "ONE"]
+__all__ = ["KLTable"]
 
 
-class IntPoly:
-    """Immutable univariate polynomial with exact integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntPoly is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == ((other,) if other else ())
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "IntPoly(0)"
-        terms = [f"{c}*q^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "IntPoly(" + " + ".join(terms) + ")"
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def coeff(self, i: int) -> int:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other):
-        out = list(self.coeffs)
-        out.extend([0] * (len(other.coeffs) - len(out)))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPoly(out)
-
-    def scale_shift(self, scalar: int, shift: int):
-        """scalar * q^shift * self."""
-        if scalar == 0 or not self.coeffs:
-            return ZERO
-        return IntPoly([0] * shift + [scalar * c for c in self.coeffs])
-
-    def eval_at_one(self) -> int:
-        return sum(self.coeffs)
+def _trimmed(coeffs) -> tuple[int, ...]:
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-ZERO = IntPoly()
-ONE = IntPoly((1,))
+def _coeff(poly: tuple[int, ...], i: int) -> int:
+    return poly[i] if 0 <= i < len(poly) else 0
+
+
+def _int_array(value) -> list[int]:
+    # type(), not isinstance(): JSON true must not load as 1
+    if not isinstance(value, list) or any(type(c) is not int for c in value):
+        raise ValueError(f"expected an array of integers, got {json.dumps(value)}")
+    return value
+
+
+def _invariant_violation(poly: tuple[int, ...], gap: int) -> str | None:
+    """The first KL invariant that ``poly`` breaks as P_{x,y}, or None.
+
+    ``gap`` is l(y) - l(x) for x <= y; gap 0 means x = y, where P = 1.
+    """
+    if _coeff(poly, 0) != 1:
+        return f"constant term {_coeff(poly, 0)} != 1"
+    if any(c < 0 for c in poly):
+        return f"negative coefficient in {list(poly)}"
+    if 2 * (len(poly) - 1) > max(gap - 1, 0):
+        return f"degree {len(poly) - 1} exceeds the bound for gap {gap}"
+    return None
 
 
 class KLTable:
@@ -116,16 +77,16 @@ class KLTable:
 
     def __init__(self, group: AffineWeylGroup):
         self.group = group
-        self.memo: dict[tuple[int, int], IntPoly] = {}
+        self.memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- core recursion ----------------------------------------------------
 
-    def kl(self, x: int, y: int) -> IntPoly:
+    def kl(self, x: int, y: int) -> tuple[int, ...]:
         if x == y:
-            return ONE
+            return (1,)
         g = self.group
         if not g.bruhat_leq(x, y):
-            return ZERO
+            return ()
         key = (x, y)
         cached = self.memo.get(key)
         if cached is not None:
@@ -134,20 +95,28 @@ class KLTable:
         s = g.right_descents(y)[0]
         v = g.row(y)[s]
         xs = g.row(x)[s]
+        ly = g.length(y)
+        gap = ly - g.length(x)
         if g.length(xs) > g.length(x):
             result = self.kl(xs, y)
         else:
-            result = self.kl(xs, v) + self.kl(x, v).scale_shift(1, 1)
-            ly = g.length(y)
+            # (shift, scale, P): each term has degree <= gap // 2 when its
+            # factors obey the degree bound, though the sum may cancel lower
+            terms = [(0, 1, self.kl(xs, v)), (1, 1, self.kl(x, v))]
             for z in g.lower_ideal(v):
                 if s in g.right_descents(z) and g.bruhat_leq(x, z):
                     m = self.mu(z, v)
                     if m:
-                        result = result - self.kl(x, z).scale_shift(
-                            m, (ly - g.length(z)) // 2
-                        )
+                        terms.append(((ly - g.length(z)) // 2, -m, self.kl(x, z)))
+            acc = [0] * (gap // 2 + 1)
+            for shift, scale, poly in terms:
+                for i, c in enumerate(poly, start=shift):
+                    acc[i] += scale * c
+            result = _trimmed(acc[: max(shift + len(poly) for shift, _, poly in terms)])
 
-        self._validate(x, y, result)
+        problem = _invariant_violation(result, gap)
+        if problem:
+            raise InternalInvariantError(f"KL polynomial for gap {gap}: {problem}")
         self.memo[key] = result
         return result
 
@@ -156,7 +125,7 @@ class KLTable:
         gap = self.group.length(y) - self.group.length(x)
         if gap <= 0 or gap % 2 == 0:
             return 0
-        return self.kl(x, y).coeff((gap - 1) // 2)
+        return _coeff(self.kl(x, y), (gap - 1) // 2)
 
     def c_coeff(self, u: int, v: int, s: int) -> int:
         """Coefficient of t^s in P_{u,v} read as a polynomial in t = sqrt(q).
@@ -165,20 +134,7 @@ class KLTable:
         """
         if s < 0 or s % 2:
             return 0
-        return self.kl(u, v).coeff(s // 2)
-
-    def _validate(self, x, y, poly: IntPoly) -> None:
-        gap = self.group.length(y) - self.group.length(x)
-        if poly.coeff(0) != 1:
-            raise InternalInvariantError(
-                f"KL constant term {poly.coeff(0)} != 1 for gap {gap}"
-            )
-        if any(c < 0 for c in poly.coeffs):
-            raise InternalInvariantError(f"negative KL coefficient in {poly!r}")
-        if 2 * poly.degree > gap - 1:
-            raise InternalInvariantError(
-                f"KL degree bound violated: deg {poly.degree}, gap {gap}"
-            )
+        return _coeff(self.kl(u, v), s // 2)
 
     # -- persistence ---------------------------------------------------------
 
@@ -196,7 +152,7 @@ class KLTable:
         g = self.group
         records = sorted(
             (
-                (g.canonical_word(x), g.canonical_word(y), list(p.coeffs))
+                (g.canonical_word(x), g.canonical_word(y), list(p))
                 for (x, y), p in self.memo.items()
             ),
             key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
@@ -226,8 +182,10 @@ class KLTable:
     def load(self, path) -> int:
         """Merge a persisted table; returns the number of records loaded.
 
-        The whole file is rejected (CacheFormatError) on the first record
-        violating the degree-bound, constant-term, or positivity invariants.
+        The whole file is rejected (CacheFormatError naming file and line)
+        on the first record that is not three arrays of integers, uses a
+        generator beyond the rank, or breaks the KL invariants.  Trailing
+        zero coefficients are dropped.
         """
         g = self.group
         staged = {}
@@ -247,30 +205,24 @@ class KLTable:
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
+                where = f"{path}:{lineno}"
                 try:
                     rec = json.loads(line)
-                    xw = tuple(int(i) for i in rec["x"])
-                    yw = tuple(int(i) for i in rec["y"])
-                    poly = IntPoly(int(c) for c in rec["p_of_q"])
+                    xw, yw, coeffs = (_int_array(rec[k]) for k in ("x", "y", "p_of_q"))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise CacheFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+                    raise CacheFormatError(f"{where}: bad record: {exc}") from exc
                 if any(not 0 <= i <= g.rs.rank for i in xw + yw):
-                    raise CacheFormatError(f"{path}:{lineno}: generator index out of range")
+                    raise CacheFormatError(f"{where}: generator index out of range")
                 x, y = g.from_word(xw), g.from_word(yw)
-                gap = g.length(y) - g.length(x)
-                if x == y:
-                    ok = poly == ONE
+                poly = _trimmed(coeffs)
+                if g.bruhat_leq(x, y):
+                    problem = _invariant_violation(poly, g.length(y) - g.length(x))
                 else:
-                    ok = (
-                        g.bruhat_leq(x, y)
-                        and poly.coeff(0) == 1
-                        and all(c >= 0 for c in poly.coeffs)
-                        and 2 * poly.degree <= gap - 1
-                    )
-                if not ok:
+                    problem = "x is not below y in Bruhat order"
+                if problem:
                     raise CacheFormatError(
-                        f"{path}:{lineno}: record violates KL invariants "
-                        f"(x={list(xw)}, y={list(yw)}, p={list(poly.coeffs)})"
+                        f"{where}: record violates KL invariants: {problem} "
+                        f"(x={xw}, y={yw}, p={coeffs})"
                     )
                 if x != y:
                     staged[(x, y)] = poly

@@ -15,7 +15,7 @@ contain polynomials up to 1 + 3q + 2q^2, so this is not vacuous.
 import pytest
 
 from goodfilt.affine import get_group
-from goodfilt.klpoly import IntPoly, KLTable
+from goodfilt.klpoly import KLTable
 
 from test_finite_a3_oracle import padd, pmul, trim
 
@@ -78,7 +78,7 @@ def test_affine_rank2_kl_against_r_inversion(series):
         oracle = invert_r_system(group, y)
         for x, expected in oracle.items():
             got = table.kl(x, y)
-            assert got == IntPoly(expected), (series, x, y)
+            assert got == tuple(trim(list(expected))), (series, x, y)
             checked += 1
             if len(expected) > 1:
                 nontrivial += 1

@@ -263,6 +263,30 @@ def test_check_identity_small():
     assert "pass" in data["message"]
 
 
+def test_check_identity_reports_failures(monkeypatch):
+    from goodfilt import extmult as em
+
+    real = em.weight_space_identity_check
+
+    def off_by_one(ws, mu, tau, p):
+        result = real(ws, mu, tau, p)
+        return em.IdentityCheckResult(result.lhs + 1, result.rhs, result.xi, result.mu, result.tau)
+
+    monkeypatch.setattr(em, "weight_space_identity_check", off_by_one)
+    code, out, _ = run(
+        [
+            "check-identity", "--series", "A", "--rank", "1", "--p", "5",
+            "--max-pairing", "12", "--tau-pad", "1",
+        ]
+    )
+    assert code == 4
+    data = json.loads(out)
+    assert data["failures"] and data["message"] == f"{len(data['failures'])} failures"
+    first = data["failures"][0]
+    assert sorted(first) == ["lhs", "mu", "rhs", "tau"]
+    assert first["lhs"] == first["rhs"] + 1 and isinstance(first["mu"], str)
+
+
 def test_usage_error_exits_2():
     assert run(["locate", "--series", "A", "--rank", "1", "--p", "5"])[0] == 2
     assert run(["nonsense"])[0] == 2

@@ -286,17 +286,34 @@ def test_full_mode_agrees_with_omega_mode(a2):
                     for omega, mult in full.items():
                         per = em.multiplicity_table(a2, q, omegas=[omega])
                         assert per.get(omega) == mult, (variant, lam, mu, n, omega)
-    # and the window must not drop entries the bounded per-omega path finds
-    lam, mu = pool[0], pool[1]
-    for variant in ("red_red", "red_nabla"):
-        for n in range(3):
-            q = MultiplicityQuery(variant, lam, mu, n, p)
-            full = em.multiplicity_table(a2, q).as_dict()
-            for omega in itertools.product(range(6), repeat=2):
-                if omega in full:
-                    continue
-                per = em.multiplicity_table(a2, q, omegas=[omega])
-                assert per.get(omega) == 0, (variant, n, omega)
+    # and the window must not drop entries the bounded per-omega path finds.
+    # B2 needs orbit bound 8 (at 4 its pool holds one weight).  Its full
+    # tables report coordinates up to 2; the omega boxes reach one or two
+    # past that and stop, because the per-omega KL work grows steeply.
+    b2 = em.make_workspace("B", 2)
+    b2_pool = sorted(
+        {wt for _, wt in b2.group.dominant_orbit(
+            b2.group.locate((1, 0), p).antidominant_rep, p, 8
+        )}
+    )
+    cases = [
+        (a2, pool[0], pool[1], 6),
+        (b2, b2_pool[0], b2_pool[0], 5),
+        (b2, b2_pool[0], b2_pool[2], 4),
+    ]
+    nonempty = {"A": 0, "B": 0}
+    for ws, lam, mu, box in cases:
+        for variant in em.VARIANTS:
+            for n in range(3):
+                q = MultiplicityQuery(variant, lam, mu, n, p)
+                full = em.multiplicity_table(ws, q).as_dict()
+                nonempty[ws.rs.series] += bool(full)
+                for omega in itertools.product(range(box), repeat=2):
+                    if omega in full:
+                        continue
+                    per = em.multiplicity_table(ws, q, omegas=[omega])
+                    assert per.get(omega) == 0, (ws.rs.series, variant, lam, mu, n, omega)
+    assert all(nonempty.values()), nonempty
 
 
 def test_red_red_and_delta_red_agree_at_lambda_zero(a1, a2):
