@@ -37,6 +37,11 @@ decides.  The tests check this against the root-counting formula
 
 and the geometric separation count.
 
+Each id is also flagged at creation when the alcove x(C_p^-) is dominant;
+alcoves scale with p, so the flag does not depend on p.  For lambda^- in
+C_p^-, x . lambda^- is dominant exactly when x is flagged, which is why
+``dominant_orbit`` requires its representative in C_p^-.
+
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
 idempotent memos (Bruhat order, lower ideals, locate) take no lock, so a
@@ -48,6 +53,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import roots as _r
 from .errors import (
@@ -120,6 +126,7 @@ class AffineWeylGroup:
         self._index: dict[tuple[Matrix, Weight], int] = {}  # matrix form -> id
         self._rmul: list[tuple[int, ...] | None] = []  # id -> row, None until filled
         self._length: list[int] = []
+        self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
         self._descents: list[tuple[int, ...] | None] = []  # set with the row
         self._levels: list[list[int]] = []  # ids of length k, by canonical word
         self._leq: dict[tuple[int, int], bool] = {}
@@ -148,6 +155,9 @@ class AffineWeylGroup:
         self._rmul.append(None)
         self._descents.append(None)
         self._length.append(length)
+        # -rho lies in C_p^- at p = h, so the alcove is dominant iff x(-rho) is
+        h = self.rs.coxeter_number
+        self._dominant.append(all(h * t > sum(row) for row, t in zip(*form)))
         self._index[form] = x
         return x
 
@@ -223,6 +233,10 @@ class AffineWeylGroup:
 
     def length(self, x: int) -> int:
         return self._length[x]
+
+    def is_dominant(self, x: int) -> bool:
+        """Whether x . lambda is dominant for lambda in C_p^- (any p)."""
+        return self._dominant[x]
 
     def right_descents(self, x: int) -> tuple[int, ...]:
         if self._rmul[x] is None:
@@ -385,13 +399,19 @@ class AffineWeylGroup:
         return [z for level in levels[: bound + 1] for z in level]
 
     def dominant_orbit(self, rep: Weight, p: int, max_length: int):
-        """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length."""
-        out = []
-        for z in self.elements_up_to_length(max_length):
-            wt = self.dot(z, rep, p)
-            if all(c >= 0 for c in wt):
-                out.append((z, wt))
-        return out
+        """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length.
+
+        rep must lie in the open alcove C_p^- (as ``locate`` returns it).
+        """
+        rep = check_weight(self.rs, rep)
+        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
+            raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
+        m, rho, forms = _r._vec_add(rep, self.rs.rho), self.rs.rho, self._form
+        return [
+            (z, tuple(sum(map(mul, row, m)) + p * t - r for row, t, r in zip(*forms[z], rho)))
+            for z in self.elements_up_to_length(max_length)
+            if self._dominant[z]
+        ]
 
 
 @lru_cache(maxsize=None)

@@ -75,9 +75,10 @@ VARIANTS = ("red_red", "delta_red", "red_nabla")
 # Length window used only when no target constituents are supplied: shifted
 # candidates are enumerated up to l(partner) + n + 2 * _QDEG_MARGIN.  Exact
 # for the infinite dihedral group (where only the top coefficient is ever
-# nonzero) and generous for the rank-2 boxes this tool is tested on; the
-# per-omega mode is bounded by the tensor-factor dominance rule instead and
-# needs no window.
+# nonzero) and generous for the rank-2 boxes this tool is tested on; a table
+# with a nonzero KL factor in the window's top two lengths carries a warning.
+# The per-omega mode is bounded by the tensor-factor dominance rule instead
+# and needs no window.
 _QDEG_MARGIN = 4
 
 
@@ -132,10 +133,10 @@ def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
 
 def _dominant_z_candidates(ws: Workspace, x, y):
     """Elements below both x and y in Bruhat order (enumerated via the
-    shorter one's lower ideal); the caller keeps those with dominant image."""
+    shorter one's lower ideal) whose image of C_p^- is dominant."""
     g = ws.group
     first, second = (x, y) if g.length(x) <= g.length(y) else (y, x)
-    return [z for z in g.lower_ideal(first) if g.bruhat_leq(z, second)]
+    return [z for z in g.lower_ideal(first) if g.is_dominant(z) and g.bruhat_leq(z, second)]
 
 
 def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
@@ -145,13 +146,10 @@ def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
     loc_m = g.locate(mu, p)
     if loc_l.antidominant_rep != loc_m.antidominant_rep:
         return 0
-    rep = loc_l.antidominant_rep
     x, y = loc_l.element, loc_m.element
     lx, ly = loc_l.length, loc_m.length
     total = 0
     for z in _dominant_z_candidates(ws, x, y):
-        if any(c < 0 for c in g.dot(z, rep, p)):
-            continue
         lz = g.length(z)
         for m in range(n + 1):
             a = ws.table.c_coeff(z, x, lx - lz - m)
@@ -173,12 +171,8 @@ def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     if loc_l.antidominant_rep != loc_m.antidominant_rep:
         return 0
     bound = max(loc_l.length, loc_m.length)
-    seen = set()
-    nus = []
-    for _, wt in g.dominant_orbit(loc_l.antidominant_rep, p, bound):
-        if wt not in seen:
-            seen.add(wt)
-            nus.append(wt)
+    # distinct z give distinct weights: C_p^- points have trivial stabilizers
+    nus = [wt for _, wt in g.dominant_orbit(loc_l.antidominant_rep, p, bound)]
     total = 0
     for m in range(n + 1):
         for nu in nus:
@@ -266,14 +260,13 @@ def _tau_candidates_for_omega(ws, omega, shift, rep, p, shifted_of_tau):
 
 
 def _tau_candidates_windowed(ws, base, rep, p, max_len):
-    """Dominant tau with base + p*tau linked to rep, by a length window."""
-    out = []
-    for _, wt in ws.group.dominant_orbit(rep, p, max_len):
+    """Dominant tau with base + p*tau linked to rep, by a length window,
+    each mapped to the length of the element that reaches it."""
+    out = {}
+    for z, wt in ws.group.dominant_orbit(rep, p, max_len):
         diff = tuple(w - b for w, b in zip(wt, base))
         if all(d >= 0 and d % p == 0 for d in diff):
-            tau = tuple(d // p for d in diff)
-            if tau not in out:
-                out.append(tau)
+            out[tuple(d // p for d in diff)] = ws.group.length(z)
     return out
 
 
@@ -331,6 +324,7 @@ def _assemble(ws, query, omegas, twisted):
     shifted_of_tau = lambda tau: tuple(b + query.p * t for b, t in zip(base, twist(tau)))
     loc_partner = ws.group.locate(partner, query.p)
     rep = loc_partner.antidominant_rep
+    edge = ()  # windowed taus reached from the top two lengths of the window
 
     if omegas is not None:
         taus = []
@@ -345,20 +339,26 @@ def _assemble(ws, query, omegas, twisted):
         max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN
         raw = _tau_candidates_windowed(ws, base, rep, query.p, max_len)
         taus = [twist(t) for t in raw]  # the twist is its own inverse
+        edge = [twist(t) for t, length in raw.items() if length >= max_len - 1]
 
+    factors = {tau: kl_factor(shifted_of_tau(tau)) for tau in taus}
     acc: dict[Weight, int] = {}
-    for tau in taus:
-        k = kl_factor(shifted_of_tau(tau))
-        if not k:
-            continue
-        for omega, m in tensor_factor(tau).items():
-            acc[omega] = acc.get(omega, 0) + k * m
+    for tau, k in factors.items():
+        if k:
+            for omega, m in tensor_factor(tau).items():
+                acc[omega] = acc.get(omega, 0) + k * m
+    advisories = _advisories(ws, query)
+    if any(factors[tau] for tau in edge):
+        advisories += (
+            f"warning: a nonzero KL factor comes from the top two lengths of the "
+            f"window l(partner) + n + {2 * _QDEG_MARGIN} = {max_len}; entries may be missing",
+        )
 
     if omegas is not None:
         wanted = {tuple(o) for o in omegas}
         acc = {w: m for w, m in acc.items() if w in wanted}
     entries = tuple(sorted((w, m) for w, m in acc.items() if m))
-    return MultiplicityTable(entries=entries, query=query, advisories=_advisories(ws, query))
+    return MultiplicityTable(entries=entries, query=query, advisories=advisories)
 
 
 @dataclass(frozen=True)

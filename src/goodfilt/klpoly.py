@@ -184,8 +184,9 @@ class KLTable:
 
         The whole file is rejected (CacheFormatError naming file and line)
         on the first record that is not three arrays of integers, uses a
-        generator beyond the rank, or breaks the KL invariants.  Trailing
-        zero coefficients are dropped.
+        generator beyond the rank, breaks the KL invariants, or repeats a
+        pair (x, y) of an earlier record.  Trailing zero coefficients are
+        dropped.
         """
         g = self.group
         staged = {}
@@ -224,9 +225,13 @@ class KLTable:
                         f"{where}: record violates KL invariants: {problem} "
                         f"(x={xw}, y={yw}, p={coeffs})"
                     )
+                if (x, y) in staged:
+                    raise CacheFormatError(
+                        f"{where}: second record for x={xw}, y={yw}, first at {staged[x, y][1]}"
+                    )
                 if x != y:
-                    staged[(x, y)] = poly
-        for key, poly in staged.items():
+                    staged[(x, y)] = poly, where
+        for key, (poly, _) in staged.items():
             existing = self.memo.get(key)
             if existing is not None and existing != poly:
                 x, y = (list(g.canonical_word(z)) for z in key)

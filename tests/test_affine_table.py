@@ -2,10 +2,12 @@
 
 The model multiplies the matrix forms (w, nu) of the generators directly,
 built here from the root data alone, and computes lengths by the
-root-counting formula with an exact inverse.
+root-counting formula with an exact inverse.  The dominance flag is checked
+against the dot action applied to every element.
 """
 
 import itertools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfilt.affine import AffineWeylGroup, get_group
+from goodfilt.errors import PreconditionError
 from goodfilt.roots import _mat_inv, build_root_system
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
@@ -145,4 +148,75 @@ def test_concurrent_fills_agree_with_sequential():
     )
     assert all(r == expected for r in results)
     # a lost update would give one matrix form two ids
-    assert len(shared._index) == len(shared._form)
+    assert len(shared._index) == len(shared._form) == len(shared._dominant)
+
+
+# -- the dominance flag -------------------------------------------------------
+
+PRIMES = {("A", 1): (5, 7), ("A", 2): (5, 7), ("B", 2): (5, 7), ("G", 2): (7, 11)}
+
+
+def reference_dominant_orbit(g, rep, p, max_length):
+    """The filter the flag replaced: apply the dot action to every element."""
+    images = [(z, g.dot(z, rep, p)) for z in g.elements_up_to_length(max_length)]
+    return [(z, wt) for z, wt in images if all(c >= 0 for c in wt)]
+
+
+def alcove_reps(g, p):
+    """Every weight of the open antidominant alcove C_p^-."""
+    reps = [
+        rep
+        for rep in itertools.product(range(-p, -1), repeat=g.rs.rank)
+        if g.in_antidominant_alcove(rep, p)
+    ]
+    for rep in reps:  # locate walks the walls on its own
+        loc = g.locate(rep, p)
+        assert (loc.antidominant_rep, loc.length) == (rep, 0)
+    return reps
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_dominant_orbit_matches_dot_filter(series, rank):
+    g = get_group(series, rank)
+    for p in PRIMES[series, rank]:
+        reps = alcove_reps(g, p)
+        assert reps
+        for rep in reps:
+            got = g.dominant_orbit(rep, p, 8)
+            assert got == reference_dominant_orbit(g, rep, p, 8), (rep, p)
+            assert got
+
+
+@st.composite
+def words_with_reps(draw):
+    series, rank, word = draw(typed_words())
+    g = get_group(series, rank)
+    p = draw(st.sampled_from(PRIMES[series, rank]))
+    return g, word, p, draw(st.sampled_from(alcove_reps(g, p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_with_reps())
+def test_flag_is_dominance_of_the_dot_image(case):
+    g, word, p, rep = case
+    z = g.from_word(word)
+    assert g.is_dominant(z) == all(c >= 0 for c in g.dot(z, rep, p))
+
+
+@pytest.mark.parametrize(
+    "series, rank, rep, p",
+    [
+        ("A", 1, (0,), 5),
+        ("A", 1, (-1,), 5),  # on the wall <m, alpha^vee> = 0
+        ("A", 1, (-6,), 5),  # on the affine wall
+        ("A", 1, (-7,), 5),
+        ("A", 1, (-3,), 5.0),
+        ("A", 2, (-2, 0), 7),
+        ("A", 2, (-8, -2), 7),
+        ("B", 2, (-2, -2), 3),  # C_3^- holds no weight when p < h
+    ],
+)
+def test_dominant_orbit_requires_rep_in_the_alcove(series, rank, rep, p):
+    g = get_group(series, rank)
+    with pytest.raises(PreconditionError, match=rf"rep={re.escape(str(rep))} .* p={p}$"):
+        g.dominant_orbit(rep, p, 4)

@@ -185,6 +185,24 @@ def test_extmult_strict_distinguishes_notes_from_warnings():
     assert "warning" in err2
 
 
+def test_extmult_strict_fails_on_window_edge(monkeypatch):
+    from goodfilt import extmult
+
+    argv = [
+        "extmult", "--series", "A", "--rank", "2", "--p", "7",
+        "--variant", "red_red", "--lam", "1,0", "--mu", "1,0", "--n", "2",
+    ]
+    monkeypatch.setattr(extmult, "_QDEG_MARGIN", 1)
+    code, out, err = run(argv)
+    assert code == 0 and json.loads(out)
+    assert "advisory: warning: a nonzero KL factor comes from the top two lengths" in err
+    code, _, err = run(argv + ["--strict"])
+    assert code == 2
+    assert "--strict" in err
+    monkeypatch.setattr(extmult, "_QDEG_MARGIN", 4)
+    assert run(argv + ["--strict"])[0] == 0
+
+
 def test_extmult_unlinked_empty_exit_zero():
     code, out, _ = run(
         [

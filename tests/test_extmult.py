@@ -268,6 +268,30 @@ def test_small_c_star_equivariance(a2):
     assert checked
 
 
+def window_warnings(table):
+    return [a for a in table.advisories if "window" in a]
+
+
+def test_window_edge_contribution_is_flagged(a2, monkeypatch):
+    # ((1,0), (1,0), n=2) at p = 7 has one nonzero KL factor, at length
+    # l(partner) + n + 2: inside the default window, in the top two
+    # lengths of the window with margin 1
+    queries = [MultiplicityQuery(v, (1, 0), (1, 0), 2, 7) for v in em.VARIANTS]
+    full = [em.multiplicity_table(a2, q) for q in queries]
+    assert not any(window_warnings(t) for t in full)
+    monkeypatch.setattr(em, "_QDEG_MARGIN", 1)
+    for q, before in zip(queries, full):
+        table = em.multiplicity_table(a2, q)
+        assert table.entries == before.entries != ()
+        assert window_warnings(table) == [
+            "warning: a nonzero KL factor comes from the top two lengths of the "
+            "window l(partner) + n + 2 = 7; entries may be missing"
+        ]
+        assert not window_warnings(em.multiplicity_table(a2, q, omegas=[(1, 1)]))
+    monkeypatch.setattr(em, "_QDEG_MARGIN", 2)
+    assert not any(window_warnings(em.multiplicity_table(a2, q)) for q in queries)
+
+
 def test_full_mode_agrees_with_omega_mode(a2):
     # the windowed full table must match the dominance-bounded per-omega
     # path on every reported entry, and report nothing beyond it

@@ -189,6 +189,24 @@ def test_cache_rejects_bad_record(tmp_path, a2_table, record, message):
     assert not a2_table.memo
 
 
+def test_cache_rejects_repeated_pair(tmp_path, a2_table):
+    # a later record for the same pair must not silently replace the first
+    path = tmp_path / "dup.klcache"
+    path.write_text(
+        A2_HEADER
+        + '{"x": [], "y": [1, 0, 2, 1], "p_of_q": [1, 1]}\n'
+        + '{"x": [], "y": [1], "p_of_q": [1]}\n'
+        + '{"x": [], "y": [1, 0, 2, 1], "p_of_q": [1]}\n'
+    )
+    with pytest.raises(
+        CacheFormatError, match=r"dup\.klcache:4: second record .* first at .*dup\.klcache:2$"
+    ):
+        a2_table.load(path)
+    assert not a2_table.memo
+    g = a2_table.group
+    assert KLTable(g).kl(g.identity, g.from_word((1, 0, 2, 1))) == (1, 1)
+
+
 def test_cache_loads_trailing_zero_trimmed(tmp_path, a2_table):
     g = a2_table.group
     path = tmp_path / "trailing.klcache"

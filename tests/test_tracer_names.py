@@ -28,3 +28,20 @@ def test_affine_memos_exist_on_a_fresh_group():
     group = AffineWeylGroup(build_root_system("A", 2))
     missing = [m for m in tracer.AFFINE_MEMOS if not hasattr(group, m)]
     assert not missing
+
+
+# The benchmark's cold-start check reads these through getattr with a
+# default, so a renamed memo would pass it; name them here instead.
+COLD_MEMOS = ("_length", "_leq", "_ideal", "_locate", "_dominant")
+
+
+def test_a_fresh_group_is_cold():
+    group = AffineWeylGroup(build_root_system("B", 2))
+    for name in COLD_MEMOS:
+        memo = getattr(group, name)  # AttributeError names a renamed memo
+        assert len(memo) == 0, name
+    assert set(tracer.AFFINE_MEMOS) <= set(COLD_MEMOS)
+    # the identity, and with it the first id, is created on first use
+    assert group.identity == 0
+    assert len(group._length) == len(group._dominant) == 1
+    assert group.is_dominant(group.identity) is False
