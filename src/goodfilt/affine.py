@@ -40,7 +40,17 @@ and the geometric separation count.
 Each id is also flagged at creation when the alcove x(C_p^-) is dominant;
 alcoves scale with p, so the flag does not depend on p.  For lambda^- in
 C_p^-, x . lambda^- is dominant exactly when x is flagged, which is why
-``dominant_orbit`` requires its representative in C_p^-.
+``dominant_orbit`` requires its representative in C_p^-.  The finite Weyl
+group permutes the chambers, so a flagged x is the longest element of its
+coset W_fin x: every finite generator is a left descent.  Hence x = w_0 u
+with w_0 the longest finite element and u a minimal coset representative
+(Deodhar's lemma: us is again minimal, or us = tu with t finite).  So a
+longer neighbour xs of a flagged x is flagged, a shorter one is flagged or
+equals t'x with t' finite, and every flagged id above w_0 has a shorter
+flagged neighbour.  ``dominant_up_to_length`` is therefore the walk up
+from w_0 by lengthening steps, which never fills the row of an unflagged
+id, and ``bruhat_leq`` and ``KLTable.kl`` strip from a flagged y a descent
+s with ys flagged (``descent``), so between flagged ids they stay flagged.
 
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
@@ -128,7 +138,8 @@ class AffineWeylGroup:
         self._length: list[int] = []
         self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
         self._descents: list[tuple[int, ...] | None] = []  # set with the row
-        self._levels: list[list[int]] = []  # ids of length k, by canonical word
+        self._levels: list[list[int]] = []  # ids of length k, by matrix form
+        self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         self._leq: dict[tuple[int, int], bool] = {}
         self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
@@ -243,6 +254,20 @@ class AffineWeylGroup:
             self._fill_row(x)
         return self._descents[x]
 
+    def descent(self, y: int) -> int:
+        """The right descent that walks down from y strip (y not the identity).
+
+        For a flagged y the lowest s with ys flagged, which exists unless
+        y = w_0; otherwise the lowest right descent.
+        """
+        row = self.row(y)
+        descents = self._descents[y]
+        if self._dominant[y]:
+            for s in descents:
+                if self._dominant[row[s]]:
+                    return s
+        return descents[0]
+
     def canonical_word(self, x: int) -> tuple[int, ...]:
         """Reduced word obtained by stripping the lowest-indexed right descent.
 
@@ -260,17 +285,21 @@ class AffineWeylGroup:
     def bruhat_leq(self, x: int, y: int) -> bool:
         if x == y:
             return True
+        lengths, flagged = self._length, self._dominant
+        if lengths[x] >= lengths[y]:
+            return False
         key = (x, y)
         cached = self._leq.get(key)
         if cached is None:
-            lengths = self._length
-            # for s with ys < y: x <= y iff xs <= ys when xs < x, else x <= ys
+            # for s with ys < y: x <= y iff xs <= ys when xs < x, else x <= ys.
+            # If x and ys are flagged but xs < x is not, then xs = tx for a
+            # finite t that also descends ys, and xs <= ys iff x <= ys.
             while 0 < lengths[x] < lengths[y]:
-                s = self.right_descents(y)[0]
+                s = self.descent(y)
                 xs = self.row(x)[s]
-                if lengths[xs] < lengths[x]:
-                    x = xs
                 y = self._rmul[y][s]
+                if lengths[xs] < lengths[x] and (flagged[xs] or not (flagged[x] and flagged[y])):
+                    x = xs
             cached = self._leq[key] = x == y or not lengths[x]
         return cached
 
@@ -375,28 +404,51 @@ class AffineWeylGroup:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def elements_up_to_length(self, bound: int) -> list[int]:
-        """All group elements of length <= bound, by length then canonical word.
+    def _walk_levels(self, levels, start, bound: int) -> list[int]:
+        """The ids of ``levels`` (index = length) up to ``bound``, extended as needed.
 
-        The breadth-first levels are kept, so each is built only once.
+        The first level holds ``start()``; each next one holds the neighbours
+        one longer of the level below, sorted by matrix form, so the order
+        does not depend on which ids a computation created first.  Levels
+        are kept, so each is built once.
         """
+        if not levels:
+            first = start()  # may fill rows, so outside the lock
+            with self._lock:
+                if not levels:
+                    levels.extend([[] for _ in range(self._length[first])] + [[first]])
         bound = max(bound, 0)
-        levels = self._levels
+        lengths = self._length
         while len(levels) <= bound:
             k = len(levels)
-            if k == 0:
-                level = [self.identity]
-            else:
-                level = list(
-                    dict.fromkeys(
-                        y for x in levels[k - 1] for y in self.row(x) if self._length[y] == k
-                    )
-                )
-                level.sort(key=self.canonical_word)
+            level = sorted(
+                {y for x in levels[k - 1] for y in self.row(x) if lengths[y] == k},
+                key=self._form.__getitem__,
+            )
             with self._lock:
                 if len(levels) == k:
                     levels.append(level)
         return [z for level in levels[: bound + 1] for z in level]
+
+    def elements_up_to_length(self, bound: int) -> list[int]:
+        """All group elements of length <= bound, by length then matrix form."""
+        return self._walk_levels(self._levels, lambda: self.identity, bound)
+
+    def _longest_finite(self) -> int:
+        """w_0, whose alcove is the dominant one at the origin."""
+        x = self.identity
+        while up := [y for y in self.row(x)[1:] if self._length[y] > self._length[x]]:
+            x = up[0]
+        return x
+
+    def dominant_up_to_length(self, bound: int) -> list[int]:
+        """The flagged ids of length <= bound, by length then matrix form.
+
+        The walk up from w_0: a longer neighbour of a flagged id is flagged,
+        and every flagged id above w_0 has a shorter flagged one, so it
+        reaches every flagged id and fills no row of an unflagged one.
+        """
+        return self._walk_levels(self._dominant_levels, self._longest_finite, bound)
 
     def dominant_orbit(self, rep: Weight, p: int, max_length: int):
         """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length.
@@ -409,9 +461,19 @@ class AffineWeylGroup:
         m, rho, forms = _r._vec_add(rep, self.rs.rho), self.rs.rho, self._form
         return [
             (z, tuple(sum(map(mul, row, m)) + p * t - r for row, t, r in zip(*forms[z], rho)))
-            for z in self.elements_up_to_length(max_length)
-            if self._dominant[z]
+            for z in self.dominant_up_to_length(max_length)
         ]
+
+    def stats(self) -> dict[str, int]:
+        """Sizes of the group's tables: ids, flagged ids, and the Bruhat,
+        lower-ideal and locate memos."""
+        return {
+            "ids": len(self._length),
+            "flagged_ids": sum(self._dominant),
+            "bruhat_memo": len(self._leq),
+            "ideal_memo": len(self._ideal),
+            "locate_memo": len(self._locate),
+        }
 
 
 @lru_cache(maxsize=None)

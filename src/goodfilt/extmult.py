@@ -90,6 +90,10 @@ class Workspace:
     group: AffineWeylGroup
     table: KLTable
 
+    def stats(self) -> dict[str, int]:
+        """Sizes of the KL memo and of the group's tables (see ``AffineWeylGroup.stats``)."""
+        return {"kl_entries": len(self.table.memo), **self.group.stats()}
+
 
 def make_workspace(series: str, rank: int) -> Workspace:
     group = get_group(series, rank)
@@ -132,11 +136,13 @@ def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
 
 
 def _dominant_z_candidates(ws: Workspace, x, y):
-    """Elements below both x and y in Bruhat order (enumerated via the
-    shorter one's lower ideal) whose image of C_p^- is dominant."""
+    """Elements below both x and y in Bruhat order whose image of C_p^- is
+    dominant (the flagged ids)."""
     g = ws.group
-    first, second = (x, y) if g.length(x) <= g.length(y) else (y, x)
-    return [z for z in g.lower_ideal(first) if g.is_dominant(z) and g.bruhat_leq(z, second)]
+    bound = min(g.length(x), g.length(y))
+    return [
+        z for z in g.dominant_up_to_length(bound) if g.bruhat_leq(z, x) and g.bruhat_leq(z, y)
+    ]
 
 
 def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:

@@ -15,6 +15,24 @@ of the defining invariants (constant term 1, nonnegative coefficients,
 2 deg_q <= l(y) - l(x) - 1) guards every entry before it is stored, computed
 or loaded; a violation raises rather than poisoning the memo.
 
+Every value ``extmult`` reads pairs two flagged ids (dominant alcoves, see
+``affine``), and between those the recursion stays flagged: the
+antispherical reduction of Deodhar (J. Algebra 111, 1987) and Soergel
+(Represent. Theory 1, 1997, section 3).  For flagged x and y, s is taken
+with v = ys flagged (``AffineWeylGroup.descent``), and
+
+* if xs > x, then xs is flagged, so P_{x,y} = P_{xs,y} stays inside;
+* if xs < x and xs is not flagged, then xs = tx with t a finite
+  generator, which v also descends by, so P_{xs,v} = P_{x,v} is read
+  instead;
+* the sum runs over flagged z only.  An unflagged z has a finite t with
+  tz > z while tv < v, so mu(z, v) is 0 unless v = tz, and then
+  zs = ty > z drops out.
+
+The entries are still the ordinary P_{x,y}, whichever descent computed
+them, so other pairs (``goodfilt kl``) take the recursion as stated and
+one memo serves both.
+
 Concurrency: the memo dict is the only shared state.  Entries are
 immutable and insertion is idempotent (same key always yields the same
 polynomial), so concurrent lookups and racing writers are benign under
@@ -92,18 +110,23 @@ class KLTable:
         if cached is not None:
             return cached
 
-        s = g.right_descents(y)[0]
+        s = g.descent(y)
         v = g.row(y)[s]
         xs = g.row(x)[s]
         ly = g.length(y)
         gap = ly - g.length(x)
+        flagged = g.is_dominant(x) and g.is_dominant(v)
         if g.length(xs) > g.length(x):
             result = self.kl(xs, y)
         else:
+            if flagged and not g.is_dominant(xs):
+                xs = x  # xs = tx with t finite and tv < v, so P_{xs,v} = P_{x,v}
             # (shift, scale, P): each term has degree <= gap // 2 when its
             # factors obey the degree bound, though the sum may cancel lower
             terms = [(0, 1, self.kl(xs, v)), (1, 1, self.kl(x, v))]
-            for z in g.lower_ideal(v):
+            # unflagged z add nothing when v is flagged; mu(z, v) is 0 unless z <= v
+            below = g.dominant_up_to_length(ly - 2) if flagged else g.lower_ideal(v)
+            for z in below:
                 if s in g.right_descents(z) and g.bruhat_leq(x, z):
                     m = self.mu(z, v)
                     if m:

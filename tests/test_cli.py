@@ -267,6 +267,46 @@ def test_cache_roundtrip(tmp_path):
     assert code3 == 2
 
 
+def test_kl_cache_serves_extmult_and_extmult_saves_only_flagged_pairs(tmp_path):
+    # a version-1 cache written by `kl` holds pairs of unflagged ids; extmult
+    # loads it and prints the same tables, and saves flagged pairs only
+    from goodfilt.affine import get_group
+
+    g = get_group("A", 2)
+    header = {"format": "kltable", "version": 1, "series": "A", "rank": 2}
+    y = g.dominant_up_to_length(9)[-1]
+    kl_cache = tmp_path / "kl.klcache"
+    word = ",".join(map(str, g.canonical_word(y)))
+    code, _, _ = run(["kl", "--series", "A", "--rank", "2", "--x", "e", "--y", word,
+                      "--cache", str(kl_cache)])
+    assert code == 0
+
+    def records(path):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0] == header
+        return [(g.from_word(r["x"]), g.from_word(r["y"])) for r in lines[1:]]
+
+    pairs = records(kl_cache)
+    assert any(not g.is_dominant(x) for x, _ in pairs)
+    assert any(g.is_dominant(x) and g.is_dominant(y) for x, y in pairs)
+
+    fresh_cache = tmp_path / "extmult.klcache"
+    entries = 0
+    for variant in ("red_red", "delta_red", "red_nabla"):
+        for n in ("0", "1", "2"):
+            args = ["extmult", "--series", "A", "--rank", "2", "--p", "7",
+                    "--variant", variant, "--lam", "9,5", "--mu", "4,9", "--n", n]
+            code, plain, _ = run(args)
+            assert code == 0
+            entries += len(json.loads(plain))
+            assert run(args + ["--cache", str(kl_cache)])[1] == plain
+            assert run(args + ["--cache", str(fresh_cache)])[1] == plain
+    assert entries >= 10
+    pairs = records(fresh_cache)
+    assert pairs
+    assert all(g.is_dominant(x) and g.is_dominant(y) for x, y in pairs)
+
+
 def test_check_identity_small():
     code, out, _ = run(
         [
