@@ -2,20 +2,28 @@
 
 Weight multiplicities come from the Freudenthal recursion over the dominant
 weights that a root-subtraction walk reaches from the highest weight
-(``dominant_below``), dimensions from the Weyl product formula (an
-independent consistency companion), and tensor-product decompositions into
-dual Weyl constituents from the Brauer-Klimyk rule: iterate over the weights
-of one factor, reflect the rho-shifted sum to the dominant chamber with its
-sign, and drop wall hits.
+(``dominant_below``), in the orbit-sum form of Moody and Patera ("Fast
+recursion formula for weight multiplicities", Bull. AMS 7, 1982): at a
+dominant mu one root string is walked per orbit of the stabilizer of mu on
+the positive roots, weighted by the orbit's size, so no Weyl orbit is
+expanded.  Dimensions come from the Weyl product formula (an independent
+consistency companion), and tensor-product decompositions into dual Weyl
+constituents from the Brauer-Klimyk rule: iterate over the weights of one
+factor, reflect the rho-shifted sum to the dominant chamber with its sign,
+and drop wall hits.  The full character that rule iterates over is the
+union of the Weyl orbits of the dominant weights, each orbit walked by
+levels from the dominant weight (``roots.weyl_orbit``) and shared by every
+character that holds it.
 
 All arithmetic is exact; the inner products needed by Freudenthal are
 evaluated through simple-root coordinates with the symmetrized form, so
 every quotient is checked to be an exact integer.  Characters are sparse
-dicts keyed by fundamental-coordinate weight tuples.
+dicts keyed by fundamental-coordinate weight tuples; public functions
+return copies, never a memo table's own dict.
 
 The per-system memo tables follow the same idempotent-publication
 contract as the KL table: immutable values, last-write-wins of identical
-entries, safe to share.
+entries, safe to share.  ``stats`` reports their sizes.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "tensor_nabla_multiplicities",
     "multi_tensor_nabla_multiplicities",
     "triple_tensor_nabla_multiplicities",
+    "stats",
 ]
 
 
@@ -80,19 +89,34 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int
 
 
 @lru_cache(maxsize=None)
-def dominant_multiplicities(rs: RootSystem, lam: Weight):
-    """Freudenthal recursion: multiplicities at the dominant weights <= lam.
+def _root_groups(rs: RootSystem, wall: tuple[int, ...]) -> tuple[tuple[_r.Root, int], ...]:
+    """The positive roots grouped by orbit of W_J, J = wall: (root, size) per group.
 
-    Each beta-string above mu is followed until its first weight outside the
-    character: weight strings are unbroken, and every dominant weight above
-    mu is already in ``mult`` because the support is visited by height.
+    A group is keyed by the J-dominant conjugate of its roots, which is its
+    highest root, and that root represents it.  Roots are keyed highest
+    first: when beta_j < 0 for some j in J, s_j beta = beta - beta_j alpha_j
+    is a higher root, keyed already.  For a root beta of the subsystem
+    spanned by J, -beta lies in the W_J-orbit of beta, so a group may hold
+    roots that W_J maps to negative ones.
     """
-    lam = _require_dominant(rs, lam, "weight multiplicities")
+    cols = rs.simple_columns
+    key: dict[Weight, Weight] = {}
+    groups: dict[Weight, list] = {}
+    for beta in reversed(rs.positive_roots):
+        v = beta.fund_coords
+        j = next((j for j in wall if v[j] < 0), None)
+        k = key[v] = v if j is None else key[tuple(a - v[j] * c for a, c in zip(v, cols[j]))]
+        groups.setdefault(k, [beta, 0])[1] += 1
+    return tuple((beta, size) for beta, size in groups.values())
+
+
+@lru_cache(maxsize=None)
+def _dominant_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     mult = {lam: 1}
     lam_2rho = tuple(a + 2 * r for a, r in zip(lam, rs.rho))
     for mu, diff_coords in dominant_below(rs, lam)[1:]:
         acc = 0
-        for beta in rs.positive_roots:
+        for beta, size in _root_groups(rs, tuple(i for i, x in enumerate(mu) if not x)):
             step = 2 * beta.length_half  # (beta, beta)
             up = mu
             form = _form(rs, mu, beta.simple_coords)
@@ -102,7 +126,7 @@ def dominant_multiplicities(rs: RootSystem, lam: Weight):
                 m = mult.get(_r.to_dominant_chamber(rs, up)[0], 0)
                 if not m:
                     break
-                acc += m * form
+                acc += size * m * form
         denom = _form(rs, tuple(a + b for a, b in zip(lam_2rho, mu)), diff_coords)
         num = 2 * acc
         if denom <= 0 or num % denom:
@@ -113,7 +137,31 @@ def dominant_multiplicities(rs: RootSystem, lam: Weight):
         if m <= 0:
             raise InternalInvariantError(f"non-positive multiplicity at {mu}")
         mult[mu] = m
-    return dict(mult)
+    return mult
+
+
+def dominant_multiplicities(rs: RootSystem, lam) -> dict[Weight, int]:
+    """Freudenthal recursion in the orbit-sum form of Moody and Patera
+    (Bull. AMS 7, 1982): multiplicities at the dominant weights <= lam.
+
+    The summand of a positive root beta at mu, the sum of m(mu + k beta)
+    (mu + k beta, beta) over k >= 1, is invariant under the stabilizer W_J
+    of mu, J = {i : mu_i = 0}; for a root of the subsystem of J it also
+    equals that of -beta, since (mu, beta) = 0 and strings are symmetric.
+    So one string is walked per W_J-orbit of positive roots and weighted
+    by the orbit's size (``_root_groups``).  Each string is followed until
+    its first weight outside the character: weight strings are unbroken,
+    and every dominant weight above mu is already known because the
+    support is visited by height.  No Weyl orbit is expanded.
+    """
+    lam = _require_dominant(rs, lam, "weight multiplicities")
+    return dict(_dominant_multiplicities(rs, lam))
+
+
+@lru_cache(maxsize=None)
+def _orbit(rs: RootSystem, mu: Weight) -> frozenset:
+    """The Weyl orbit of a dominant weight, shared by every character holding it."""
+    return _r.weyl_orbit(rs, mu)
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +169,7 @@ def _full_character(rs: RootSystem, lam: Weight):
     """Weight -> multiplicity over the whole Weyl-group-invariant support."""
     out = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
-        for w in _r.weyl_orbit(rs, mu):
-            out[w] = m
+        out.update(dict.fromkeys(_orbit(rs, mu), m))
     return out
 
 
@@ -168,14 +215,20 @@ def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
             acc[omega] = acc.get(omega, 0) + sign * mult
     out = {}
     top = tuple(x + y for x, y in zip(a, b))
+    den = rs.inverse_cartan_den
     for omega, m in acc.items():
         if m < 0:
             raise InternalInvariantError(f"negative tensor multiplicity at {omega}")
         if m:
-            if not _r.dominance_leq(rs, omega, top):
-                raise InternalInvariantError(
-                    f"tensor constituent {omega} not below {top}"
-                )
+            # den times the simple-root coordinates of top - omega: omega <= top
+            # when they are nonnegative multiples of den
+            diff = tuple(t - w for t, w in zip(top, omega))
+            for row in rs.inverse_cartan:
+                c = sum(x * d for x, d in zip(row, diff))
+                if c < 0 or c % den:
+                    raise InternalInvariantError(
+                        f"tensor constituent {omega} not below {top}"
+                    )
             out[omega] = m
     return out
 
@@ -205,3 +258,19 @@ def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, 
 def triple_tensor_nabla_multiplicities(rs: RootSystem, a, b, c) -> dict[Weight, int]:
     """Constituents of a threefold product, folded pairwise."""
     return multi_tensor_nabla_multiplicities(rs, a, b, c)
+
+
+_CACHES = {
+    "characters": _dominant_multiplicities,
+    "full_characters": _full_character,
+    "dominant_weight_sets": dominant_below,
+    "orbits": _orbit,
+    "root_groupings": _root_groups,
+    "dimensions": dim_nabla,
+    "tensor_pairs": _tensor_cached,
+}
+
+
+def stats() -> dict[str, int]:
+    """Entries held by each memo table of this module, read from ``cache_info``."""
+    return {name: f.cache_info().currsize for name, f in _CACHES.items()}

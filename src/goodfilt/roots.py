@@ -482,18 +482,27 @@ def dominant_conjugate(rs: RootSystem, weight) -> Weight:
 
 
 def weyl_orbit(rs: RootSystem, weight) -> frozenset:
-    """The full finite Weyl orbit of a weight."""
-    start = check_weight(rs, weight)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for vi, col in zip(v, rs.simple_columns):
-                if vi != 0:
-                    img = tuple(a - vi * c for a, c in zip(v, col))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+    """The full finite Weyl orbit of a weight, walked by levels from its dominant conjugate.
+
+    Level k holds the w(mu), mu dominant, whose minimal coset representative
+    w in W / W_mu has length k.  Applying s_i to a weight v of level k with
+    v_i > 0 gives a weight of level k + 1, and every weight of level k + 1
+    arises so, so each level is the set of such images of the one before and
+    no level meets another.
+    """
+    level = {to_dominant_chamber(rs, check_weight(rs, weight))[0]}
+    orbit = set(level)
+    # s_i changes only the coordinates where the column of alpha_i is nonzero
+    moves = [[(j, c) for j, c in enumerate(col) if c] for col in rs.simple_columns]
+    while level:
+        nxt = set()
+        for v in level:
+            for i, vi in enumerate(v):
+                if vi > 0:
+                    u = list(v)
+                    for j, c in moves[i]:
+                        u[j] -= vi * c
+                    nxt.add(tuple(u))
+        orbit |= nxt
+        level = nxt
+    return frozenset(orbit)

@@ -58,6 +58,64 @@ def orbit_size(rs, mu):
     return int(size)
 
 
+def reference_dominant_multiplicities(rs, lam):
+    """Reference for dominant_multiplicities: Freudenthal with one string per
+    positive root, each step reflected to the dominant chamber."""
+
+    def form(v, b):  # (v, b), v in fundamental and b in simple-root coordinates
+        return sum(x * c * d for x, c, d in zip(v, b, rs.symmetrizer))
+
+    mult = {lam: 1}
+    lam_2rho = tuple(a + 2 * x for a, x in zip(lam, rs.rho))
+    for mu, diff_coords in ch.dominant_below(rs, lam)[1:]:
+        acc = 0
+        for beta in rs.positive_roots:
+            up, f = mu, form(mu, beta.simple_coords)
+            while True:
+                up = tuple(v + c for v, c in zip(up, beta.fund_coords))
+                f += 2 * beta.length_half
+                m = mult.get(r.to_dominant_chamber(rs, up)[0], 0)
+                if not m:
+                    break
+                acc += m * f
+        num, den = 2 * acc, form(tuple(a + b for a, b in zip(lam_2rho, mu)), diff_coords)
+        assert den > 0 and num % den == 0, (rs, lam, mu)
+        mult[mu] = num // den
+    return mult
+
+
+def reference_weyl_orbit(rs, weight):
+    """Reference for weyl_orbit: breadth-first closure under every s_i."""
+    start = tuple(weight)
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for vi, col in zip(v, rs.simple_columns):
+                img = tuple(a - vi * c for a, c in zip(v, col))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def smallest_weights(rs):
+    """lam = 0 and the nonzero weights of coordinate sum <= 2 with the
+    smallest root-lattice boxes, at most four of them and none above BOX_CAP."""
+    weights = [lam for lam in itertools.product(range(3), repeat=rs.rank) if 0 < sum(lam) <= 2]
+    sized = sorted((box_size(rs, lam), lam) for lam in weights)
+    return [(0,) * rs.rank] + [lam for size, lam in sized[:4] if size <= BOX_CAP]
+
+
+def all_types():
+    return [
+        build_root_system(series, rank)
+        for series, (lo, hi) in _RANK_RANGE.items()
+        for rank in range(lo, hi + 1)
+    ]
+
+
 def product_character(rs, a, b):
     """Literal character product (test oracle path)."""
     ca = ch.weight_multiplicities(rs, a)
@@ -180,19 +238,39 @@ def test_freudenthal_total_matches_weyl_dimension(a1, a2, b2):
 
 
 def test_dominant_below_matches_box_on_every_type():
-    # per type, the nonzero weights of coordinate sum <= 2 with the smallest
-    # boxes; E8 has none within reach (omega_8 alone has 1.4e7 box points)
-    for series, (lo, hi) in _RANK_RANGE.items():
-        for rank in range(lo, hi + 1):
-            rs = build_root_system(series, rank)
-            weights = [
-                lam for lam in itertools.product(range(3), repeat=rank) if 0 < sum(lam) <= 2
-            ]
-            sized = sorted((box_size(rs, lam), lam) for lam in weights)
-            chosen = [(0,) * rank] + [lam for size, lam in sized[:4] if size <= BOX_CAP]
-            assert len(chosen) > 1 or (series, rank) == ("E", 8)
-            for lam in chosen:
-                assert ch.dominant_below(rs, lam) == box_dominant_below(rs, lam), (rs, lam)
+    # E8 has no nonzero weight within reach (omega_8 alone has 1.4e7 box points)
+    for rs in all_types():
+        chosen = smallest_weights(rs)
+        assert len(chosen) > 1 or (rs.series, rs.rank) == ("E", 8)
+        for lam in chosen:
+            assert ch.dominant_below(rs, lam) == box_dominant_below(rs, lam), (rs, lam)
+
+
+def test_freudenthal_matches_reference_on_every_type():
+    for rs in all_types():
+        weights = smallest_weights(rs)
+        if rs.series in "EF":
+            weights += [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+        for lam in weights:
+            assert ch.dominant_multiplicities(rs, lam) == reference_dominant_multiplicities(
+                rs, lam
+            ), (rs, lam)
+
+
+def test_root_groups_partition_the_positive_roots():
+    for rs in all_types():
+        lengths = {beta.length_half for beta in rs.positive_roots}
+        for wall in itertools.chain.from_iterable(
+            itertools.combinations(range(rs.rank), k) for k in range(rs.rank + 1)
+        ):
+            groups = ch._root_groups(rs, wall)
+            assert sum(size for _, size in groups) == len(rs.positive_roots), (rs, wall)
+            for beta, _ in groups:  # each representative is J-dominant
+                assert all(beta.fund_coords[j] >= 0 for j in wall), (rs, wall, beta)
+            if not wall:
+                assert all(size == 1 for _, size in groups)
+            if len(wall) == rs.rank:  # W is transitive on the roots of one length
+                assert len(groups) == len(lengths)
 
 
 SMALL_TYPES = [("A", n) for n in range(1, 5)] + [("B", n) for n in range(2, 5)] + [
@@ -207,6 +285,87 @@ def test_dominant_below_matches_box_property(typ, data):
     lam = tuple(data.draw(st.lists(st.integers(0, 4), min_size=rs.rank, max_size=rs.rank)))
     assume(box_size(rs, lam) <= BOX_LIMIT)
     assert ch.dominant_below(rs, lam) == box_dominant_below(rs, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.data())
+def test_freudenthal_matches_reference_property(typ, data):
+    rs = build_root_system(*typ)
+    lam = tuple(data.draw(st.lists(st.integers(0, 4), min_size=rs.rank, max_size=rs.rank)))
+    assume(box_size(rs, lam) <= BOX_LIMIT)
+    assert ch.dominant_multiplicities(rs, lam) == reference_dominant_multiplicities(rs, lam)
+
+
+ORBIT_CAP = 3000  # largest orbit a test expands by breadth-first search
+
+
+def test_weyl_orbit_matches_reference_on_every_type():
+    for rs in all_types():
+        weights = [(0,) * rs.rank] + [
+            tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
+        ]
+        for lam in weights:
+            size = orbit_size(rs, lam)
+            if size > ORBIT_CAP:
+                continue
+            s1_lam = tuple(a - lam[0] * c for a, c in zip(lam, rs.simple_columns[0]))
+            w0_lam = r._mat_vec(rs.longest_element_action, lam)
+            for v in (lam, s1_lam, w0_lam):
+                orbit = r.weyl_orbit(rs, v)
+                assert orbit == reference_weyl_orbit(rs, v), (rs, v)
+                assert len(orbit) == size, (rs, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.data())
+def test_weyl_orbit_matches_reference_property(typ, data):
+    rs = build_root_system(*typ)
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    size = orbit_size(rs, r.dominant_conjugate(rs, v))
+    assume(size <= ORBIT_CAP)
+    orbit = r.weyl_orbit(rs, v)
+    assert orbit == reference_weyl_orbit(rs, v)
+    assert len(orbit) == size
+
+
+def test_returned_dicts_do_not_alias_the_caches(a2):
+    d = ch.dominant_multiplicities(a2, (1, 1))
+    d[(9, 9)] = 7
+    del d[(0, 0)]
+    assert ch.dominant_multiplicities(a2, (1, 1)) == {(1, 1): 1, (0, 0): 2}
+    assert ch.dim_weight_space(a2, (1, 1), (9, 9)) == 0
+    assert ch.dim_weight_space(a2, (1, 1), (0, 0)) == 2
+    full = ch.weight_multiplicities(a2, (1, 1))
+    full[(0, 0)] = 5
+    assert ch.weight_multiplicities(a2, (1, 1))[(0, 0)] == 2
+    tensor = ch.tensor_nabla_multiplicities(a2, (1, 0), (0, 1))
+    tensor[(0, 0)] = 3
+    assert ch.tensor_nabla_multiplicities(a2, (1, 0), (0, 1)) == {(1, 1): 1, (0, 0): 1}
+
+
+def test_stats_after_a_tensor_query():
+    caches = [f for f in vars(ch).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    assert set(ch.stats().values()) == {0}
+    g2 = build_root_system("G", 2)
+    assert ch.tensor_nabla_multiplicities(g2, (0, 1), (1, 0)) == {
+        (1, 1): 1, (2, 0): 1, (1, 0): 1,
+    }
+    # the character of the 7-dimensional factor, whose dominant weights (1, 0)
+    # and (0, 0) each need an orbit; only (0, 0) is below the top, and its
+    # stabilizer W groups the positive roots by length
+    assert ch.stats() == {
+        "characters": 1,
+        "full_characters": 1,
+        "dominant_weight_sets": 1,
+        "orbits": 2,
+        "root_groupings": 1,
+        "dimensions": 2,
+        "tensor_pairs": 1,
+    }
+    # every memo table of the module is reported
+    assert sum(ch.stats().values()) == sum(f.cache_info().currsize for f in caches)
 
 
 def test_character_is_weyl_invariant(a2, b2):
@@ -255,9 +414,11 @@ def test_klimyk_equals_stripping_small_box(a1, a2, b2):
             assert ch.tensor_nabla_multiplicities(a1, (m,), (n,)) == strip_decompose(
                 a1, (m,), (n,)
             )
-    for rs in (a2, b2):
-        for a in itertools.product(range(3), repeat=2):
-            for b in itertools.product(range(3), repeat=2):
+    boxes = [(a2, range(3)), (b2, range(3)), (build_root_system("G", 2), range(3)),
+             (build_root_system("B", 3), range(2))]
+    for rs, coords in boxes:
+        for a in itertools.product(coords, repeat=rs.rank):
+            for b in itertools.product(coords, repeat=rs.rank):
                 assert ch.tensor_nabla_multiplicities(rs, a, b) == strip_decompose(
                     rs, a, b
                 ), (rs, a, b)
