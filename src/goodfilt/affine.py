@@ -52,6 +52,18 @@ from w_0 by lengthening steps, which never fills the row of an unflagged
 id, and ``bruhat_leq`` and ``KLTable.kl`` strip from a flagged y a descent
 s with ys flagged (``descent``), so between flagged ids they stay flagged.
 
+The walk also files each flagged id under its finite part w, a
+p-independent index.  Since z = (w, nu) sends m to w(m) + p*nu, the image
+z . lambda^- mod p depends only on w, so ``dominant_orbit`` computes
+w(lambda^- + rho) once per finite part, and ``dominant_orbit_congruent``
+keeps only the finite parts whose image is congruent to a given base mod p
+and walks their ids.  For a restricted base (coordinates in [0, p)) a
+dominant weight congruent to it is also >= it coordinatewise.  Each image
+that ``dominant_orbit_congruent`` returns goes into the ``locate`` memo as
+(z, lambda^-, l(z)).  A point of the open alcove C_p^- has a trivial
+stabilizer and lies in the closed fundamental domain of the dot action, so
+z and lambda^- are the only element and representative ``locate`` can find.
+
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
 idempotent memos (Bruhat order, lower ideals, locate) take no lock, so a
@@ -140,6 +152,8 @@ class AffineWeylGroup:
         self._descents: list[tuple[int, ...] | None] = []  # set with the row
         self._levels: list[list[int]] = []  # ids of length k, by matrix form
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
+        # the same ids by finite part, each list by length then matrix form
+        self._dominant_by_finite: dict[Matrix, list[int]] = {}
         self._leq: dict[tuple[int, int], bool] = {}
         self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
@@ -223,15 +237,9 @@ class AffineWeylGroup:
     def multiply(self, a: int, b: int) -> int:
         return self._walk(a, self.canonical_word(b))
 
-    def invert(self, x: int) -> int:
-        return self._walk(self.identity, reversed(self.canonical_word(x)))
-
-    def apply_generator(self, x: int, i: int, side: str = "right") -> int:
-        if side == "right":
-            return self._walk(x, (i,))
-        if side == "left":
-            return self._walk(self._walk(self.identity, (i,)), self.canonical_word(x))
-        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
+    def apply_generator(self, x: int, i: int) -> int:
+        """x s_i."""
+        return self._walk(x, (i,))
 
     def from_word(self, word) -> int:
         return self._walk(self.identity, word)
@@ -404,19 +412,29 @@ class AffineWeylGroup:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def _walk_levels(self, levels, start, bound: int) -> list[int]:
+    def _walk_levels(self, levels, start, bound: int, index=None) -> list[int]:
         """The ids of ``levels`` (index = length) up to ``bound``, extended as needed.
 
         The first level holds ``start()``; each next one holds the neighbours
         one longer of the level below, sorted by matrix form, so the order
         does not depend on which ids a computation created first.  Levels
-        are kept, so each is built once.
+        are kept, so each is built once.  With ``index``, each level's ids
+        are appended to ``index[finite part]`` before the level is
+        published, so a reader that sees a level finds its ids there.
         """
+
+        def publish(level):  # under the lock
+            if index is not None:
+                for z in level:
+                    index.setdefault(self._form[z][0], []).append(z)
+            levels.append(level)
+
         if not levels:
             first = start()  # may fill rows, so outside the lock
             with self._lock:
                 if not levels:
-                    levels.extend([[] for _ in range(self._length[first])] + [[first]])
+                    for k in range(self._length[first] + 1):
+                        publish([first] if k == self._length[first] else [])
         bound = max(bound, 0)
         lengths = self._length
         while len(levels) <= bound:
@@ -427,7 +445,7 @@ class AffineWeylGroup:
             )
             with self._lock:
                 if len(levels) == k:
-                    levels.append(level)
+                    publish(level)
         return [z for level in levels[: bound + 1] for z in level]
 
     def elements_up_to_length(self, bound: int) -> list[int]:
@@ -448,28 +466,72 @@ class AffineWeylGroup:
         and every flagged id above w_0 has a shorter flagged one, so it
         reaches every flagged id and fills no row of an unflagged one.
         """
-        return self._walk_levels(self._dominant_levels, self._longest_finite, bound)
+        return self._walk_levels(
+            self._dominant_levels, self._longest_finite, bound, self._dominant_by_finite
+        )
 
-    def dominant_orbit(self, rep: Weight, p: int, max_length: int):
-        """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length.
+    def _finite_images(self, rep, p, max_length) -> tuple[Weight, dict[Matrix, Weight]]:
+        """rep, and w(rep + rho) - rho for each finite part w of the flagged
+        ids, indexed up to at least ``max_length``.
 
-        rep must lie in the open alcove C_p^- (as ``locate`` returns it).
+        z = (w, nu) maps rep to that image + p*nu.  The precondition of
+        ``dominant_orbit`` is checked here, on every call.
         """
         rep = check_weight(self.rs, rep)
         if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
-        m, rho, forms = _r._vec_add(rep, self.rs.rho), self.rs.rho, self._form
-        return [
-            (z, tuple(sum(map(mul, row, m)) + p * t - r for row, t, r in zip(*forms[z], rho)))
-            for z in self.dominant_up_to_length(max_length)
-        ]
+        self.dominant_up_to_length(max_length)
+        m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
+        return rep, {
+            w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
+            for w in list(self._dominant_by_finite)
+        }
+
+    def dominant_orbit(self, rep: Weight, p: int, max_length: int):
+        """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length,
+        by length then matrix form.
+
+        rep must lie in the open alcove C_p^- (as ``locate`` returns it).
+        """
+        rep, image = self._finite_images(rep, p, max_length)
+        out = []
+        for z in self.dominant_up_to_length(max_length):
+            w, nu = self._form[z]
+            out.append((z, tuple(a + p * t for a, t in zip(image[w], nu))))
+        return out
+
+    def dominant_orbit_congruent(self, rep: Weight, p: int, max_length: int, base):
+        """The pairs of ``dominant_orbit`` with z . rep = base (mod p), by
+        finite part, then length and matrix form.
+
+        z . rep mod p depends only on the finite part of z, so one product
+        per finite part picks the ids to walk.  Each image enters the
+        ``locate`` memo as (z, rep, l(z)), the location ``locate`` finds: a
+        point of C_p^- has a trivial stabilizer.
+        """
+        base = check_weight(self.rs, base)
+        rep, image = self._finite_images(rep, p, max_length)
+        lengths, forms, memo = self._length, self._form, self._locate
+        out = []
+        for w, v in image.items():
+            if any((a - b) % p for a, b in zip(v, base)):
+                continue
+            for z in self._dominant_by_finite[w]:  # by length
+                if lengths[z] > max_length:
+                    break
+                wt = tuple(a + p * t for a, t in zip(v, forms[z][1]))
+                if (wt, p) not in memo:
+                    memo[wt, p] = AlcoveLocation(element=z, antidominant_rep=rep, length=lengths[z])
+                out.append((z, wt))
+        return out
 
     def stats(self) -> dict[str, int]:
-        """Sizes of the group's tables: ids, flagged ids, and the Bruhat,
-        lower-ideal and locate memos."""
+        """Sizes of the group's tables: ids, flagged ids, the flagged ids
+        indexed by finite part, and the Bruhat, lower-ideal and locate memos."""
         return {
             "ids": len(self._length),
             "flagged_ids": sum(self._dominant),
+            "finite_part_index": sum(map(len, self._dominant_by_finite.values())),
             "bruhat_memo": len(self._leq),
             "ideal_memo": len(self._ideal),
             "locate_memo": len(self._locate),

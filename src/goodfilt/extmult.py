@@ -111,27 +111,30 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _pair_coefficient(ws: Workspace, red_weight, plain_weight, n: int, p: int):
+    """(``ext_dim_pair``, the t-degree s = l(red) - l(plain) - n it reads)."""
+    loc_red = ws.group.locate(red_weight, p)
+    loc_plain = ws.group.locate(plain_weight, p)
+    if loc_red.antidominant_rep != loc_plain.antidominant_rep:
+        return 0, 0
+    s = loc_red.length - loc_plain.length - n
+    return ws.table.c_coeff(loc_plain.element, loc_red.element, s), s
+
+
 def ext_dim_pair(ws: Workspace, red_weight, plain_weight, n: int, p: int) -> int:
     """dim Ext^n between the reduced module at red_weight and the plain
     (dual) Weyl module at plain_weight, as a KL coefficient.
 
     Zero when the weights lie in different linkage classes.
     """
-    loc_red = ws.group.locate(red_weight, p)
-    loc_plain = ws.group.locate(plain_weight, p)
-    if loc_red.antidominant_rep != loc_plain.antidominant_rep:
-        return 0
-    s = loc_red.length - loc_plain.length - n
-    return ws.table.c_coeff(loc_plain.element, loc_red.element, s)
+    return _pair_coefficient(ws, red_weight, plain_weight, n, p)[0]
 
 
 def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
     """c(delta_weight, red_weight, n): first slot indexes the Weyl module."""
-    value = ext_dim_pair(ws, red_weight, delta_weight, n, p)
-    if value:
-        gap = ws.group.locate(red_weight, p).length - ws.group.locate(delta_weight, p).length
-        if (gap - n) % 2:
-            raise InternalInvariantError("parity violation in small_c")
+    value, s = _pair_coefficient(ws, red_weight, delta_weight, n, p)
+    if value and s % 2:
+        raise InternalInvariantError("parity violation in small_c")
     return value
 
 
@@ -267,13 +270,15 @@ def _tau_candidates_for_omega(ws, omega, shift, rep, p, shifted_of_tau):
 
 def _tau_candidates_windowed(ws, base, rep, p, max_len):
     """Dominant tau with base + p*tau linked to rep, by a length window,
-    each mapped to the length of the element that reaches it."""
-    out = {}
-    for z, wt in ws.group.dominant_orbit(rep, p, max_len):
-        diff = tuple(w - b for w, b in zip(wt, base))
-        if all(d >= 0 and d % p == 0 for d in diff):
-            out[tuple(d // p for d in diff)] = ws.group.length(z)
-    return out
+    each mapped to the length of the element that reaches it.
+
+    base is restricted, so a dominant weight congruent to it mod p is >= it.
+    """
+    g = ws.group
+    return {
+        tuple((w - b) // p for w, b in zip(wt, base)): g.length(z)
+        for z, wt in g.dominant_orbit_congruent(rep, p, max_len, base)
+    }
 
 
 def _variant_parts(ws, query):

@@ -154,10 +154,6 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.series}{self.rank})"
 
-    @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        return self.positive_roots[: self.rank]
-
 
 def _cartan_matrix(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
     n = rank

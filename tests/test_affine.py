@@ -98,22 +98,26 @@ def test_restricted_decompose():
 def test_multiply_invert(a2):
     word = (0, 1, 2, 0, 1)
     x = a2.from_word(word)
-    assert a2.multiply(x, a2.invert(x)) == a2.identity
-    assert a2.multiply(a2.invert(x), x) == a2.identity
+    inverse = a2.from_word(reversed(word))
+    assert a2.multiply(x, inverse) == a2.identity
+    assert a2.multiply(inverse, x) == a2.identity
 
 
 def test_generators_are_involutions(a2):
+    def left(x, i):  # s_i x
+        return a2.from_word((i,) + a2.canonical_word(x))
+
     for i in range(3):
         x = a2.from_word((2, 0))
-        once = a2.apply_generator(x, i, "right")
-        assert a2.apply_generator(once, i, "right") == x
-        once_left = a2.apply_generator(x, i, "left")
-        assert a2.apply_generator(once_left, i, "left") == x
+        once = a2.apply_generator(x, i)
+        assert a2.apply_generator(once, i) == x
+        once_left = left(x, i)
+        assert left(once_left, i) == x
 
 
 def test_dihedral_word_growth(a1):
-    x = a1.apply_generator(a1.identity, 0, "right")
-    x = a1.apply_generator(x, 1, "right")
+    x = a1.apply_generator(a1.identity, 0)
+    x = a1.apply_generator(x, 1)
     assert a1.length(x) == 2
 
 

@@ -52,6 +52,13 @@ def model_form(rs, word):
     return tuple(map(tuple, form[0])), tuple(form[1])
 
 
+def model_inverse(form):
+    """(w, nu)^{-1} = (w^{-1}, -w^{-1} nu), exactly."""
+    w, nu = form
+    winv = _mat_inv(w)
+    return winv, tuple(-sum(a * t for a, t in zip(row, nu)) for row in winv)
+
+
 def root_count_length(rs, form):
     """sum over positive beta of |<nu, beta^vee> + [w^{-1}(beta) < 0]|."""
     w, nu = form
@@ -84,8 +91,11 @@ def test_table_agrees_with_matrix_model(case):
     assert g.matrix_form(x) == form
     assert g._index[form] == x
     assert g.length(x) == root_count_length(rs, form)
-    assert g.multiply(x, g.invert(x)) == g.identity
-    assert g.multiply(g.invert(x), x) == g.identity
+    inverse = g.from_word(reversed(word))
+    assert g.matrix_form(inverse) == model_inverse(form)
+    assert g.multiply(x, inverse) == g.multiply(inverse, x) == g.identity
+    for i in range(rank + 1):  # left multiplication s_i x
+        assert g.matrix_form(g.from_word([i] + word)) == model_form(rs, [i] + word)
     y = g.identity
     for i in word:
         for j, z in enumerate(g.row(y)):
@@ -128,11 +138,18 @@ def test_concurrent_fills_agree_with_sequential():
     rs = build_root_system("B", 2)
     words = [w for n in range(7) for w in itertools.product(range(3), repeat=n)]
     shared = AffineWeylGroup(rs)
+    rep, base = (-2, -2), (4, 0)  # -rho in C_7^-; (4, 0) is a residue of its orbit
+
+    def orbits(g):
+        return [
+            (g.canonical_word(z), wt)
+            for z, wt in g.dominant_orbit(rep, 7, 9) + g.dominant_orbit_congruent(rep, 7, 9, base)
+        ]
 
     def work(_):
         return [shared.canonical_word(shared.from_word(w)) for w in words], [
             shared.canonical_word(z) for z in shared.elements_up_to_length(6)
-        ]
+        ], orbits(shared)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -145,10 +162,14 @@ def test_concurrent_fills_agree_with_sequential():
     expected = (
         [alone.canonical_word(alone.from_word(w)) for w in words],
         [alone.canonical_word(z) for z in alone.elements_up_to_length(6)],
+        orbits(alone),
     )
+    assert len(expected[2]) > len(alone.dominant_up_to_length(9))  # base is reached
     assert all(r == expected for r in results)
-    # a lost update would give one matrix form two ids
+    # a lost update would give one matrix form two ids, or index an id twice
     assert len(shared._index) == len(shared._form) == len(shared._dominant)
+    indexed = [z for ids in shared._dominant_by_finite.values() for z in ids]
+    assert sorted(indexed) == sorted(z for level in shared._dominant_levels for z in level)
 
 
 # -- the dominance flag -------------------------------------------------------
@@ -220,3 +241,55 @@ def test_dominant_orbit_requires_rep_in_the_alcove(series, rank, rep, p):
     g = get_group(series, rank)
     with pytest.raises(PreconditionError, match=rf"rep={re.escape(str(rep))} .* p={p}$"):
         g.dominant_orbit(rep, p, 4)
+
+
+# -- the flagged ids by finite part ------------------------------------------
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_finite_part_index_groups_the_flagged_ids(series, rank):
+    g = AffineWeylGroup(build_root_system(series, rank))
+    for k in (3, 8):
+        g.dominant_up_to_length(k)
+        flagged = [z for level in g._dominant_levels for z in level]  # past k below w_0
+        by_finite = {}
+        for z in flagged:  # already by length, then matrix form
+            by_finite.setdefault(g.matrix_form(z)[0], []).append(z)
+        assert g._dominant_by_finite == by_finite
+        assert g.stats()["finite_part_index"] == len(flagged)
+
+
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_congruent_orbit_enters_the_locations_locate_finds(series, rank):
+    # the index enters locations without the walk and its dot check;
+    # a fresh group walks and checks each weight
+    rs = build_root_system(series, rank)
+    g = AffineWeylGroup(rs)
+    yielded = set()
+    for p in PRIMES[series, rank]:
+        for rep in alcove_reps(get_group(series, rank), p):
+            for base in itertools.product(range(p), repeat=rank):
+                pairs = g.dominant_orbit_congruent(rep, p, 8, base)
+                assert all(
+                    all((a - b) % p == 0 for a, b in zip(wt, base)) for _, wt in pairs
+                )
+                yielded.update((wt, p) for _, wt in pairs)
+    assert set(g._locate) == yielded
+    fresh = AffineWeylGroup(rs)
+    for (wt, p), loc in g._locate.items():
+        want = fresh.locate(wt, p)
+        assert loc.antidominant_rep == want.antidominant_rep
+        assert loc.length == want.length
+        assert g.canonical_word(loc.element) == fresh.canonical_word(want.element)
+
+
+def test_precondition_holds_after_a_served_query():
+    # (rep, 5.0) hashes like (rep, 5): nothing served for (rep, 5) may answer it
+    g = get_group("A", 1)
+    rep = (-3,)
+    (_, (top,)), *_ = g.dominant_orbit(rep, 5, 4)
+    base = (top % 5,)
+    assert g.dominant_orbit_congruent(rep, 5, 4, base)
+    for call in (g.dominant_orbit, lambda *a: g.dominant_orbit_congruent(*a, base)):
+        with pytest.raises(PreconditionError, match=r"rep=\(-3,\) .* p=5.0$"):
+            call(rep, 5.0, 4)

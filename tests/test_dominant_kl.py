@@ -60,7 +60,8 @@ def test_flagged_iff_every_finite_generator_is_a_left_descent(series, rank):
     g = get_group(series, rank)
     elements = g.elements_up_to_length(9)
     for z in elements:
-        left = [g.length(g.apply_generator(z, i, side="left")) for i in range(1, rank + 1)]
+        word = g.canonical_word(z)
+        left = [g.length(g.from_word((i,) + word)) for i in range(1, rank + 1)]
         assert g.is_dominant(z) == all(lz < g.length(z) for lz in left), g.canonical_word(z)
     assert g.dominant_up_to_length(9) == [z for z in elements if g.is_dominant(z)]
 

@@ -339,6 +339,49 @@ def test_full_mode_agrees_with_omega_mode(a2):
     assert all(nonempty.values()), nonempty
 
 
+def reference_tau_candidates_windowed(images, base, p, max_len):
+    """The scan the finite-part index replaced, over ``images``: the
+    (length, dot image) of every element whose image is dominant."""
+    out = {}
+    for length, wt in images:
+        diff = tuple(w - b for w, b in zip(wt, base))
+        if length <= max_len and all(d >= 0 and d % p == 0 for d in diff):
+            out[tuple(d // p for d in diff)] = length
+    return out
+
+
+@pytest.mark.parametrize(
+    "series, rank, p",
+    [("A", 1, 5), ("A", 1, 7), ("A", 2, 5), ("A", 2, 7), ("B", 2, 5), ("B", 2, 7),
+     ("G", 2, 7), ("G", 2, 11)],
+)
+def test_windowed_taus_match_the_dot_filter_scan(series, rank, p):
+    ws = em.make_workspace(series, rank)
+    g = ws.group
+    reps = [
+        rep
+        for rep in itertools.product(range(-p, -1), repeat=rank)
+        if g.in_antidominant_alcove(rep, p)
+    ]
+    assert reps
+    found = 0
+    for rep in reps:
+        images = [
+            (g.length(z), wt)
+            for z in g.elements_up_to_length(10)
+            for wt in [g.dot(z, rep, p)]
+            if min(wt) >= 0
+        ]
+        for base in itertools.product(range(p), repeat=rank):  # every restricted base
+            for max_len in range(11):
+                got = em._tau_candidates_windowed(ws, base, rep, p, max_len)
+                assert got == reference_tau_candidates_windowed(images, base, p, max_len), (
+                    rep, base, max_len,
+                )
+                found += len(got)
+    assert found
+
+
 def test_stats_after_an_extmult_session():
     # every KL value extmult reads pairs two flagged ids, and the recursion
     # behind it stays among them; stats() reports the tables' sizes
@@ -362,6 +405,7 @@ def test_stats_after_an_extmult_session():
         "kl_entries": len(ws.table.memo),
         "ids": len(g._form),
         "flagged_ids": sum(g.is_dominant(z) for z in range(len(g._form))),
+        "finite_part_index": sum(len(level) for level in g._dominant_levels),
         "bruhat_memo": len(g._leq),
         "ideal_memo": len(g._ideal),
         "locate_memo": len(g._locate),

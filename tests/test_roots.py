@@ -53,8 +53,10 @@ def test_rho_is_half_sum_of_positive_roots(series, rank):
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
 def test_rho_pairings(series, rank):
     rs = build_root_system(series, rank)
-    for simple in rs.simple_roots:
-        assert roots.pair(rs, rs.rho, simple) == 1
+    simple = [r for r in rs.positive_roots if sum(r.simple_coords) == 1]
+    assert len(simple) == rank
+    for alpha in simple:
+        assert roots.pair(rs, rs.rho, alpha) == 1
     assert roots.pair(rs, rs.rho, rs.highest_short_root) == rs.coxeter_number - 1
 
 

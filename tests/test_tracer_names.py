@@ -32,7 +32,15 @@ def test_affine_memos_exist_on_a_fresh_group():
 
 # The benchmark's cold-start check reads these through getattr with a
 # default, so a renamed memo would pass it; name them here instead.
-COLD_MEMOS = ("_length", "_leq", "_ideal", "_locate", "_dominant", "_dominant_levels")
+COLD_MEMOS = (
+    "_length",
+    "_leq",
+    "_ideal",
+    "_locate",
+    "_dominant",
+    "_dominant_levels",
+    "_dominant_by_finite",
+)
 
 
 def test_a_fresh_group_is_cold():
