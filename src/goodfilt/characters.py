@@ -6,14 +6,22 @@ weights that a root-subtraction walk reaches from the highest weight
 recursion formula for weight multiplicities", Bull. AMS 7, 1982): at a
 dominant mu one root string is walked per orbit of the stabilizer of mu on
 the positive roots, weighted by the orbit's size, so no Weyl orbit is
-expanded.  Dimensions come from the Weyl product formula (an independent
-consistency companion), and tensor-product decompositions into dual Weyl
-constituents from the Brauer-Klimyk rule: iterate over the weights of one
-factor, reflect the rho-shifted sum to the dominant chamber with its sign,
-and drop wall hits.  The full character that rule iterates over is the
-union of the Weyl orbits of the dominant weights, each orbit walked by
-levels from the dominant weight (``roots.weyl_orbit``) and shared by every
-character that holds it.
+expanded.  The walk subtracts a positive root beta from a dominant mu only
+when mu_j >= beta_j wherever beta_j > 0, which is exactly when mu - beta
+is dominant, since mu_j - beta_j >= mu_j >= 0 at every other j.
+
+Dimensions come from the Weyl product formula (an independent consistency
+companion), and tensor-product decompositions into dual Weyl constituents
+from the Brauer-Klimyk rule: iterate over the weights nu of one factor,
+reflect v = lam + rho + nu to the dominant chamber with its sign, and drop
+wall hits.  A v with a zero coordinate is dropped at once: s_i fixes v, so
+chi(v - rho) = -chi(v - rho) = 0.  A v with every coordinate positive is
+dominant already, with sign +1, and only the rest are walked.  Being on a
+wall is W-invariant, so a walk that meets a wall ends on one and also gives
+sign 0.  The full character that rule iterates over is the union of the
+Weyl orbits of the dominant weights, each orbit walked by levels from the
+dominant weight (``roots.weyl_orbit``) and shared by every character that
+holds it.
 
 All arithmetic is exact; the inner products needed by Freudenthal are
 evaluated through simple-root coordinates with the symmetrized form, so
@@ -29,6 +37,7 @@ entries, safe to share.  ``stats`` reports their sizes.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, sub
 
 from . import roots as _r
 from .errors import InternalInvariantError, PreconditionError
@@ -71,6 +80,8 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int
     covering relation of the dominance order on dominant weights is a
     positive root (Stembridge, "The partial order of dominant weights",
     Adv. Math. 136 (1998)); the tests check this against the root-lattice box.
+    mu - beta is dominant exactly when mu_j >= beta_j wherever beta_j > 0
+    (``Root.fund_positive``), so a root that leaves the chamber costs no tuple.
     """
     lam = _require_dominant(rs, lam, "dominant weights below")
     seen = {lam: (0,) * rs.rank}
@@ -80,10 +91,14 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int
         for mu in frontier:
             c = seen[mu]
             for beta in rs.positive_roots:
-                nu = tuple(v - f for v, f in zip(mu, beta.fund_coords))
-                if min(nu) >= 0 and nu not in seen:
-                    seen[nu] = tuple(a + b for a, b in zip(c, beta.simple_coords))
-                    nxt.append(nu)
+                for j, f in beta.fund_positive:
+                    if mu[j] < f:
+                        break
+                else:
+                    nu = tuple(map(sub, mu, beta.fund_coords))
+                    if nu not in seen:
+                        seen[nu] = tuple(map(add, c, beta.simple_coords))
+                        nxt.append(nu)
         frontier = nxt
     return tuple(sorted(seen.items(), key=lambda t: (sum(t[1]), t[0])))
 
@@ -121,7 +136,7 @@ def _dominant_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
             up = mu
             form = _form(rs, mu, beta.simple_coords)
             while True:
-                up = tuple(v + f for v, f in zip(up, beta.fund_coords))
+                up = tuple(map(add, up, beta.fund_coords))
                 form += step
                 m = mult.get(_r.to_dominant_chamber(rs, up)[0], 0)
                 if not m:
@@ -206,15 +221,21 @@ def dim_weight_space(rs: RootSystem, tau, xi) -> int:
 def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
     small, big = (a, b) if dim_nabla(rs, a) <= dim_nabla(rs, b) else (b, a)
     acc: dict[Weight, int] = {}
-    big_shifted = tuple(x + r for x, r in zip(big, rs.rho))
+    rho = rs.rho
+    big_shifted = tuple(map(add, big, rho))
     for nu, mult in _full_character(rs, small).items():
-        shifted = tuple(x + n for x, n in zip(big_shifted, nu))
-        dom, sign = _r.to_dominant_chamber(rs, shifted)
-        if sign:
-            omega = tuple(x - r for x, r in zip(dom, rs.rho))
-            acc[omega] = acc.get(omega, 0) + sign * mult
+        v = tuple(map(add, big_shifted, nu))
+        if 0 in v:  # s_i fixes v, so the term cancels itself
+            continue
+        sign = 1
+        if min(v) < 0:
+            v, sign = _r.to_dominant_chamber(rs, v)
+            if not sign:
+                continue
+        omega = tuple(map(sub, v, rho))
+        acc[omega] = acc.get(omega, 0) + sign * mult
     out = {}
-    top = tuple(x + y for x, y in zip(a, b))
+    top = tuple(map(add, a, b))
     den = rs.inverse_cartan_den
     for omega, m in acc.items():
         if m < 0:
@@ -222,9 +243,9 @@ def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
         if m:
             # den times the simple-root coordinates of top - omega: omega <= top
             # when they are nonnegative multiples of den
-            diff = tuple(t - w for t, w in zip(top, omega))
+            diff = tuple(map(sub, top, omega))
             for row in rs.inverse_cartan:
-                c = sum(x * d for x, d in zip(row, diff))
+                c = sum(map(mul, row, diff))
                 if c < 0 or c % den:
                     raise InternalInvariantError(
                         f"tensor constituent {omega} not below {top}"

@@ -6,7 +6,10 @@ configuration problems (including --strict advisory promotion and
 rejected cache files), 3 singular-weight rejection, 4 internal invariant
 violation, including inputs too deep for the recursion limit.  Output is
 byte-stable for identical inputs and cache state: keys are emitted in
-sorted order everywhere.
+sorted order everywhere.  With ``--stats`` a command also writes one JSON
+line to stderr: the wall and CPU seconds the command took after argument
+parsing, the sizes of the character caches (``characters.stats``) and,
+when the command built one, those of its workspace (``Workspace.stats``).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import characters as ch
 from . import extmult as em
@@ -116,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", required=True, type=int, help="prime modulus")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--strict", action="store_true", help="fail on advisories")
+        p.add_argument("--stats", action="store_true", help="time and cache sizes on stderr")
 
     p_rs = sub.add_parser("rootsystem", help="print root-system data and the alcove bound")
     common(p_rs)
@@ -163,6 +168,12 @@ def _prime_checked(p: int) -> int:
     if not em._is_prime(p):
         raise ConfigurationError(f"--p must be prime, got {p}")
     return p
+
+
+def _workspace(args):
+    """A fresh workspace for the command, kept on ``args`` for ``--stats``."""
+    args.workspace = em.make_workspace(args.series, args.rank)
+    return args.workspace
 
 
 def _load_cache(ws, path, err):
@@ -232,7 +243,7 @@ def cmd_locate(args, out, err) -> int:
 
 
 def cmd_kl(args, out, err) -> int:
-    ws = em.make_workspace(args.series, args.rank)
+    ws = _workspace(args)
     for word in (args.x, args.y):
         if any(i > ws.rs.rank for i in word):
             raise ConfigurationError(
@@ -263,7 +274,7 @@ def cmd_tensor(args, out, err) -> int:
 
 
 def cmd_extmult(args, out, err) -> int:
-    ws = em.make_workspace(args.series, args.rank)
+    ws = _workspace(args)
     _load_cache(ws, args.cache, err)
     query = em.MultiplicityQuery(
         args.variant, args.lam, args.mu, args.n, _prime_checked(args.p)
@@ -275,7 +286,7 @@ def cmd_extmult(args, out, err) -> int:
 
 
 def cmd_check_identity(args, out, err) -> int:
-    ws = em.make_workspace(args.series, args.rank)
+    ws = _workspace(args)
     p = _prime_checked(args.p)
     _load_cache(ws, args.cache, err)
     result = em.run_identity_box(ws, p, args.max_pairing, args.tau_pad)
@@ -319,6 +330,21 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
+    args.workspace = None
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    try:
+        return _run(args, out, err)
+    finally:
+        if args.stats:
+            wall_s, cpu_s = time.perf_counter() - wall0, time.process_time() - cpu0
+            data = {"wall_s": wall_s, "cpu_s": cpu_s, "characters": ch.stats()}
+            if args.workspace is not None:
+                data["workspace"] = args.workspace.stats()
+            err.write(json.dumps(data, sort_keys=True) + "\n")
+
+
+def _run(args, out, err) -> int:
+    """The command's exit code, with each library error mapped to its code."""
     try:
         return COMMANDS[args.command](args, out, err)
     except SingularWeightError as exc:

@@ -296,7 +296,8 @@ def _variant_parts(ws, query):
     if query.variant == "red_red":
         partner, base, twist = mu0, lam0, same
         kl = lambda shifted: big_C(ws, shifted, mu0, n, p)
-        tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(ws.rs, star(lam1), mu1, tau)
+        lam1_star = star(lam1)
+        tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(ws.rs, lam1_star, mu1, tau)
         shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
     elif query.variant == "delta_red":
         partner, base, twist = query.lam, mu0, star

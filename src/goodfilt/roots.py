@@ -110,13 +110,16 @@ class Root:
     ``fund_coords``: fundamental-weight coordinates (pairings with the
     simple coroots); ``coroot``: coefficients of the coroot over the
     simple coroots, so ``<w, beta^vee> = sum(coroot[j] * w[j])`` for a
-    weight ``w`` in fundamental coordinates.
+    weight ``w`` in fundamental coordinates; ``fund_positive``: the pairs
+    (j, fund_coords[j]) with fund_coords[j] > 0, so a dominant ``mu`` has
+    ``mu - beta`` dominant exactly when ``mu[j] >= b`` for each (j, b).
     """
 
     simple_coords: tuple[int, ...]
     fund_coords: tuple[int, ...]
     coroot: tuple[int, ...]
     length_half: int  # (beta, beta) / 2 with short roots at 1
+    fund_positive: tuple[tuple[int, int], ...]
 
     @property
     def height(self) -> int:
@@ -136,6 +139,8 @@ class RootSystem:
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
     simple_reflections: tuple[Matrix, ...]
     simple_columns: tuple[Weight, ...]  # alpha_i in fundamental coordinates
+    # per i, the (j, c) with c = simple_columns[i][j] != 0: s_i moves only these
+    simple_moves: tuple[tuple[tuple[int, int], ...], ...]
     inverse_cartan: Matrix  # inverse Cartan matrix times inverse_cartan_den
     inverse_cartan_den: int
 
@@ -265,6 +270,7 @@ def _generate_positive_roots(cartan, symmetrizer):
                 fund_coords=tuple(fund),
                 coroot=tuple(coroot),
                 length_half=half,
+                fund_positive=tuple((j, c) for j, c in enumerate(fund) if c > 0),
             )
         )
     return tuple(roots)
@@ -353,6 +359,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         longest_element_action=w0,
         simple_reflections=tuple(refl),
         simple_columns=columns,
+        simple_moves=tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in columns),
         inverse_cartan=tuple(tuple(int(x * inv_den) for x in row) for row in inv_cartan),
         inverse_cartan_den=inv_den,
     )
@@ -458,17 +465,20 @@ def to_dominant_chamber(rs: RootSystem, v: Weight) -> tuple[Weight, int]:
 
     Returns the dominant conjugate and the sign det(w) of the walk, with
     sign 0 when v lies on a wall (its conjugate has a zero coordinate).
+    Each reflection s_i changes only the coordinates in ``simple_moves[i]``.
     ``v`` is not validated; public callers go through ``dominant_conjugate``.
     """
-    cols = rs.simple_columns
+    moves = rs.simple_moves
+    u = list(v)
     sign = 1
     while True:
-        for i, vi in enumerate(v):
-            if vi < 0:
+        for i, ui in enumerate(u):
+            if ui < 0:
                 break
         else:
-            return v, (sign if all(v) else 0)
-        v = tuple(a - vi * c for a, c in zip(v, cols[i]))
+            return tuple(u), (sign if all(u) else 0)
+        for j, c in moves[i]:
+            u[j] -= ui * c
         sign = -sign
 
 
@@ -488,8 +498,7 @@ def weyl_orbit(rs: RootSystem, weight) -> frozenset:
     """
     level = {to_dominant_chamber(rs, check_weight(rs, weight))[0]}
     orbit = set(level)
-    # s_i changes only the coordinates where the column of alpha_i is nonzero
-    moves = [[(j, c) for j, c in enumerate(col) if c] for col in rs.simple_columns]
+    moves = rs.simple_moves
     while level:
         nxt = set()
         for v in level:

@@ -155,6 +155,21 @@ def strip_decompose(rs, a, b):
     return result
 
 
+def reference_brauer_klimyk(rs, a, b):
+    """Brauer-Klimyk with every rho-shifted weight walked to the dominant
+    chamber, walls included (the loop before the wall shortcut)."""
+    small, big = (a, b) if ch.dim_nabla(rs, a) <= ch.dim_nabla(rs, b) else (b, a)
+    acc = {}
+    big_shifted = tuple(x + r for x, r in zip(big, rs.rho))
+    for nu, mult in ch.weight_multiplicities(rs, small).items():
+        shifted = tuple(x + n for x, n in zip(big_shifted, nu))
+        dom, sign = r.to_dominant_chamber(rs, shifted)
+        if sign:
+            omega = tuple(x - y for x, y in zip(dom, rs.rho))
+            acc[omega] = acc.get(omega, 0) + sign * mult
+    return {omega: m for omega, m in acc.items() if m}
+
+
 @pytest.fixture(scope="module")
 def a1():
     return build_root_system("A", 1)
@@ -326,6 +341,34 @@ def test_weyl_orbit_matches_reference_property(typ, data):
     orbit = r.weyl_orbit(rs, v)
     assert orbit == reference_weyl_orbit(rs, v)
     assert len(orbit) == size
+
+
+KLIMYK_TYPES = [("A", 4), ("A", 6), ("B", 3), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4),
+                ("G", 2)]
+
+
+@pytest.mark.parametrize("typ", KLIMYK_TYPES)
+def test_klimyk_matches_reference_on_fundamental_pairs(typ):
+    rs = build_root_system(*typ)
+    weights = [(0,) * rs.rank] + [
+        tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
+    ]
+    for a, b in itertools.combinations_with_replacement(weights, 2):
+        assert ch.tensor_nabla_multiplicities(rs, a, b) == reference_brauer_klimyk(rs, a, b), (
+            rs, a, b,
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.data())
+def test_klimyk_matches_reference_property(typ, data):
+    rs = build_root_system(*typ)
+    draw = lambda: tuple(
+        data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
+    )
+    a, b = draw(), draw()
+    assume(min(ch.dim_nabla(rs, a), ch.dim_nabla(rs, b)) <= 2000)
+    assert ch.tensor_nabla_multiplicities(rs, a, b) == reference_brauer_klimyk(rs, a, b)
 
 
 def test_returned_dicts_do_not_alias_the_caches(a2):

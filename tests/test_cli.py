@@ -348,3 +348,28 @@ def test_check_identity_reports_failures(monkeypatch):
 def test_usage_error_exits_2():
     assert run(["locate", "--series", "A", "--rank", "1", "--p", "5"])[0] == 2
     assert run(["nonsense"])[0] == 2
+
+
+def test_stats_flag_reports_one_json_line():
+    argv = ["tensor", "--series", "A", "--rank", "2", "--weights", "1,0", "0,1"]
+    _, plain_out, _ = run(argv)
+    code, out, err = run(argv + ["--stats"])
+    assert code == 0 and out == plain_out
+    (line,) = err.splitlines()
+    stats = json.loads(line)
+    assert stats["wall_s"] >= 0 and stats["cpu_s"] >= 0
+    assert stats["characters"]["tensor_pairs"] >= 1
+    assert "workspace" not in stats  # tensor builds no workspace
+
+    argv = [
+        "extmult", "--series", "A", "--rank", "1", "--p", "5",
+        "--variant", "red_nabla", "--lam", "0", "--mu", "8", "--n", "1",
+    ]
+    plain = run(argv)
+    code, out, err = run(argv + ["--stats"])
+    assert (code, out) == plain[:2]
+    lines = err.splitlines()
+    assert lines[:-1] == plain[2].splitlines()  # the advisories come first
+    stats = json.loads(lines[-1])
+    assert stats["characters"]["tensor_pairs"] >= 1
+    assert stats["workspace"]["kl_entries"] >= 1

@@ -436,6 +436,32 @@ def test_red_red_and_delta_red_agree_at_lambda_zero(a1, a2):
         assert nonempty > 0
 
 
+def test_red_red_is_symmetric_under_duality(a2):
+    # Ext_{G_1}(L(lam), L(mu)) = H(G_1, L(lam)* (x) L(mu)) = Ext_{G_1}(L(mu*), L(lam*))
+    # as G-modules, so the two tables agree.  With mu restricted only the left
+    # one has a Frobenius-twisted part lam1, and its tensor factor must star it.
+    p = 3
+    box = list(itertools.product(range(5), repeat=2))
+
+    def table(lam, mu, n):
+        return em.multiplicity_table(
+            a2, MultiplicityQuery("red_red", lam, mu, n, p), omegas=box
+        ).as_dict()
+
+    # Hom_{G_1}(L(lam1)^[1], k) is L(lam1)* = L(lam1*), twisted
+    assert table((3, 0), (0, 0), 0) == {(0, 1): 1}
+    nonempty = 0
+    for lam0, mu0 in itertools.product(itertools.product(range(p), repeat=2), repeat=2):
+        if not (a2.group.is_p_regular(lam0, p) and a2.group.is_p_regular(mu0, p)):
+            continue
+        for lam1, n in itertools.product([(1, 0), (0, 1), (2, 0)], range(3)):
+            lam = tuple(a + p * b for a, b in zip(lam0, lam1))
+            left = table(lam, mu0, n)
+            assert left == table(r.star(a2.rs, mu0), r.star(a2.rs, lam), n), (lam, mu0, n)
+            nonempty += bool(left)
+    assert nonempty >= 10
+
+
 # ---- duality self test -------------------------------------------------------
 
 

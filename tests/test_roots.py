@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodfilt import roots
 from goodfilt.errors import (
@@ -197,3 +199,53 @@ def test_dominant_conjugate_and_orbit():
         assert roots.dominant_conjugate(a2, v) == (1, 0)
     b2 = build_root_system("B", 2)
     assert len(roots.weyl_orbit(b2, (1, 1))) == 8
+
+
+def reference_to_dominant_chamber(rs, v):
+    """The chamber walk that rebuilds the whole weight tuple at every reflection."""
+    cols = rs.simple_columns
+    sign = 1
+    while True:
+        for i, vi in enumerate(v):
+            if vi < 0:
+                break
+        else:
+            return v, (sign if all(v) else 0)
+        v = tuple(a - vi * c for a, c in zip(v, cols[i]))
+        sign = -sign
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_precomputed_moves_agree_with_coordinates(series, rank):
+    rs = build_root_system(series, rank)
+    for i, col in enumerate(rs.simple_columns):
+        assert rs.simple_moves[i] == tuple((j, c) for j, c in enumerate(col) if c)
+        assert dict(rs.simple_moves[i])[i] == 2
+    for beta in rs.positive_roots:
+        assert beta.fund_positive == tuple(
+            (j, c) for j, c in enumerate(beta.fund_coords) if c > 0
+        )
+        assert beta.fund_positive  # a positive root pairs positively with some coroot
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_chamber_walk_matches_reference_on_walls(series, rank):
+    rs = build_root_system(series, rank)
+    rng = random.Random(rank)
+    for _ in range(50):
+        v = tuple(rng.randint(-3, 3) for _ in range(rank))
+        v = v[:-1] + (0,)  # on the wall of the last simple root
+        assert roots.to_dominant_chamber(rs, v) == reference_to_dominant_chamber(rs, v)
+        assert roots.to_dominant_chamber(rs, v)[1] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_TYPES), st.data())
+def test_chamber_walk_matches_reference_property(typ, data):
+    rs = build_root_system(*typ)
+    v = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
+    got = roots.to_dominant_chamber(rs, v)
+    assert got == reference_to_dominant_chamber(rs, v)
+    dom, sign = got
+    assert min(dom) >= 0 and dom == roots.dominant_conjugate(rs, v)
+    assert (sign == 0) == (0 in dom)
