@@ -58,11 +58,9 @@ z . lambda^- mod p depends only on w, so ``dominant_orbit`` computes
 w(lambda^- + rho) once per finite part, and ``dominant_orbit_congruent``
 keeps only the finite parts whose image is congruent to a given base mod p
 and walks their ids.  For a restricted base (coordinates in [0, p)) a
-dominant weight congruent to it is also >= it coordinatewise.  Each image
-that ``dominant_orbit_congruent`` returns goes into the ``locate`` memo as
-(z, lambda^-, l(z)).  A point of the open alcove C_p^- has a trivial
-stabilizer and lies in the closed fundamental domain of the dot action, so
-z and lambda^- are the only element and representative ``locate`` can find.
+dominant weight congruent to it is also >= it coordinatewise.  A point of
+C_p^- has a trivial stabilizer, so each z yielded is the element ``locate``
+finds for z . lambda^-.
 
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
@@ -337,12 +335,11 @@ class AffineWeylGroup:
         return _r._vec_sub(moved, self.rs.rho)
 
     def is_p_regular(self, weight, p: int) -> bool:
-        lam = check_weight(self.rs, weight)
-        shifted = _r._vec_add(lam, self.rs.rho)
-        return all(
-            sum(c * m for c, m in zip(beta.coroot, shifted)) % p != 0
-            for beta in self.rs.positive_roots
-        )
+        try:
+            self.assert_p_regular(weight, p)
+        except SingularWeightError:
+            return False
+        return True
 
     def assert_p_regular(self, weight, p: int) -> None:
         lam = check_weight(self.rs, weight)
@@ -505,13 +502,12 @@ class AffineWeylGroup:
         finite part, then length and matrix form.
 
         z . rep mod p depends only on the finite part of z, so one product
-        per finite part picks the ids to walk.  Each image enters the
-        ``locate`` memo as (z, rep, l(z)), the location ``locate`` finds: a
-        point of C_p^- has a trivial stabilizer.
+        per finite part picks the ids to walk.  Each z is the element
+        ``locate`` finds for z . rep: a point of C_p^- has a trivial stabilizer.
         """
         base = check_weight(self.rs, base)
         rep, image = self._finite_images(rep, p, max_length)
-        lengths, forms, memo = self._length, self._form, self._locate
+        lengths, forms = self._length, self._form
         out = []
         for w, v in image.items():
             if any((a - b) % p for a, b in zip(v, base)):
@@ -519,10 +515,7 @@ class AffineWeylGroup:
             for z in self._dominant_by_finite[w]:  # by length
                 if lengths[z] > max_length:
                     break
-                wt = tuple(a + p * t for a, t in zip(v, forms[z][1]))
-                if (wt, p) not in memo:
-                    memo[wt, p] = AlcoveLocation(element=z, antidominant_rep=rep, length=lengths[z])
-                out.append((z, wt))
+                out.append((z, tuple(a + p * t for a, t in zip(v, forms[z][1]))))
         return out
 
     def stats(self) -> dict[str, int]:

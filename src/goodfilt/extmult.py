@@ -36,6 +36,10 @@ On top of the pair dictionary:
   equals the xi-weight-space dimension of the Weyl module Delta(tau),
   where mu = w . 0 + p*xi with w in the finite Weyl group.
 
+Tables work on group elements, and locate each weight once: the partner,
+and in omega mode each candidate.  The KL factors take elements; the
+public ones locate their two weights and call the same cores.
+
 Results carry advisories (prime-size flags, the character-formula
 assumption, Jantzen-region membership) instead of refusing service; the
 formulas are exact combinatorics regardless, and the advisories state the
@@ -111,14 +115,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _pair_coefficient(ws: Workspace, red_weight, plain_weight, n: int, p: int):
-    """(``ext_dim_pair``, the t-degree s = l(red) - l(plain) - n it reads)."""
-    loc_red = ws.group.locate(red_weight, p)
-    loc_plain = ws.group.locate(plain_weight, p)
-    if loc_red.antidominant_rep != loc_plain.antidominant_rep:
-        return 0, 0
-    s = loc_red.length - loc_plain.length - n
-    return ws.table.c_coeff(loc_plain.element, loc_red.element, s), s
+def _linked_elements(ws: Workspace, a, b, p: int):
+    """The elements that locate weights a and b, or None when the two lie
+    in different linkage classes."""
+    loc_a, loc_b = ws.group.locate(a, p), ws.group.locate(b, p)
+    if loc_a.antidominant_rep == loc_b.antidominant_rep:
+        return loc_a.element, loc_b.element
+
+
+def _c_of_elements(ws: Workspace, z: int, x: int, n: int) -> int:
+    """The coefficient of t^(l(x) - l(z) - n) in P_{z,x}: z the plain
+    (Weyl-module) element, x the reduced one."""
+    s = ws.group.length(x) - ws.group.length(z) - n
+    value = ws.table.c_coeff(z, x, s)
+    if value and s % 2:
+        raise InternalInvariantError("parity violation in small_c")
+    return value
 
 
 def ext_dim_pair(ws: Workspace, red_weight, plain_weight, n: int, p: int) -> int:
@@ -127,38 +139,25 @@ def ext_dim_pair(ws: Workspace, red_weight, plain_weight, n: int, p: int) -> int
 
     Zero when the weights lie in different linkage classes.
     """
-    return _pair_coefficient(ws, red_weight, plain_weight, n, p)[0]
+    pair = _linked_elements(ws, plain_weight, red_weight, p)
+    return _c_of_elements(ws, *pair, n) if pair else 0
 
 
 def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
     """c(delta_weight, red_weight, n): first slot indexes the Weyl module."""
-    value, s = _pair_coefficient(ws, red_weight, delta_weight, n, p)
-    if value and s % 2:
-        raise InternalInvariantError("parity violation in small_c")
-    return value
+    return ext_dim_pair(ws, red_weight, delta_weight, n, p)
 
 
-def _dominant_z_candidates(ws: Workspace, x, y):
-    """Elements below both x and y in Bruhat order whose image of C_p^- is
-    dominant (the flagged ids)."""
+def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
+    """``big_C`` between the elements x and y of one linkage class: a sum
+    over the z below both in Bruhat order whose image of C_p^- is dominant
+    (the flagged ids)."""
     g = ws.group
-    bound = min(g.length(x), g.length(y))
-    return [
-        z for z in g.dominant_up_to_length(bound) if g.bruhat_leq(z, x) and g.bruhat_leq(z, y)
-    ]
-
-
-def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
-    """The n-th graded dimension of the reduced-reduced Ext pairing."""
-    g = ws.group
-    loc_l = g.locate(lam, p)
-    loc_m = g.locate(mu, p)
-    if loc_l.antidominant_rep != loc_m.antidominant_rep:
-        return 0
-    x, y = loc_l.element, loc_m.element
-    lx, ly = loc_l.length, loc_m.length
+    lx, ly = g.length(x), g.length(y)
     total = 0
-    for z in _dominant_z_candidates(ws, x, y):
+    for z in g.dominant_up_to_length(min(lx, ly)):
+        if not (g.bruhat_leq(z, x) and g.bruhat_leq(z, y)):
+            continue
         lz = g.length(z)
         for m in range(n + 1):
             a = ws.table.c_coeff(z, x, lx - lz - m)
@@ -171,17 +170,22 @@ def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
     return total
 
 
+def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
+    """The n-th graded dimension of the reduced-reduced Ext pairing."""
+    pair = _linked_elements(ws, lam, mu, p)
+    return _big_C_of_elements(ws, *pair, n) if pair else 0
+
+
 def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     """Same sum as big_C, organized as a degree-split double sum over the
     dominant weights nu of the shared linkage class."""
     g = ws.group
-    loc_l = g.locate(lam, p)
-    loc_m = g.locate(mu, p)
-    if loc_l.antidominant_rep != loc_m.antidominant_rep:
+    pair = _linked_elements(ws, lam, mu, p)
+    if not pair:
         return 0
-    bound = max(loc_l.length, loc_m.length)
+    rep = g.locate(lam, p).antidominant_rep
     # distinct z give distinct weights: C_p^- points have trivial stabilizers
-    nus = [wt for _, wt in g.dominant_orbit(loc_l.antidominant_rep, p, bound)]
+    nus = [wt for _, wt in g.dominant_orbit(rep, p, max(map(g.length, pair)))]
     total = 0
     for m in range(n + 1):
         for nu in nus:
@@ -208,8 +212,8 @@ class MultiplicityQuery:
             )
         if not _is_prime(self.p):
             raise ConfigurationError(f"p={self.p!r} is not prime")
-        if self.n < 0:
-            raise ConfigurationError(f"n must be nonnegative, got {self.n}")
+        if type(self.n) is not int or self.n < 0:
+            raise ConfigurationError(f"n must be a nonnegative int, got n={self.n!r}")
         lam = _r.check_weight(ws.rs, self.lam)
         mu = _r.check_weight(ws.rs, self.mu)
         for w in (lam, mu):
@@ -254,38 +258,40 @@ def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _tau_candidates_for_omega(ws, omega, shift, rep, p, shifted_of_tau):
-    """Dominant tau <= omega + shift whose shifted weight is linked to rep."""
+def _tau_candidates_for_omega(ws, omega, shift, rep, p, base, twist):
+    """Dominant tau <= omega + shift whose shifted weight base + p*twist(tau)
+    is linked to rep, each mapped to the element that locates that weight."""
     if min(omega) < 0:  # never a constituent; the walk needs a dominant top
-        return []
+        return {}
     top = tuple(o + s for o, s in zip(omega, shift))
-    out = []
+    out = {}
     for tau, _ in ch.dominant_below(ws.rs, top):
-        shifted = shifted_of_tau(tau)
+        shifted = tuple(b + p * t for b, t in zip(base, twist(tau)))
         if ws.group.is_p_regular(shifted, p):
-            if ws.group.locate(shifted, p).antidominant_rep == rep:
-                out.append(tau)
+            loc = ws.group.locate(shifted, p)
+            if loc.antidominant_rep == rep:
+                out[tau] = loc.element
     return out
 
 
 def _tau_candidates_windowed(ws, base, rep, p, max_len):
     """Dominant tau with base + p*tau linked to rep, by a length window,
-    each mapped to the length of the element that reaches it.
+    each mapped to the element z with z . rep = base + p*tau.
 
     base is restricted, so a dominant weight congruent to it mod p is >= it.
     """
-    g = ws.group
     return {
-        tuple((w - b) // p for w, b in zip(wt, base)): g.length(z)
-        for z, wt in g.dominant_orbit_congruent(rep, p, max_len, base)
+        tuple((w - b) // p for w, b in zip(wt, base)): z
+        for z, wt in ws.group.dominant_orbit_congruent(rep, p, max_len, base)
     }
 
 
 def _variant_parts(ws, query):
     """Per-variant plumbing: partner weight, shifted base, twist, KL and tensor factors.
 
-    The KL factor of tau is read at the shifted weight base + p * twist(tau).
-    The twist is tau-star for delta_red and the identity otherwise; both are
+    The KL factor of tau is read between the element x that locates the
+    shifted weight base + p * twist(tau) and the partner's element y.  The
+    twist is tau-star for delta_red and the identity otherwise; both are
     involutions.
     """
     lam0, lam1 = restricted_decompose(ws.rs, query.lam, query.p)
@@ -295,18 +301,18 @@ def _variant_parts(ws, query):
     n, p = query.n, query.p
     if query.variant == "red_red":
         partner, base, twist = mu0, lam0, same
-        kl = lambda shifted: big_C(ws, shifted, mu0, n, p)
+        kl = lambda x, y: _big_C_of_elements(ws, x, y, n)
         lam1_star = star(lam1)
         tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(ws.rs, lam1_star, mu1, tau)
         shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
     elif query.variant == "delta_red":
         partner, base, twist = query.lam, mu0, star
-        kl = lambda shifted: small_c(ws, query.lam, shifted, n, p)
+        kl = lambda x, y: _c_of_elements(ws, y, x, n)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, tau, mu1)
         shift = star(mu1)
     elif query.variant == "red_nabla":
         partner, base, twist = query.mu, lam0, same
-        kl = lambda shifted: small_c(ws, query.mu, shifted, n, p)
+        kl = lambda x, y: _c_of_elements(ws, y, x, n)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, lam1, tau)
         shift = star(lam1)
     else:  # pragma: no cover - validated earlier
@@ -333,27 +339,22 @@ def _assemble(ws, query, omegas, twisted):
     partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
     if not twisted:
         twist = lambda tau: tau
-    shifted_of_tau = lambda tau: tuple(b + query.p * t for b, t in zip(base, twist(tau)))
     loc_partner = ws.group.locate(partner, query.p)
     rep = loc_partner.antidominant_rep
     edge = ()  # windowed taus reached from the top two lengths of the window
 
     if omegas is not None:
-        taus = []
+        elements = {}  # tau -> the element that locates its shifted weight
         for omega in omegas:
             omega = _r.check_weight(ws.rs, omega)
-            for tau in _tau_candidates_for_omega(
-                ws, omega, shift, rep, query.p, shifted_of_tau
-            ):
-                if tau not in taus:
-                    taus.append(tau)
+            elements.update(_tau_candidates_for_omega(ws, omega, shift, rep, query.p, base, twist))
     else:
         max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN
         raw = _tau_candidates_windowed(ws, base, rep, query.p, max_len)
-        taus = [twist(t) for t in raw]  # the twist is its own inverse
-        edge = [twist(t) for t, length in raw.items() if length >= max_len - 1]
+        elements = {twist(t): z for t, z in raw.items()}  # the twist is its own inverse
+        edge = [tau for tau, z in elements.items() if ws.group.length(z) >= max_len - 1]
 
-    factors = {tau: kl_factor(shifted_of_tau(tau)) for tau in taus}
+    factors = {tau: kl_factor(z, loc_partner.element) for tau, z in elements.items()}
     acc: dict[Weight, int] = {}
     for tau, k in factors.items():
         if k:

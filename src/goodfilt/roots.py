@@ -366,7 +366,10 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
 
 def check_weight(rs: RootSystem, weight) -> Weight:
-    w = tuple(int(x) for x in weight)
+    w = tuple(weight)
+    # type(), not isinstance(): True is no coordinate, and nothing is rounded
+    if any(type(x) is not int for x in w):
+        raise ConfigurationError(f"weight {w!r} has a coordinate that is not an int")
     if len(w) != rs.rank:
         raise DimensionMismatchError(
             f"weight {w} has {len(w)} coordinates, expected {rs.rank} for {rs!r}"

@@ -77,6 +77,9 @@ def test_locate_rejects_singular(a1):
     with pytest.raises(SingularWeightError) as exc:
         a1.locate((4,), 5)
     assert exc.value.pairing == 5
+    assert str(exc.value) == (
+        "weight (4,) is p-singular for p=5: pairing 5 with coroot (1,) is divisible by 5"
+    )
 
 
 def test_is_p_regular(a1, a2):

@@ -260,27 +260,22 @@ def test_finite_part_index_groups_the_flagged_ids(series, rank):
 
 
 @pytest.mark.parametrize("series,rank", TYPES)
-def test_congruent_orbit_enters_the_locations_locate_finds(series, rank):
-    # the index enters locations without the walk and its dot check;
-    # a fresh group walks and checks each weight
+def test_congruent_orbit_yields_the_elements_locate_finds(series, rank):
+    # tables read the yielded z as the location of its weight; a fresh
+    # group walks each weight into C_p^- and checks it
     rs = build_root_system(series, rank)
-    g = AffineWeylGroup(rs)
-    yielded = set()
+    g, fresh = AffineWeylGroup(rs), AffineWeylGroup(rs)
+    checked = 0
     for p in PRIMES[series, rank]:
         for rep in alcove_reps(get_group(series, rank), p):
             for base in itertools.product(range(p), repeat=rank):
-                pairs = g.dominant_orbit_congruent(rep, p, 8, base)
-                assert all(
-                    all((a - b) % p == 0 for a, b in zip(wt, base)) for _, wt in pairs
-                )
-                yielded.update((wt, p) for _, wt in pairs)
-    assert set(g._locate) == yielded
-    fresh = AffineWeylGroup(rs)
-    for (wt, p), loc in g._locate.items():
-        want = fresh.locate(wt, p)
-        assert loc.antidominant_rep == want.antidominant_rep
-        assert loc.length == want.length
-        assert g.canonical_word(loc.element) == fresh.canonical_word(want.element)
+                for z, wt in g.dominant_orbit_congruent(rep, p, 8, base):
+                    assert all((a - b) % p == 0 for a, b in zip(wt, base))
+                    want = fresh.locate(wt, p)
+                    assert g.canonical_word(z) == fresh.canonical_word(want.element)
+                    assert (rep, g.length(z)) == (want.antidominant_rep, want.length)
+                    checked += 1
+    assert checked and not g._locate  # the enumeration writes no locate memo
 
 
 def test_precondition_holds_after_a_served_query():

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import goodfilt
 from goodfilt.cli import main
 
 
@@ -373,3 +378,21 @@ def test_stats_flag_reports_one_json_line():
     stats = json.loads(lines[-1])
     assert stats["characters"]["tensor_pairs"] >= 1
     assert stats["workspace"]["kl_entries"] >= 1
+
+
+def test_extmult_stats_locates_only_the_partner():
+    # a fresh process, since groups are shared within one: the table works
+    # on the elements it enumerates and locates only the partner weight
+    argv = [
+        "extmult", "--series", "B", "--rank", "2", "--p", "7", "--variant", "red_red",
+        "--lam", "1,0", "--mu", "2,8", "--n", "2", "--stats",
+    ]
+    src = str(Path(goodfilt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "goodfilt.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
+    assert stats["locate_memo"] == 1

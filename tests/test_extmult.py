@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from goodfilt import characters as ch
 from goodfilt import extmult as em
 from goodfilt import roots as r
+from goodfilt.affine import restricted_decompose
 from goodfilt.errors import (
     ConfigurationError,
     DecompositionError,
@@ -150,6 +152,9 @@ def test_query_validation(a1):
         em.multiplicity_table(a1, MultiplicityQuery("red_red", (-1,), (2,), 0, 5))
     with pytest.raises(SingularWeightError):
         em.multiplicity_table(a1, MultiplicityQuery("red_red", (4,), (2,), 0, 5))
+    for n in (-1, 1.0, True):  # 1.0 used to crash in a slice, True to answer n = 1
+        with pytest.raises(ConfigurationError, match=f"got n={n!r}$"):
+            em.multiplicity_table(a1, MultiplicityQuery("red_nabla", (0,), (8,), n, 5))
 
 
 def test_advisories(a2):
@@ -374,12 +379,114 @@ def test_windowed_taus_match_the_dot_filter_scan(series, rank, p):
         ]
         for base in itertools.product(range(p), repeat=rank):  # every restricted base
             for max_len in range(11):
-                got = em._tau_candidates_windowed(ws, base, rep, p, max_len)
+                raw = em._tau_candidates_windowed(ws, base, rep, p, max_len)
+                got = {tau: g.length(z) for tau, z in raw.items()}
                 assert got == reference_tau_candidates_windowed(images, base, p, max_len), (
                     rep, base, max_len,
                 )
                 found += len(got)
     assert found
+
+
+def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
+    """The weight route of ``multiplicity_table``: each KL factor goes
+    through public ``small_c`` / ``big_C`` at the shifted weight
+    base + p*twist(tau), which they locate.
+
+    Full tables scan ``dominant_orbit`` for the weights congruent to base;
+    omega mode locates every shifted weight below omega + shift.  Returns
+    the entries and whether the window-edge warning is due.
+    """
+    q = query.validated(ws)
+    rs, g, n, p = ws.rs, ws.group, q.n, q.p
+    (lam0, lam1), (mu0, mu1) = (restricted_decompose(rs, w, p) for w in (q.lam, q.mu))
+    star = lambda w: r.star(rs, w)
+    same = lambda w: w
+    if q.variant == "red_red":
+        partner, base, twist = mu0, lam0, same
+        shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
+        kl = lambda wt: em.big_C(ws, wt, mu0, n, p)
+        tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(rs, star(lam1), mu1, tau)
+    elif q.variant == "delta_red":
+        partner, base, twist, shift = q.lam, mu0, star, star(mu1)
+        kl = lambda wt: em.small_c(ws, q.lam, wt, n, p)
+        tensor = lambda tau: ch.tensor_nabla_multiplicities(rs, tau, mu1)
+    else:
+        partner, base, twist, shift = q.mu, lam0, same, star(lam1)
+        kl = lambda wt: em.small_c(ws, q.mu, wt, n, p)
+        tensor = lambda tau: ch.tensor_nabla_multiplicities(rs, lam1, tau)
+    if not twisted:
+        twist = same
+    loc = g.locate(partner, p)
+    shifted = {}  # tau -> base + p*twist(tau)
+    if omegas is None:
+        max_len = loc.length + n + 2 * em._QDEG_MARGIN
+        for _, wt in g.dominant_orbit(loc.antidominant_rep, p, max_len):
+            diff = [w - b for w, b in zip(wt, base)]
+            if all(d >= 0 and d % p == 0 for d in diff):
+                shifted[twist(tuple(d // p for d in diff))] = wt
+    else:
+        for omega in omegas:
+            if min(omega) >= 0:
+                top = tuple(o + s for o, s in zip(omega, shift))
+                for tau, _ in ch.dominant_below(rs, top):
+                    wt = tuple(b + p * t for b, t in zip(base, twist(tau)))
+                    if g.is_p_regular(wt, p) and g.linked(wt, partner, p):
+                        shifted[tau] = wt
+    factors = {tau: kl(wt) for tau, wt in shifted.items()}
+    acc = {}
+    for tau, k in factors.items():
+        if k:
+            for omega, m in tensor(tau).items():
+                acc[omega] = acc.get(omega, 0) + k * m
+    if omegas is not None:
+        acc = {w: m for w, m in acc.items() if w in omegas}
+    edge = omegas is None and any(
+        k and g.locate(shifted[tau], p).length >= max_len - 1 for tau, k in factors.items()
+    )
+    return tuple(sorted((w, m) for w, m in acc.items() if m)), edge
+
+
+@pytest.mark.parametrize(
+    "series, rank, p",
+    [("A", 1, 5), ("A", 1, 7), ("A", 2, 5), ("A", 2, 7), ("B", 2, 5), ("B", 2, 7),
+     ("G", 2, 7), ("G", 2, 11)],
+)
+def test_tables_on_elements_match_the_weight_route(series, rank, p, monkeypatch):
+    # tables read the elements they enumerate; the reference locates every
+    # shifted weight again through the public KL factors.  Narrow windows
+    # put nonzero factors at their edge.
+    ws = em.make_workspace(series, rank)
+    g = ws.group
+    pools = [
+        sorted({wt for _, wt in g.dominant_orbit(g.locate(w, p).antidominant_rep, p, 12)})
+        for w in [(1,) * rank, (0,) * rank]
+    ]
+    pairs = [(pools[0][0], pools[0][2]), (pools[0][1], pools[0][-1]), (pools[1][1], pools[0][3])]
+    box = list(itertools.product(range(3 if rank == 2 else 6), repeat=rank))
+    nonempty = edges = 0
+    for lam, mu in pairs:
+        for variant in em.VARIANTS:
+            for n in range(3):
+                q = MultiplicityQuery(variant, lam, mu, n, p)
+                for margin in (0, 1, 4):
+                    monkeypatch.setattr(em, "_QDEG_MARGIN", margin)
+                    table = em.multiplicity_table(ws, q)
+                    entries, edge = reference_multiplicity_table(ws, q)
+                    assert table.entries == entries, (lam, mu, variant, n, margin)
+                    assert edge == bool(window_warnings(table))
+                    edges += edge
+                entries, _ = reference_multiplicity_table(ws, q, omegas=box)
+                assert em.multiplicity_table(ws, q, omegas=box).entries == entries
+                nonempty += bool(entries)
+        for n in range(3):  # both readings of the duality self-test
+            report = em.duality_self_test(ws, lam, mu, n, p)
+            dual = MultiplicityQuery("delta_red", r.star(ws.rs, mu), r.star(ws.rs, lam), n, p)
+            for reading, twisted in [(report.dual_delta_red, True),
+                                     (report.dual_delta_red_unstarred, False)]:
+                entries, _ = reference_multiplicity_table(ws, dual, twisted=twisted)
+                assert reading == tuple(sorted((r.star(ws.rs, w), m) for w, m in entries))
+    assert nonempty and edges
 
 
 def test_stats_after_an_extmult_session():

@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfilt import roots
+from goodfilt.affine import get_group
+from goodfilt.characters import tensor_nabla_multiplicities
 from goodfilt.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -107,6 +110,20 @@ def test_pair_rank_mismatch():
     a2 = build_root_system("A", 2)
     with pytest.raises(DimensionMismatchError):
         roots.pair(a2, (1, 2, 3), a2.highest_short_root)
+
+
+@pytest.mark.parametrize("weight", [(1.9, 0.2), (1.0, 0), ("1", "0"), (True, 0), (0, False)])
+def test_check_weight_takes_int_coordinates_only(weight):
+    # int() would truncate floats, parse strings and read True as 1
+    g = get_group("A", 2)
+    calls = [
+        lambda: roots.check_weight(g.rs, weight),
+        lambda: g.locate(weight, 7),
+        lambda: tensor_nabla_multiplicities(g.rs, weight, (1, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=re.escape(f"weight {weight!r}")):
+            call()
 
 
 def test_star_examples():
