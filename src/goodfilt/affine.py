@@ -31,7 +31,10 @@ C_p^-, which is what makes lengths of dominant weights grow with their
 distance from the antidominant chamber.  A new neighbour x s_i gets its
 length once, when its id is created: l(x) + 1 exactly when C_p^- lies on
 the same side of the wall x(H_i) as x(C_p^-), which one root pairing
-decides.  The tests check this against the root-counting formula
+decides.  For H_i = {<m, gamma_i^vee> + k_i p = 0} it reads w(gamma_i),
+and that one product also gives the neighbour's form, with no matrix product:
+x s_i = (w - w(gamma_i) (x) gamma_i^vee, nu - k_i w(gamma_i)).  The tests
+check lengths against the root-counting formula
 
     l(w, nu) = sum over positive roots beta of |<nu, beta^vee> + [w^{-1}(beta) < 0]|
 
@@ -104,11 +107,14 @@ class AlcoveLocation:
 def restricted_decompose(rs: RootSystem, weight, p: int) -> tuple[Weight, Weight]:
     """Split a dominant weight as lambda_0 + p*lambda_1 with lambda_0 restricted."""
     w = check_weight(rs, weight)
-    if any(x < 0 for x in w):
+    if min(w) < 0:
         raise PreconditionError(f"restricted decomposition needs a dominant weight, got {w}")
-    lam0 = tuple(x % p for x in w)
-    lam1 = tuple((x - x % p) // p for x in w)
-    return lam0, lam1
+    return _restricted_split(w, p)
+
+
+def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
+    """``restricted_decompose`` of a checked dominant weight."""
+    return tuple(x % p for x in w), tuple(x // p for x in w)
 
 
 class AffineWeylGroup:
@@ -120,27 +126,16 @@ class AffineWeylGroup:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        n = rs.rank
         a0 = rs.highest_short_root
-        # reflection matrix of the highest short root on fundamental coordinates
-        s0_mat = tuple(
-            tuple(
-                (1 if k == j else 0) - a0.fund_coords[k] * a0.coroot[j]
-                for j in range(n)
-            )
-            for k in range(n)
-        )
-        # per generator (index 0 = affine): matrix form, and the wall
-        # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
-        self._gens = ((s0_mat, tuple(-c for c in a0.fund_coords), a0.fund_coords, 1),) + tuple(
-            (refl, (0,) * n, tuple(-c for c in col), 0)
-            for refl, col in zip(rs.simple_reflections, rs.simple_columns)
-        )
         self._coroot: dict[Weight, tuple[int, ...]] = {
             tuple(e * c for c in b.fund_coords): tuple(e * c for c in b.coroot)
             for b in rs.positive_roots
             for e in (1, -1)
         }
+        # per generator (index 0 = affine): (gamma, gamma^vee, k) for the wall
+        # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
+        walls = [(a0.fund_coords, 1)] + [(tuple(-c for c in v), 0) for v in rs.simple_columns]
+        self._gens = tuple((gamma, self._coroot[gamma], k) for gamma, k in walls)
         self._lock = threading.Lock()
         self._form: list[tuple[Matrix, Weight]] = []  # id -> (finite_part, translation)
         self._index: dict[tuple[Matrix, Weight], int] = {}  # matrix form -> id
@@ -200,14 +195,18 @@ class AffineWeylGroup:
             lx = self._length[x]
             h = self.rs.coxeter_number
             row, descents = [], []
-            for i, (gmat, gtr, gamma, k) in enumerate(self._gens):
+            for i, (gamma, r, k) in enumerate(self._gens):
                 # l(x s_i) > l(x) iff C^- and x(C^-) lie on one side of x(H_i),
                 # i.e. f(x^{-1}(c)) > 0 for f = <., gamma^vee> + k p and c in C^-.
                 # Take c = -rho at p = h; <x^{-1} m, gamma^vee> = <m - p nu, (w gamma)^vee>.
-                c = self._coroot[_r._mat_vec(mat, gamma)]
-                up = k * h - sum(c) - h * sum(a * b for a, b in zip(c, tr)) > 0
+                wg = _r._mat_vec(mat, gamma)
+                c = self._coroot[wg]
+                up = k * h - sum(c) - h * sum(map(mul, c, tr)) > 0
                 ly = lx + 1 if up else lx - 1
-                form = (_r._mat_mul(mat, gmat), _r._vec_add(_r._mat_vec(mat, gtr), tr))
+                # x s_i: m -> w(m) - <m, gamma^vee> w(gamma) + p (nu - k w(gamma))
+                rows = zip(mat, wg)
+                moved = tuple(tuple(a - g * b for a, b in zip(v, r)) if g else v for v, g in rows)
+                form = (moved, _r._vec_sub(tr, wg) if k else tr)
                 y = self._index.get(form)
                 if y is None:
                     y = self._new(form, ly)
@@ -223,8 +222,10 @@ class AffineWeylGroup:
             return row
 
     def _walk(self, x: int, word) -> int:
+        word = tuple(word)
         for i in word:
-            i = int(i)
+            if type(i) is not int:  # nothing is rounded, and True is no letter
+                raise ConfigurationError(f"word {word!r} has a letter that is not an int")
             if not 0 <= i <= self.rs.rank:
                 raise ConfigurationError(f"generator index {i} out of range 0..{self.rs.rank}")
             x = self.row(x)[i]
@@ -345,7 +346,7 @@ class AffineWeylGroup:
         lam = check_weight(self.rs, weight)
         shifted = _r._vec_add(lam, self.rs.rho)
         for beta in self.rs.positive_roots:
-            val = sum(c * m for c, m in zip(beta.coroot, shifted))
+            val = sum(map(mul, beta.coroot, shifted))
             if val % p == 0:
                 raise SingularWeightError(lam, beta.coroot, val, p)
 
@@ -467,19 +468,18 @@ class AffineWeylGroup:
             self._dominant_levels, self._longest_finite, bound, self._dominant_by_finite
         )
 
-    def _finite_images(self, rep, p, max_length) -> tuple[Weight, dict[Matrix, Weight]]:
-        """rep, and w(rep + rho) - rho for each finite part w of the flagged
-        ids, indexed up to at least ``max_length``.
-
-        z = (w, nu) maps rep to that image + p*nu.  The precondition of
-        ``dominant_orbit`` is checked here, on every call.
-        """
+    def _checked_rep(self, rep, p) -> Weight:  # the precondition of dominant_orbit
         rep = check_weight(self.rs, rep)
         if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
-        self.dominant_up_to_length(max_length)
+        return rep
+
+    def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
+        """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up to max_length."""
+        if len(self._dominant_levels) <= max_length:
+            self.dominant_up_to_length(max_length)
         m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
-        return rep, {
+        return {
             w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
             for w in list(self._dominant_by_finite)
         }
@@ -490,7 +490,7 @@ class AffineWeylGroup:
 
         rep must lie in the open alcove C_p^- (as ``locate`` returns it).
         """
-        rep, image = self._finite_images(rep, p, max_length)
+        image = self._finite_images(self._checked_rep(rep, p), max_length)
         out = []
         for z in self.dominant_up_to_length(max_length):
             w, nu = self._form[z]
@@ -506,7 +506,11 @@ class AffineWeylGroup:
         ``locate`` finds for z . rep: a point of C_p^- has a trivial stabilizer.
         """
         base = check_weight(self.rs, base)
-        rep, image = self._finite_images(rep, p, max_length)
+        return self._orbit_congruent(self._checked_rep(rep, p), p, max_length, base)
+
+    def _orbit_congruent(self, rep: Weight, p: int, max_length: int, base: Weight):
+        """``dominant_orbit_congruent`` of checked arguments."""
+        image = self._finite_images(rep, max_length)
         lengths, forms = self._length, self._form
         out = []
         for w, v in image.items():

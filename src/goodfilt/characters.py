@@ -58,7 +58,7 @@ __all__ = [
 
 def _require_dominant(rs, weight, what="operation"):
     w = _r.check_weight(rs, weight)
-    if any(x < 0 for x in w):
+    if min(w) < 0:
         raise PreconditionError(f"{what} requires a dominant weight, got {w}")
     return w
 

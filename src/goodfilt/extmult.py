@@ -36,9 +36,10 @@ On top of the pair dictionary:
   equals the xi-weight-space dimension of the Weyl module Delta(tau),
   where mu = w . 0 + p*xi with w in the finite Weyl group.
 
-Tables work on group elements, and locate each weight once: the partner,
-and in omega mode each candidate.  The KL factors take elements; the
-public ones locate their two weights and call the same cores.
+A query is checked once, in ``MultiplicityQuery.validated``; tables then
+work on the checked tuples and on group elements, and locate each weight
+once: the partner, and in omega mode each candidate.  The KL factors take
+elements; the public ones locate their two weights and call the same cores.
 
 Results carry advisories (prime-size flags, the character-formula
 assumption, Jantzen-region membership) instead of refusing service; the
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 from . import characters as ch
 from . import roots as _r
-from .affine import AffineWeylGroup, get_group, restricted_decompose
+from .affine import AffineWeylGroup, _restricted_split, get_group
 from .errors import ConfigurationError, DecompositionError, InternalInvariantError
 from .klpoly import KLTable
 from .roots import RootSystem, Weight
@@ -80,10 +81,11 @@ VARIANTS = ("red_red", "delta_red", "red_nabla")
 # candidates are enumerated up to l(partner) + n + 2 * _QDEG_MARGIN.  Exact
 # for the infinite dihedral group (where only the top coefficient is ever
 # nonzero) and generous for the rank-2 boxes this tool is tested on; a table
-# with a nonzero KL factor in the window's top two lengths carries a warning.
+# with a nonzero KL factor in the window's top two lengths warns (WINDOW_EDGE).
 # The per-omega mode is bounded by the tensor-factor dominance rule instead
 # and needs no window.
 _QDEG_MARGIN = 4
+WINDOW_EDGE = "warning: a nonzero KL factor comes from the top two lengths of the window"
 
 
 @dataclass
@@ -250,7 +252,7 @@ def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
         "formula for all p-regular weights"
     )
     for name, w in (("lambda", query.lam), ("mu", query.mu)):
-        if not _r.in_jantzen_region(ws.rs, w, query.p):
+        if not _r._in_jantzen_region(ws.rs, w, query.p):
             notes.append(
                 f"warning: {name}={list(w)} lies outside the region "
                 f"<w+rho, alpha_0^vee> <= p(p-h+2) = {_r.jantzen_bound(ws.rs, query.p)}"
@@ -282,7 +284,7 @@ def _tau_candidates_windowed(ws, base, rep, p, max_len):
     """
     return {
         tuple((w - b) // p for w, b in zip(wt, base)): z
-        for z, wt in ws.group.dominant_orbit_congruent(rep, p, max_len, base)
+        for z, wt in ws.group._orbit_congruent(rep, p, max_len, base)
     }
 
 
@@ -294,9 +296,9 @@ def _variant_parts(ws, query):
     twist is tau-star for delta_red and the identity otherwise; both are
     involutions.
     """
-    lam0, lam1 = restricted_decompose(ws.rs, query.lam, query.p)
-    mu0, mu1 = restricted_decompose(ws.rs, query.mu, query.p)
-    star = lambda w: _r.star(ws.rs, w)
+    lam0, lam1 = _restricted_split(query.lam, query.p)
+    mu0, mu1 = _restricted_split(query.mu, query.p)
+    star = lambda w: _r._star(ws.rs, w)
     same = lambda w: w
     n, p = query.n, query.p
     if query.variant == "red_red":
@@ -310,13 +312,11 @@ def _variant_parts(ws, query):
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, tau, mu1)
         shift = star(mu1)
-    elif query.variant == "red_nabla":
+    else:  # red_nabla, since the query is validated
         partner, base, twist = query.mu, lam0, same
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
         tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, lam1, tau)
         shift = star(lam1)
-    else:  # pragma: no cover - validated earlier
-        raise ConfigurationError(query.variant)
     return partner, base, twist, kl, tensor, shift
 
 
@@ -363,8 +363,8 @@ def _assemble(ws, query, omegas, twisted):
     advisories = _advisories(ws, query)
     if any(factors[tau] for tau in edge):
         advisories += (
-            f"warning: a nonzero KL factor comes from the top two lengths of the "
-            f"window l(partner) + n + {2 * _QDEG_MARGIN} = {max_len}; entries may be missing",
+            f"{WINDOW_EDGE} l(partner) + n + {2 * _QDEG_MARGIN} = {max_len}; "
+            "entries may be missing",
         )
 
     if omegas is not None:

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .errors import (
     ConfigurationError,
@@ -62,15 +63,15 @@ _RANK_RANGE = {
 
 
 def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _mat_mul(a, b):
@@ -368,7 +369,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 def check_weight(rs: RootSystem, weight) -> Weight:
     w = tuple(weight)
     # type(), not isinstance(): True is no coordinate, and nothing is rounded
-    if any(type(x) is not int for x in w):
+    if not {int}.issuperset(map(type, w)):
         raise ConfigurationError(f"weight {w!r} has a coordinate that is not an int")
     if len(w) != rs.rank:
         raise DimensionMismatchError(
@@ -385,7 +386,11 @@ def pair(rs: RootSystem, weight, root: Root) -> int:
 
 def star(rs: RootSystem, weight) -> Weight:
     """The duality involution -w0 on weight coordinates."""
-    w = check_weight(rs, weight)
+    return _star(rs, check_weight(rs, weight))
+
+
+def _star(rs: RootSystem, w: Weight) -> Weight:
+    """``star`` of a checked weight."""
     return tuple(-x for x in _mat_vec(rs.longest_element_action, w))
 
 
@@ -404,10 +409,14 @@ def jantzen_bound(rs: RootSystem, p: int) -> int:
 def in_jantzen_region(rs: RootSystem, weight, p: int) -> bool:
     """Whether <weight + rho, alpha_0^vee> <= p(p - h + 2)."""
     w = check_weight(rs, weight)
-    if not is_dominant(rs, w):
+    if min(w) < 0:
         raise PreconditionError(f"jantzen test requires a dominant weight, got {w}")
-    shifted = _vec_add(w, rs.rho)
-    return pair(rs, shifted, rs.highest_short_root) <= jantzen_bound(rs, p)
+    return _in_jantzen_region(rs, w, p)
+
+
+def _in_jantzen_region(rs: RootSystem, w: Weight, p: int) -> bool:
+    """``in_jantzen_region`` of a checked dominant weight."""
+    return sum(map(mul, rs.highest_short_root.coroot, _vec_add(w, rs.rho))) <= jantzen_bound(rs, p)
 
 
 @dataclass(frozen=True)

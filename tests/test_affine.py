@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from goodfilt.affine import get_group, restricted_decompose
-from goodfilt.errors import PreconditionError, SingularWeightError
+from goodfilt.errors import ConfigurationError, PreconditionError, SingularWeightError
 from goodfilt.roots import build_root_system
 
 
@@ -104,6 +104,20 @@ def test_multiply_invert(a2):
     inverse = a2.from_word(reversed(word))
     assert a2.multiply(x, inverse) == a2.identity
     assert a2.multiply(inverse, x) == a2.identity
+
+
+@pytest.mark.parametrize("word", [[1.9, 0.2], ["2", True], [1, 2.0], [False], "21"])
+def test_words_take_int_letters_only(a2, word):
+    # int() used to round 1.9 to 1 and read "2" and True as letters
+    pattern = r"word \(.*\) has a letter that is not an int$"
+    with pytest.raises(ConfigurationError, match=pattern):
+        a2.from_word(word)
+    x = a2.from_word((2, 0))
+    with pytest.raises(ConfigurationError, match=pattern):
+        a2.apply_generator(x, word[-1])
+    with pytest.raises(ConfigurationError, match="out of range"):
+        a2.from_word([0, 3])
+    assert a2.from_word([]) == a2.identity
 
 
 def test_generators_are_involutions(a2):

@@ -103,6 +103,70 @@ def test_table_agrees_with_matrix_model(case):
         y = g.row(y)[i]
 
 
+class MatrixProductGroup(AffineWeylGroup):
+    """The group with the earlier row fill, kept as a reference: each
+    neighbour's form is the matrix product of x's form with the generator's."""
+
+    def __init__(self, rs):
+        super().__init__(rs)
+        a0 = rs.highest_short_root
+        walls = [(a0.fund_coords, 1)] + [
+            (tuple(-rs.cartan[k][i] for k in range(rs.rank)), 0) for i in range(rs.rank)
+        ]
+        self.ref_gens = [(*form, *wall) for form, wall in zip(generator_forms(rs), walls)]
+        self.ref_coroot = {
+            tuple(e * c for c in b.fund_coords): tuple(e * c for c in b.coroot)
+            for b in rs.positive_roots
+            for e in (1, -1)
+        }
+
+    def _fill_row(self, x):
+        with self._lock:
+            row = self._rmul[x]
+            if row is not None:
+                return row
+            mat, tr = self._form[x]
+            lx = self._length[x]
+            h = self.rs.coxeter_number
+            row, descents = [], []
+            for i, (gmat, gtr, gamma, k) in enumerate(self.ref_gens):
+                wg = tuple(sum(a * b for a, b in zip(r, gamma)) for r in mat)
+                c = self.ref_coroot[wg]
+                up = k * h - sum(c) - h * sum(a * b for a, b in zip(c, tr)) > 0
+                m, t = compose((mat, tr), (gmat, gtr))
+                form = (tuple(map(tuple, m)), tuple(t))
+                y = self._index.get(form)
+                if y is None:
+                    y = self._new(form, lx + 1 if up else lx - 1)
+                row.append(y)
+                if not up:
+                    descents.append(i)
+            self._descents[x] = tuple(descents)
+            row = self._rmul[x] = tuple(row)
+            return row
+
+
+@pytest.mark.parametrize(
+    "series,rank,bound",
+    [("A", 1, 100), ("A", 2, 24), ("B", 2, 24), ("G", 2, 28), ("A", 3, 12),
+     ("B", 3, 11), ("C", 3, 11), ("D", 4, 9), ("F", 4, 9)],
+)
+def test_row_fill_agrees_with_matrix_products(series, rank, bound):
+    # both groups create their ids in the same order, so the arrays agree
+    # id by id exactly when every neighbour's form does
+    rs = build_root_system(series, rank)
+    g, ref = AffineWeylGroup(rs), MatrixProductGroup(rs)
+    for group in (g, ref):
+        group.elements_up_to_length(bound)
+        group.dominant_up_to_length(bound + 4)
+    assert len(g._form) == len(ref._form) > bound
+    assert g._form == ref._form
+    assert g._rmul == ref._rmul
+    assert g._descents == ref._descents
+    assert g._length == ref._length
+    assert g._dominant == ref._dominant
+
+
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_every_edge_is_an_involution(series, rank):
     g = get_group(series, rank)

@@ -197,15 +197,35 @@ def test_extmult_strict_fails_on_window_edge(monkeypatch):
         "extmult", "--series", "A", "--rank", "2", "--p", "7",
         "--variant", "red_red", "--lam", "1,0", "--mu", "1,0", "--n", "2",
     ]
+    # a full table whose window edge holds a nonzero KL factor is refused,
+    # with or without --strict; the library still returns it, with its advisory
     monkeypatch.setattr(extmult, "_QDEG_MARGIN", 1)
-    code, out, err = run(argv)
-    assert code == 0 and json.loads(out)
-    assert "advisory: warning: a nonzero KL factor comes from the top two lengths" in err
-    code, _, err = run(argv + ["--strict"])
-    assert code == 2
-    assert "--strict" in err
+    for extra in ([], ["--strict"]):
+        code, out, err = run(argv + extra)
+        assert code == 4 and out == ""
+        assert f"advisory: {extmult.WINDOW_EDGE}" in err
+        assert err.endswith(
+            "error: the full A2 p=7 red_red table for lam=1,0 mu=1,0 n=2 may miss entries "
+            "beyond its length window; ask for constituents with --omega\n"
+        )
     monkeypatch.setattr(extmult, "_QDEG_MARGIN", 4)
-    assert run(argv + ["--strict"])[0] == 0
+    code, out, _ = run(argv + ["--strict"])
+    assert code == 0 and json.loads(out)
+
+
+def test_extmult_refuses_g2_window_edge():
+    # the default window misses (1,3), (2,2) and (4,1) of this table
+    argv = [
+        "extmult", "--series", "G", "--rank", "2", "--p", "13",
+        "--variant", "red_nabla", "--lam", "0,2", "--mu", "2,19", "--n", "6",
+    ]
+    code, out, err = run(argv)
+    assert code == 4 and out == ""
+    assert "error: the full G2 p=13 red_nabla table for lam=0,2 mu=2,19 n=6" in err
+    assert "--omega" in err.splitlines()[-1]
+    code, out, _ = run(argv + ["--omega", "1,3", "--omega", "2,2", "--omega", "4,1"])
+    assert code == 0
+    assert json.loads(out) == {"1,3": 1, "2,2": 1, "4,1": 1}
 
 
 def test_extmult_unlinked_empty_exit_zero():
@@ -395,4 +415,8 @@ def test_extmult_stats_locates_only_the_partner():
     )
     assert done.returncode == 0, done.stderr
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
-    assert stats["locate_memo"] == 1
+    # the whole block: a row fill that creates extra ids or walks differently shows here
+    assert stats == {
+        "ids": 49, "flagged_ids": 31, "finite_part_index": 30, "bruhat_memo": 130,
+        "ideal_memo": 0, "kl_entries": 113, "locate_memo": 1,
+    }

@@ -10,6 +10,7 @@ from goodfilt.affine import restricted_decompose
 from goodfilt.errors import (
     ConfigurationError,
     DecompositionError,
+    DimensionMismatchError,
     SingularWeightError,
 )
 from goodfilt.extmult import MultiplicityQuery
@@ -143,18 +144,72 @@ def test_omega_filter_matches_full_table(a1):
     assert table_dict(a1, "red_nabla", (0,), (8,), 3, 5, omegas=[(0,)]) == {}
 
 
-def test_query_validation(a1):
-    with pytest.raises(ConfigurationError):
-        em.multiplicity_table(a1, MultiplicityQuery("bogus", (2,), (2,), 0, 5))
-    with pytest.raises(ConfigurationError):
-        em.multiplicity_table(a1, MultiplicityQuery("red_red", (2,), (2,), 0, 6))
-    with pytest.raises(ConfigurationError):
-        em.multiplicity_table(a1, MultiplicityQuery("red_red", (-1,), (2,), 0, 5))
-    with pytest.raises(SingularWeightError):
-        em.multiplicity_table(a1, MultiplicityQuery("red_red", (4,), (2,), 0, 5))
-    for n in (-1, 1.0, True):  # 1.0 used to crash in a slice, True to answer n = 1
-        with pytest.raises(ConfigurationError, match=f"got n={n!r}$"):
-            em.multiplicity_table(a1, MultiplicityQuery("red_nabla", (0,), (8,), n, 5))
+# (workspace, variant, lam, mu, n, p, omegas, exception, message)
+MALFORMED_QUERIES = [
+    ("a2", "red_red", (1.0, 0), (1, 0), 0, 7, None, ConfigurationError,
+     "weight (1.0, 0) has a coordinate that is not an int"),
+    ("a2", "red_red", (1, 0), ("1", 0), 0, 7, None, ConfigurationError,
+     "weight ('1', 0) has a coordinate that is not an int"),
+    ("a2", "red_red", (True, 0), (1, 0), 0, 7, None, ConfigurationError,
+     "weight (True, 0) has a coordinate that is not an int"),
+    ("a2", "red_red", (1, 0), (1,), 0, 7, None, DimensionMismatchError,
+     "weight (1,) has 1 coordinates, expected 2 for RootSystem(A2)"),
+    ("a2", "red_red", (1, -1), (1, 0), 0, 7, None, ConfigurationError,
+     "query weights must be dominant, got (1, -1)"),
+    ("a2", "red_red", (5, 0), (1, 0), 0, 7, None, SingularWeightError,
+     "weight (5, 0) is p-singular for p=7: pairing 7 with coroot (1, 1) is divisible by 7"),
+    ("a2", "red_red", (1, 0), (0, 6), 0, 7, None, SingularWeightError,
+     "weight (0, 6) is p-singular for p=7: pairing 7 with coroot (0, 1) is divisible by 7"),
+    ("a1", "red_red", (2,), (2,), 0, 6, None, ConfigurationError, "p=6 is not prime"),
+    ("a1", "red_red", (2,), (2,), 0, True, None, ConfigurationError, "p=True is not prime"),
+    # 1.0 used to crash in a slice, True to answer n = 1
+    ("a1", "red_nabla", (0,), (8,), -1, 5, None, ConfigurationError,
+     "n must be a nonnegative int, got n=-1"),
+    ("a1", "red_nabla", (0,), (8,), 1.0, 5, None, ConfigurationError,
+     "n must be a nonnegative int, got n=1.0"),
+    ("a1", "red_nabla", (0,), (8,), True, 5, None, ConfigurationError,
+     "n must be a nonnegative int, got n=True"),
+    ("a1", "bogus", (2,), (2,), 0, 5, None, ConfigurationError,
+     "unknown variant 'bogus'; expected one of ('red_red', 'delta_red', 'red_nabla')"),
+    ("a2", "red_nabla", (0, 0), (1, 0), 0, 7, [(1.0, 0)], ConfigurationError,
+     "weight (1.0, 0) has a coordinate that is not an int"),
+]
+
+
+def test_query_validation(a1, a2):
+    spaces = {"a1": a1, "a2": a2}
+    for ws, variant, lam, mu, n, p, omegas, exc, message in MALFORMED_QUERIES:
+        with pytest.raises(exc) as info:
+            em.multiplicity_table(spaces[ws], MultiplicityQuery(variant, lam, mu, n, p), omegas)
+        assert str(info.value) == message
+
+
+def test_advisories_at_the_jantzen_bound():
+    # <w+rho, alpha_0^vee> = p(p-h+2) is a multiple of p, so a weight on the
+    # bound is p-singular and only the advisories can be asked for it
+    for series, p, small in (("A", 7, 3), ("B", 7, 5), ("G", 13, 7)):
+        ws = em.make_workspace(series, 2)
+        coroot, bound = ws.rs.highest_short_root.coroot, r.jantzen_bound(ws.rs, p)
+        inside, outside = (
+            next(
+                (a, b) for b in range(pairing) for a in range(pairing)
+                if coroot[0] * (a + 1) + coroot[1] * (b + 1) == pairing
+                and (pairing == bound or ws.group.is_p_regular((a, b), p))
+            )
+            for pairing in (bound, bound + 1)
+        )
+        jantzen = lambda t: [a for a in t if "outside the region" in a]
+        assert not jantzen(em._advisories(ws, MultiplicityQuery("red_red", inside, inside, 0, p)))
+        zero = (0, 0)
+        table = em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, outside, 0, p), [])
+        assert jantzen(table.advisories) == [
+            f"warning: mu={list(outside)} lies outside the region "
+            f"<w+rho, alpha_0^vee> <= p(p-h+2) = {bound}"
+        ]
+        # a prime below 2h-2 still warns
+        table = em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, zero, 0, small))
+        h = ws.rs.coxeter_number
+        assert f"warning: p={small} < 2h-2 = {2 * h - 2} for {series}2" in table.advisories
 
 
 def test_advisories(a2):
