@@ -58,12 +58,16 @@ s with ys flagged (``descent``), so between flagged ids they stay flagged.
 The walk also files each flagged id under its finite part w, a
 p-independent index.  Since z = (w, nu) sends m to w(m) + p*nu, the image
 z . lambda^- mod p depends only on w, so ``dominant_orbit`` computes
-w(lambda^- + rho) once per finite part, and ``dominant_orbit_congruent``
-keeps only the finite parts whose image is congruent to a given base mod p
-and walks their ids.  For a restricted base (coordinates in [0, p)) a
-dominant weight congruent to it is also >= it coordinatewise.  A point of
-C_p^- has a trivial stabilizer, so each z yielded is the element ``locate``
-finds for z . lambda^-.
+w(lambda^- + rho) once per finite part, and ``_orbit_congruent`` walks only
+the ids of the finite parts whose image is congruent to a restricted base
+mod p, mapping each z to the dominant tau with z . lambda^- = base + p*tau.
+A point of C_p^- has a trivial stabilizer, so z is the element ``locate``
+finds for that weight.  Lengths of dominant weights follow the length law
+(Jantzen, RAGS, II.6; ``dominant_length``): for a dominant p-regular
+lambda = x . lambda^-, l(x) = sum over positive beta of
+(floor(<lambda + rho, beta^vee> / p) + 1), since <m, beta^vee> runs from
+(-p, 0) on C_p^- to <lambda + rho, beta^vee> > 0 across exactly the walls
+kp with 0 <= k <= that floor.  So l(base + p*tau) = l(base) + <tau, 2 rho^vee>.
 
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
@@ -404,6 +408,24 @@ class AffineWeylGroup:
         self._locate[key] = loc
         return loc
 
+    def dominant_length(self, weight, p: int) -> int:
+        """l(x) for a dominant p-regular weight x . lambda^-, with no walk.
+
+        Proof: for beta > 0, <m, beta^vee> lies in (-p, 0) on C_p^- and is
+        c = <weight + rho, beta^vee> > 0 at the weight, p not dividing c, so
+        the floor(c/p) + 1 walls <m, beta^vee> = kp with 0 <= k <= floor(c/p)
+        separate the two alcoves, and l(x) counts separating walls.  Moving
+        the weight by p*tau moves each floor by <tau, beta^vee>, so
+        l(base + p*tau) = l(base) + <tau, 2 rho^vee>; as <alpha_i, rho^vee> = 1,
+        tau <= top in dominance gives l(base + p*tau) <= l(base + p*top).
+        """
+        lam = check_weight(self.rs, weight)
+        if min(lam) < 0:
+            raise PreconditionError(f"dominant_length needs a dominant weight, got {lam}")
+        self.assert_p_regular(lam, p)
+        m = _r._vec_add(lam, self.rs.rho)
+        return sum(sum(map(mul, b.coroot, m)) // p + 1 for b in self.rs.positive_roots)
+
     def linked(self, a, b, p: int) -> bool:
         """Whether two p-regular weights lie in one dot orbit of the group."""
         return self.locate(a, p).antidominant_rep == self.locate(b, p).antidominant_rep
@@ -468,12 +490,6 @@ class AffineWeylGroup:
             self._dominant_levels, self._longest_finite, bound, self._dominant_by_finite
         )
 
-    def _checked_rep(self, rep, p) -> Weight:  # the precondition of dominant_orbit
-        rep = check_weight(self.rs, rep)
-        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
-            raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
-        return rep
-
     def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
         """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up to max_length."""
         if len(self._dominant_levels) <= max_length:
@@ -490,36 +506,36 @@ class AffineWeylGroup:
 
         rep must lie in the open alcove C_p^- (as ``locate`` returns it).
         """
-        image = self._finite_images(self._checked_rep(rep, p), max_length)
+        rep = check_weight(self.rs, rep)
+        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
+            raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
+        image = self._finite_images(rep, max_length)
         out = []
         for z in self.dominant_up_to_length(max_length):
             w, nu = self._form[z]
             out.append((z, tuple(a + p * t for a, t in zip(image[w], nu))))
         return out
 
-    def dominant_orbit_congruent(self, rep: Weight, p: int, max_length: int, base):
-        """The pairs of ``dominant_orbit`` with z . rep = base (mod p), by
-        finite part, then length and matrix form.
-
-        z . rep mod p depends only on the finite part of z, so one product
-        per finite part picks the ids to walk.  Each z is the element
-        ``locate`` finds for z . rep: a point of C_p^- has a trivial stabilizer.
-        """
-        base = check_weight(self.rs, base)
-        return self._orbit_congruent(self._checked_rep(rep, p), p, max_length, base)
-
     def _orbit_congruent(self, rep: Weight, p: int, max_length: int, base: Weight):
-        """``dominant_orbit_congruent`` of checked arguments."""
+        """{tau: z} over the flagged z with l(z) <= max_length and
+        z . rep = base + p*tau, by finite part, then length and matrix form.
+
+        Arguments are unchecked: rep in C_p^-, base restricted.  z . rep mod p
+        depends only on the finite part w of z = (w, nu), so one product per
+        finite part picks the ids to walk, and tau = (z . rep - p*nu - base)/p + nu.
+        Each z is the element ``locate`` finds for base + p*tau.
+        """
         image = self._finite_images(rep, max_length)
         lengths, forms = self._length, self._form
-        out = []
+        out = {}
         for w, v in image.items():
             if any((a - b) % p for a, b in zip(v, base)):
                 continue
+            offset = tuple((a - b) // p for a, b in zip(v, base))
             for z in self._dominant_by_finite[w]:  # by length
                 if lengths[z] > max_length:
                     break
-                out.append((z, tuple(a + p * t for a, t in zip(v, forms[z][1]))))
+                out[_r._vec_add(offset, forms[z][1])] = z
         return out
 
     def stats(self) -> dict[str, int]:

@@ -37,9 +37,11 @@ On top of the pair dictionary:
   where mu = w . 0 + p*xi with w in the finite Weyl group.
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
-work on the checked tuples and on group elements, and locate each weight
-once: the partner, and in omega mode each candidate.  The KL factors take
-elements; the public ones locate their two weights and call the same cores.
+work on the checked tuples and on group elements.  Both table modes take
+their taus, each with its element, from one walk of the partner's dot
+orbit, bounded by a length window in full mode and by the length law in
+omega mode, so a table locates only its partner weight.  The KL factors
+take elements; the public ones locate their two weights and call the same cores.
 
 Results carry advisories (prime-size flags, the character-formula
 assumption, Jantzen-region membership) instead of refusing service; the
@@ -49,7 +51,10 @@ hypotheses under which they compute the intended Ext dimensions.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import characters as ch
 from . import roots as _r
@@ -77,13 +82,13 @@ __all__ = [
 
 VARIANTS = ("red_red", "delta_red", "red_nabla")
 
-# Length window used only when no target constituents are supplied: shifted
-# candidates are enumerated up to l(partner) + n + 2 * _QDEG_MARGIN.  Exact
-# for the infinite dihedral group (where only the top coefficient is ever
-# nonzero) and generous for the rank-2 boxes this tool is tested on; a table
-# with a nonzero KL factor in the window's top two lengths warns (WINDOW_EDGE).
-# The per-omega mode is bounded by the tensor-factor dominance rule instead
-# and needs no window.
+# Length window used only when no target constituents are supplied: the
+# orbit walk that both modes share runs up to l(partner) + n + 2 * _QDEG_MARGIN.
+# Exact for the infinite dihedral group (where only the top coefficient is
+# ever nonzero) and generous for the rank-2 boxes this tool is tested on; a
+# table with a nonzero KL factor in the window's top two lengths warns
+# (WINDOW_EDGE).  Omega mode runs the same walk up to the length of its
+# highest candidate, which the length law gives exactly, and needs no window.
 _QDEG_MARGIN = 4
 WINDOW_EDGE = "warning: a nonzero KL factor comes from the top two lengths of the window"
 
@@ -107,19 +112,18 @@ def make_workspace(series: str, rank: int) -> Workspace:
 
 
 def _is_prime(p: int) -> bool:
-    if not isinstance(p, int) or p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return isinstance(p, int) and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _require_prime(p) -> None:
+    if not _is_prime(p):
+        raise ConfigurationError(f"p={p!r} is not prime")
 
 
 def _linked_elements(ws: Workspace, a, b, p: int):
     """The elements that locate weights a and b, or None when the two lie
     in different linkage classes."""
+    _require_prime(p)
     loc_a, loc_b = ws.group.locate(a, p), ws.group.locate(b, p)
     if loc_a.antidominant_rep == loc_b.antidominant_rep:
         return loc_a.element, loc_b.element
@@ -212,8 +216,7 @@ class MultiplicityQuery:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if not _is_prime(self.p):
-            raise ConfigurationError(f"p={self.p!r} is not prime")
+        _require_prime(self.p)
         if type(self.n) is not int or self.n < 0:
             raise ConfigurationError(f"n must be a nonnegative int, got n={self.n!r}")
         lam = _r.check_weight(ws.rs, self.lam)
@@ -260,34 +263,6 @@ def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _tau_candidates_for_omega(ws, omega, shift, rep, p, base, twist):
-    """Dominant tau <= omega + shift whose shifted weight base + p*twist(tau)
-    is linked to rep, each mapped to the element that locates that weight."""
-    if min(omega) < 0:  # never a constituent; the walk needs a dominant top
-        return {}
-    top = tuple(o + s for o, s in zip(omega, shift))
-    out = {}
-    for tau, _ in ch.dominant_below(ws.rs, top):
-        shifted = tuple(b + p * t for b, t in zip(base, twist(tau)))
-        if ws.group.is_p_regular(shifted, p):
-            loc = ws.group.locate(shifted, p)
-            if loc.antidominant_rep == rep:
-                out[tau] = loc.element
-    return out
-
-
-def _tau_candidates_windowed(ws, base, rep, p, max_len):
-    """Dominant tau with base + p*tau linked to rep, by a length window,
-    each mapped to the element z with z . rep = base + p*tau.
-
-    base is restricted, so a dominant weight congruent to it mod p is >= it.
-    """
-    return {
-        tuple((w - b) // p for w, b in zip(wt, base)): z
-        for z, wt in ws.group._orbit_congruent(rep, p, max_len, base)
-    }
-
-
 def _variant_parts(ws, query):
     """Per-variant plumbing: partner weight, shifted base, twist, KL and tensor factors.
 
@@ -323,11 +298,12 @@ def _variant_parts(ws, query):
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
     """Constituent multiplicities of one Frobenius-kernel Ext group.
 
-    With ``omegas`` given, the tau sum per target constituent is bounded by
-    the tensor dominance rule (tau <= omega + shift) and is provably
-    complete.  Without targets, candidates are enumerated over a length
-    window around the partner weight (see _QDEG_MARGIN); entries with
-    value zero are omitted either way.
+    Both modes walk the partner's dot orbit once and locate only the
+    partner.  With ``omegas`` given, the tau sum per target constituent is
+    bounded by the tensor dominance rule (tau <= omega + shift), and the
+    walk reaches every such tau, so the entries are complete.  Without
+    targets, the walk covers a length window around the partner weight
+    (see _QDEG_MARGIN); entries with value zero are omitted either way.
     """
     return _assemble(ws, query, omegas, twisted=True)
 
@@ -339,20 +315,27 @@ def _assemble(ws, query, omegas, twisted):
     partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
     if not twisted:
         twist = lambda tau: tau
-    loc_partner = ws.group.locate(partner, query.p)
-    rep = loc_partner.antidominant_rep
-    edge = ()  # windowed taus reached from the top two lengths of the window
+    g, p = ws.group, query.p
+    loc_partner = g.locate(partner, p)
+    edge = ()  # taus reached from the top two lengths of the window
 
-    if omegas is not None:
-        elements = {}  # tau -> the element that locates its shifted weight
-        for omega in omegas:
-            omega = _r.check_weight(ws.rs, omega)
-            elements.update(_tau_candidates_for_omega(ws, omega, shift, rep, query.p, base, twist))
-    else:
+    if omegas is None:
         max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN
-        raw = _tau_candidates_windowed(ws, base, rep, query.p, max_len)
-        elements = {twist(t): z for t, z in raw.items()}  # the twist is its own inverse
-        edge = [tau for tau, z in elements.items() if ws.group.length(z) >= max_len - 1]
+    else:
+        omegas = {_r.check_weight(ws.rs, omega) for omega in omegas}
+        # a negative omega is never a constituent; tau <= top bounds l(z) by l(base + p*top)
+        tops = [_r._vec_add(omega, shift) for omega in omegas if min(omega) >= 0]
+        max_len = max(
+            (g.dominant_length([b + p * t for b, t in zip(base, top)], p) for top in tops),
+            default=-1,
+        )
+    raw = g._orbit_congruent(loc_partner.antidominant_rep, p, max_len, base)
+    elements = {twist(t): z for t, z in raw.items()}  # the twist is its own inverse
+    if omegas is None:
+        edge = [tau for tau, z in elements.items() if g.length(z) >= max_len - 1]
+    else:
+        below = {tau for top in tops for tau, _ in ch.dominant_below(ws.rs, top)}
+        elements = {tau: z for tau, z in elements.items() if tau in below}
 
     factors = {tau: kl_factor(z, loc_partner.element) for tau, z in elements.items()}
     acc: dict[Weight, int] = {}
@@ -368,8 +351,7 @@ def _assemble(ws, query, omegas, twisted):
         )
 
     if omegas is not None:
-        wanted = {tuple(o) for o in omegas}
-        acc = {w: m for w, m in acc.items() if w in wanted}
+        acc = {w: m for w, m in acc.items() if w in omegas}
     entries = tuple(sorted((w, m) for w, m in acc.items() if m))
     return MultiplicityTable(entries=entries, query=query, advisories=advisories)
 
@@ -392,23 +374,19 @@ def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
 
     Raises DecompositionError when no (or no unique) such xi exists.
     """
+    _require_prime(p)
     mu = _r.check_weight(ws.rs, mu)
     rs = ws.rs
-    shifted = tuple(a + b for a, b in zip(mu, rs.rho))
-    # candidates: xi dominant with mu + rho - p*xi in the finite orbit of rho
-    bound = [x // p + 1 for x in shifted]
-    found = []
-
-    def rec(i, prefix):
-        if i == rs.rank:
-            v = tuple(s - p * x for s, x in zip(shifted, prefix))
-            if _r.dominant_conjugate(rs, v) == rs.rho:
-                found.append(tuple(prefix))
-            return
-        for c in range(0, bound[i] + 1):
-            rec(i + 1, prefix + [c])
-
-    rec(0, [])
+    # xi dominant with mu + rho - p*xi = w(rho), whose coordinates lie in
+    # [1 - h, h - 1] (<rho, beta^vee> <= h - 1), so p*xi_i is in [mu_i + 2 - h, mu_i + h]
+    h = rs.coxeter_number
+    shifted = _r._vec_add(mu, rs.rho)
+    boxes = [range(max(0, -((h - 2 - m) // p)), (m + h) // p + 1) for m in mu]
+    found = [
+        xi
+        for xi in itertools.product(*boxes)
+        if _r.dominant_conjugate(rs, [s - p * x for s, x in zip(shifted, xi)]) == rs.rho
+    ]
     if not found:
         raise DecompositionError(
             f"mu={list(mu)} has no decomposition w.0 + {p}*xi with xi dominant"
@@ -437,7 +415,7 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
     lhs = 0
     shifted = tuple(p * t for t in tau)
     if ws.group.is_p_regular(shifted, p):
-        n_max = ws.group.locate(shifted, p).length - ws.group.locate(mu, p).length
+        n_max = ws.group.dominant_length(shifted, p) - ws.group.dominant_length(mu, p)
         for n in range(0, max(n_max, 0) + 1):
             q = MultiplicityQuery("red_nabla", zero, mu, n, p)
             lhs += multiplicity_table(ws, q, omegas=[tau]).get(tau)
@@ -445,22 +423,11 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
 
 
 def _box_weights(rs, max_pairing):
-    """Dominant weights with <w + rho, alpha_0^vee> < max_pairing."""
+    """Dominant weights with <w + rho, alpha_0^vee> < max_pairing, in lexicographic order."""
     cor = rs.highest_short_root.coroot
-    base = sum(cor)  # <rho, alpha_0^vee> = h - 1
-    out = []
-
-    def rec(i, prefix, acc):
-        if i == rs.rank:
-            out.append(tuple(prefix))
-            return
-        c = 0
-        while acc + cor[i] * c + base < max_pairing:
-            rec(i + 1, prefix + [c], acc + cor[i] * c)
-            c += 1
-
-    rec(0, [], 0)
-    return out
+    room = max_pairing - sum(cor)  # <rho, alpha_0^vee> = h - 1
+    boxes = [range((room - 1) // c + 1) for c in cor]
+    return [w for w in itertools.product(*boxes) if sum(map(mul, cor, w)) < room]
 
 
 def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) -> dict:
@@ -471,6 +438,7 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) 
     Returns the counts of mus ("cases") and of checks ("tau_checks"), and the
     failing ``IdentityCheckResult``s ("failures").
     """
+    _require_prime(p)
     rs = ws.rs
     alpha0 = rs.highest_short_root
     h = rs.coxeter_number
@@ -485,9 +453,7 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) 
         except DecompositionError:
             continue
         cases += 1
-        mu_depth = sum(
-            c * (v + r) for c, v, r in zip(alpha0.coroot, mu, rs.rho)
-        )
+        mu_depth = sum(c * (v + r) for c, v, r in zip(alpha0.coroot, mu, rs.rho))
         tau_bound = mu_depth + tau_pad * p * h
         for tau in _box_weights(rs, tau_bound // p + h + 2):
             stretched = tuple(p * t + r for t, r in zip(tau, rs.rho))

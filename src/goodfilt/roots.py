@@ -25,7 +25,7 @@ immutable and freely shareable between threads; every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -138,7 +138,6 @@ class RootSystem:
     coxeter_number: int
     highest_short_root: Root
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
-    simple_reflections: tuple[Matrix, ...]
     simple_columns: tuple[Weight, ...]  # alpha_i in fundamental coordinates
     # per i, the (j, c) with c = simple_columns[i][j] != 0: s_i moves only these
     simple_moves: tuple[tuple[tuple[int, int], ...], ...]
@@ -277,20 +276,6 @@ def _generate_positive_roots(cartan, symmetrizer):
     return tuple(roots)
 
 
-def _longest_element(rank, simple_reflections):
-    """Matrix of w0 on fundamental coordinates, found by walking rho down."""
-    v = [1] * rank
-    m = _identity_matrix(rank)
-    while True:
-        for i in range(rank):
-            if v[i] > 0:
-                m = _mat_mul(simple_reflections[i], m)
-                v = list(_mat_vec(simple_reflections[i], tuple(v)))
-                break
-        else:
-            return m
-
-
 @lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the full Cartan datum for a simple type.
@@ -334,21 +319,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         )
 
     columns = tuple(zip(*cartan))
-    refl = []
-    for i, col in enumerate(columns):
-        refl.append(
-            tuple(
-                tuple((1 if k == j else 0) - (col[k] if j == i else 0) for j in range(rank))
-                for k in range(rank)
-            )
-        )
-    w0 = _longest_element(rank, refl)
-    if _mat_mul(w0, w0) != _identity_matrix(rank):
-        raise InternalInvariantError(f"{series}{rank}: w0 action is not an involution")
-
     inv_cartan = _mat_inv(cartan)
     inv_den = math.lcm(*(x.denominator for row in inv_cartan for x in row))
-    return RootSystem(
+    rs = RootSystem(
         series=series,
         rank=rank,
         cartan=cartan,
@@ -357,13 +330,19 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         rho=rho,
         coxeter_number=coxeter,
         highest_short_root=top_short,
-        longest_element_action=w0,
-        simple_reflections=tuple(refl),
+        longest_element_action=(),  # set below, from the chamber walk
         simple_columns=columns,
         simple_moves=tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in columns),
         inverse_cartan=tuple(tuple(int(x * inv_den) for x in row) for row in inv_cartan),
         inverse_cartan_den=inv_den,
     )
+    # w0 sends the dominant chamber to the antidominant one, so -w0(omega_j),
+    # minus the j-th column of w0, is the dominant conjugate of -omega_j
+    stars = [to_dominant_chamber(rs, tuple(-x for x in e))[0] for e in _identity_matrix(rank)]
+    w0 = tuple(tuple(-x for x in row) for row in zip(*stars))
+    if _mat_mul(w0, w0) != _identity_matrix(rank):
+        raise InternalInvariantError(f"{series}{rank}: w0 action is not an involution")
+    return replace(rs, longest_element_action=w0)
 
 
 def check_weight(rs: RootSystem, weight) -> Weight:

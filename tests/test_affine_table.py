@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfilt.affine import AffineWeylGroup, get_group
-from goodfilt.errors import PreconditionError
+from goodfilt.errors import PreconditionError, SingularWeightError
 from goodfilt.roots import _mat_inv, build_root_system
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
@@ -205,9 +205,8 @@ def test_concurrent_fills_agree_with_sequential():
     rep, base = (-2, -2), (4, 0)  # -rho in C_7^-; (4, 0) is a residue of its orbit
 
     def orbits(g):
-        return [
-            (g.canonical_word(z), wt)
-            for z, wt in g.dominant_orbit(rep, 7, 9) + g.dominant_orbit_congruent(rep, 7, 9, base)
+        return [(g.canonical_word(z), wt) for z, wt in g.dominant_orbit(rep, 7, 9)] + [
+            (g.canonical_word(z), tau) for tau, z in g._orbit_congruent(rep, 7, 9, base).items()
         ]
 
     def work(_):
@@ -323,6 +322,29 @@ def test_finite_part_index_groups_the_flagged_ids(series, rank):
         assert g.stats()["finite_part_index"] == len(flagged)
 
 
+@pytest.mark.parametrize(
+    "series, rank, primes",
+    [("A", 1, (5, 7)), ("A", 2, (5, 7)), ("B", 2, (5, 7)), ("G", 2, (7, 11)),
+     ("A", 3, (5, 7)), ("C", 3, (7, 11))],
+)
+def test_length_law_gives_the_length_of_every_flagged_id(series, rank, primes):
+    g = AffineWeylGroup(build_root_system(series, rank))
+    flagged = g.dominant_up_to_length(10)
+    for p in primes:
+        for rep in alcove_reps(g, p):
+            for z in flagged:
+                assert g.dominant_length(g.dot(z, rep, p), p) == g.length(z), (p, rep, z)
+
+
+def test_length_law_refuses_what_it_does_not_cover():
+    g = get_group("B", 2)
+    assert g.dominant_length((0, 0), 7) == g.locate((0, 0), 7).length
+    with pytest.raises(PreconditionError, match=r"dominant weight, got \(1, -1\)"):
+        g.dominant_length((1, -1), 7)
+    with pytest.raises(SingularWeightError):
+        g.dominant_length((5, 0), 7)
+
+
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_congruent_orbit_yields_the_elements_locate_finds(series, rank):
     # tables read the yielded z as the location of its weight; a fresh
@@ -333,8 +355,9 @@ def test_congruent_orbit_yields_the_elements_locate_finds(series, rank):
     for p in PRIMES[series, rank]:
         for rep in alcove_reps(get_group(series, rank), p):
             for base in itertools.product(range(p), repeat=rank):
-                for z, wt in g.dominant_orbit_congruent(rep, p, 8, base):
-                    assert all((a - b) % p == 0 for a, b in zip(wt, base))
+                for tau, z in g._orbit_congruent(rep, p, 8, base).items():
+                    wt = tuple(b + p * t for b, t in zip(base, tau))
+                    assert g.dot(z, rep, p) == wt and min(tau) >= 0
                     want = fresh.locate(wt, p)
                     assert g.canonical_word(z) == fresh.canonical_word(want.element)
                     assert (rep, g.length(z)) == (want.antidominant_rep, want.length)
@@ -347,8 +370,6 @@ def test_precondition_holds_after_a_served_query():
     g = get_group("A", 1)
     rep = (-3,)
     (_, (top,)), *_ = g.dominant_orbit(rep, 5, 4)
-    base = (top % 5,)
-    assert g.dominant_orbit_congruent(rep, 5, 4, base)
-    for call in (g.dominant_orbit, lambda *a: g.dominant_orbit_congruent(*a, base)):
-        with pytest.raises(PreconditionError, match=r"rep=\(-3,\) .* p=5.0$"):
-            call(rep, 5.0, 4)
+    assert g._orbit_congruent(rep, 5, 4, (top % 5,))  # the tables' walk
+    with pytest.raises(PreconditionError, match=r"rep=\(-3,\) .* p=5.0$"):
+        g.dominant_orbit(rep, 5.0, 4)

@@ -400,23 +400,45 @@ def test_stats_flag_reports_one_json_line():
     assert stats["workspace"]["kl_entries"] >= 1
 
 
+def run_fresh(argv):
+    """The CLI in a fresh process, since groups are shared within one."""
+    src = str(Path(goodfilt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "goodfilt.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_extmult_stats_locates_only_the_partner():
-    # a fresh process, since groups are shared within one: the table works
-    # on the elements it enumerates and locates only the partner weight
+    # the table works on the elements it enumerates and locates only the partner weight
     argv = [
         "extmult", "--series", "B", "--rank", "2", "--p", "7", "--variant", "red_red",
         "--lam", "1,0", "--mu", "2,8", "--n", "2", "--stats",
     ]
-    src = str(Path(goodfilt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-m", "goodfilt.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_fresh(argv)
     assert done.returncode == 0, done.stderr
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
     # the whole block: a row fill that creates extra ids or walks differently shows here
     assert stats == {
         "ids": 49, "flagged_ids": 31, "finite_part_index": 30, "bruhat_memo": 130,
         "ideal_memo": 0, "kl_entries": 113, "locate_memo": 1,
+    }
+
+
+def test_extmult_omega_stats_locate_only_the_partner():
+    # omega mode walks the same orbit as a full table, up to the length of
+    # its highest candidate, and keeps the taus below omega + shift; a
+    # candidate walked into C_p^- would show in locate_memo (6 when each was)
+    argv = [
+        "extmult", "--series", "B", "--rank", "2", "--p", "7", "--variant", "red_nabla",
+        "--lam", "1,0", "--mu", "2,8", "--n", "2", "--omega", "1,1", "--omega", "0,2", "--stats",
+    ]
+    done = run_fresh(argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"0,2": 1}
+    stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
+    assert stats == {
+        "ids": 30, "flagged_ids": 15, "finite_part_index": 15, "bruhat_memo": 5,
+        "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1,
     }

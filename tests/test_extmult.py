@@ -241,6 +241,52 @@ def test_finite_weyl_shift_decompose(a1):
         em.finite_weyl_shift_decompose(a1, (7,), 5)
 
 
+def reference_shift_decompositions(rs, mu, p):
+    """Every dominant xi with mu + rho - p*xi in the finite orbit of rho."""
+    out = []
+    for v in r.weyl_orbit(rs, rs.rho):
+        diff = [m + r - c for m, r, c in zip(mu, rs.rho, v)]
+        if all(d % p == 0 and d >= 0 for d in diff):
+            out.append(tuple(d // p for d in diff))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "series, rank, primes",
+    [("A", 2, (2, 3, 5, 7)), ("B", 2, (2, 3, 5, 7)), ("G", 2, (2, 3, 5, 7, 11, 13)),
+     ("A", 3, (2, 3, 5)), ("C", 3, (2, 3, 5, 7))],
+)
+def test_finite_weyl_shift_decompose_matches_the_orbit_scan(series, rank, primes):
+    # p < h included, where w(rho) has coordinates below -p + 1: G2 at p = 3
+    # has (0, 1) = w . 0 + 3*(2, 0) with w(rho) = (-5, 2)
+    ws = em.make_workspace(series, rank)
+    for p in primes:
+        for mu in itertools.product(range(3 * p), repeat=rank):
+            want = reference_shift_decompositions(ws.rs, mu, p)
+            if len(want) == 1:
+                assert em.finite_weyl_shift_decompose(ws, mu, p) == want[0], (mu, p)
+            else:
+                message = "no decomposition" if not want else "multiple decompositions"
+                with pytest.raises(DecompositionError, match=message):
+                    em.finite_weyl_shift_decompose(ws, mu, p)
+
+
+@pytest.mark.parametrize("p", [0, 4, 9, True])
+def test_kl_factors_and_identities_refuse_a_p_that_is_not_prime(a1, p):
+    calls = [
+        lambda: em.ext_dim_pair(a1, (8,), (0,), 1, p),
+        lambda: em.small_c(a1, (0,), (8,), 1, p),
+        lambda: em.big_C(a1, (1,), (5,), 1, p),
+        lambda: em.ext_dim_G_red_red(a1, (1,), (5,), 1, p),
+        lambda: em.finite_weyl_shift_decompose(a1, (8,), p),
+        lambda: em.weight_space_identity_check(a1, (8,), (2,), p),
+        lambda: em.run_identity_box(a1, p, 12),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=rf"^p={p!r} is not prime$"):
+            call()
+
+
 def test_weight_space_identity_fixtures(a1):
     res = em.weight_space_identity_check(a1, (8,), (2,), 5)
     assert (res.lhs, res.rhs, res.xi) == (1, 1, (2,))
@@ -434,7 +480,7 @@ def test_windowed_taus_match_the_dot_filter_scan(series, rank, p):
         ]
         for base in itertools.product(range(p), repeat=rank):  # every restricted base
             for max_len in range(11):
-                raw = em._tau_candidates_windowed(ws, base, rep, p, max_len)
+                raw = g._orbit_congruent(rep, p, max_len, base)
                 got = {tau: g.length(z) for tau, z in raw.items()}
                 assert got == reference_tau_candidates_windowed(images, base, p, max_len), (
                     rep, base, max_len,

@@ -153,6 +153,31 @@ def test_star_is_dominance_preserving_involution(series, rank):
         assert roots.star(rs, st) == lam
 
 
+def rho_walk_longest_element(rs):
+    """w0 on fundamental coordinates as a product of simple reflections,
+    found by walking rho down to -rho (the construction the chamber walk replaced)."""
+    n = rs.rank
+    refl = [
+        tuple(tuple(int(k == j) - rs.cartan[k][i] * int(j == i) for j in range(n)) for k in range(n))
+        for i in range(n)
+    ]
+    v, m = [1] * n, roots._identity_matrix(n)
+    while any(c > 0 for c in v):
+        i = next(i for i, c in enumerate(v) if c > 0)
+        m = roots._mat_mul(refl[i], m)
+        v = list(roots._mat_vec(refl[i], v))
+    return m
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [(s, n) for s, (lo, hi) in sorted(roots._RANK_RANGE.items()) for n in range(lo, hi + 1)],
+)
+def test_longest_element_matches_the_rho_walk(series, rank):
+    rs = build_root_system(series, rank)
+    assert rs.longest_element_action == rho_walk_longest_element(rs)
+
+
 def test_dominant_and_restricted_predicates():
     a1 = build_root_system("A", 1)
     assert roots.is_restricted(a1, (4,), 5)
