@@ -89,7 +89,7 @@ from .errors import (
     PreconditionError,
     SingularWeightError,
 )
-from .roots import Matrix, RootSystem, Weight, check_weight
+from .roots import Matrix, RootSystem, Weight, check_dominant, check_prime, check_weight
 
 __all__ = [
     "AlcoveLocation",
@@ -110,10 +110,8 @@ class AlcoveLocation:
 
 def restricted_decompose(rs: RootSystem, weight, p: int) -> tuple[Weight, Weight]:
     """Split a dominant weight as lambda_0 + p*lambda_1 with lambda_0 restricted."""
-    w = check_weight(rs, weight)
-    if min(w) < 0:
-        raise PreconditionError(f"restricted decomposition needs a dominant weight, got {w}")
-    return _restricted_split(w, p)
+    w = check_dominant(rs, weight, "restricted decomposition")
+    return _restricted_split(w, check_prime(p))
 
 
 def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
@@ -147,7 +145,6 @@ class AffineWeylGroup:
         self._length: list[int] = []
         self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
         self._descents: list[tuple[int, ...] | None] = []  # set with the row
-        self._levels: list[list[int]] = []  # ids of length k, by matrix form
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         # the same ids by finite part, each list by length then matrix form
         self._dominant_by_finite: dict[Matrix, list[int]] = {}
@@ -331,15 +328,17 @@ class AffineWeylGroup:
     # -- weights: dot action, regularity, location ------------------------
 
     def dot(self, x: int, weight, p: int) -> Weight:
-        if not (isinstance(p, int) and p >= 2):
-            raise ConfigurationError(f"modulus p must be an integer >= 2, got {p!r}")
+        """x . weight at the prime p; any other p raises ConfigurationError."""
         lam = check_weight(self.rs, weight)
+        check_prime(p)
         mat, tr = self._form[x]
         shifted = _r._vec_add(lam, self.rs.rho)
         moved = _r._vec_add(_r._mat_vec(mat, shifted), tuple(p * c for c in tr))
         return _r._vec_sub(moved, self.rs.rho)
 
     def is_p_regular(self, weight, p: int) -> bool:
+        """Whether no <weight + rho, beta^vee> is divisible by p; a p that is
+        not prime raises ConfigurationError rather than answering False."""
         try:
             self.assert_p_regular(weight, p)
         except SingularWeightError:
@@ -347,7 +346,10 @@ class AffineWeylGroup:
         return True
 
     def assert_p_regular(self, weight, p: int) -> None:
-        lam = check_weight(self.rs, weight)
+        self._assert_p_regular(check_weight(self.rs, weight), check_prime(p))
+
+    def _assert_p_regular(self, lam: Weight, p: int) -> None:
+        """``assert_p_regular`` of a checked weight at a checked prime."""
         shifted = _r._vec_add(lam, self.rs.rho)
         for beta in self.rs.positive_roots:
             val = sum(map(mul, beta.coroot, shifted))
@@ -371,11 +373,11 @@ class AffineWeylGroup:
         the number of steps is the Coxeter length of the located element.
         """
         lam = check_weight(self.rs, weight)
-        key = (lam, p)
+        key = (lam, check_prime(p))  # before the lookup: (lam, 5.0) hashes like (lam, 5)
         cached = self._locate.get(key)
         if cached is not None:
             return cached
-        self.assert_p_regular(lam, p)
+        self._assert_p_regular(lam, p)
         a0 = self.rs.highest_short_root
         m = list(_r._vec_add(lam, self.rs.rho))
         word = []
@@ -419,10 +421,8 @@ class AffineWeylGroup:
         l(base + p*tau) = l(base) + <tau, 2 rho^vee>; as <alpha_i, rho^vee> = 1,
         tau <= top in dominance gives l(base + p*tau) <= l(base + p*top).
         """
-        lam = check_weight(self.rs, weight)
-        if min(lam) < 0:
-            raise PreconditionError(f"dominant_length needs a dominant weight, got {lam}")
-        self.assert_p_regular(lam, p)
+        lam = check_dominant(self.rs, weight, "dominant_length")
+        self._assert_p_regular(lam, check_prime(p))
         m = _r._vec_add(lam, self.rs.rho)
         return sum(sum(map(mul, b.coroot, m)) // p + 1 for b in self.rs.positive_roots)
 
@@ -432,25 +432,49 @@ class AffineWeylGroup:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def _walk_levels(self, levels, start, bound: int, index=None) -> list[int]:
-        """The ids of ``levels`` (index = length) up to ``bound``, extended as needed.
+    def elements_up_to_length(self, bound: int) -> list[int]:
+        """All group elements of length <= bound, by length then matrix form.
 
-        The first level holds ``start()``; each next one holds the neighbours
-        one longer of the level below, sorted by matrix form, so the order
-        does not depend on which ids a computation created first.  Levels
-        are kept, so each is built once.  With ``index``, each level's ids
-        are appended to ``index[finite part]`` before the level is
-        published, so a reader that sees a level finds its ids there.
+        Level k + 1 is the set of neighbours one longer of level k, sorted by
+        matrix form, so the order does not depend on which ids a computation
+        created first.
         """
+        lengths, level, out = self._length, [self.identity], []
+        for k in range(1, bound + 1):
+            out += level
+            level = sorted(
+                {y for x in level for y in self.row(x) if lengths[y] == k},
+                key=self._form.__getitem__,
+            )
+        return out + level
+
+    def _longest_finite(self) -> int:
+        """w_0, whose alcove is the dominant one at the origin."""
+        x = self.identity
+        while up := [y for y in self.row(x)[1:] if self._length[y] > self._length[x]]:
+            x = up[0]
+        return x
+
+    def dominant_up_to_length(self, bound: int) -> list[int]:
+        """The flagged ids of length <= bound, by length then matrix form.
+
+        The walk up from w_0: a longer neighbour of a flagged id is flagged,
+        and every flagged id above w_0 has a shorter flagged one, so it
+        reaches every flagged id and fills no row of an unflagged one.  Each
+        level is built as in ``elements_up_to_length`` and kept, so it is
+        built once.  A level's ids are appended to the finite-part index
+        before the level is published, so a reader that sees a level finds
+        its ids there.
+        """
+        levels = self._dominant_levels
 
         def publish(level):  # under the lock
-            if index is not None:
-                for z in level:
-                    index.setdefault(self._form[z][0], []).append(z)
+            for z in level:
+                self._dominant_by_finite.setdefault(self._form[z][0], []).append(z)
             levels.append(level)
 
         if not levels:
-            first = start()  # may fill rows, so outside the lock
+            first = self._longest_finite()  # may fill rows, so outside the lock
             with self._lock:
                 if not levels:
                     for k in range(self._length[first] + 1):
@@ -467,28 +491,6 @@ class AffineWeylGroup:
                 if len(levels) == k:
                     publish(level)
         return [z for level in levels[: bound + 1] for z in level]
-
-    def elements_up_to_length(self, bound: int) -> list[int]:
-        """All group elements of length <= bound, by length then matrix form."""
-        return self._walk_levels(self._levels, lambda: self.identity, bound)
-
-    def _longest_finite(self) -> int:
-        """w_0, whose alcove is the dominant one at the origin."""
-        x = self.identity
-        while up := [y for y in self.row(x)[1:] if self._length[y] > self._length[x]]:
-            x = up[0]
-        return x
-
-    def dominant_up_to_length(self, bound: int) -> list[int]:
-        """The flagged ids of length <= bound, by length then matrix form.
-
-        The walk up from w_0: a longer neighbour of a flagged id is flagged,
-        and every flagged id above w_0 has a shorter flagged one, so it
-        reaches every flagged id and fills no row of an unflagged one.
-        """
-        return self._walk_levels(
-            self._dominant_levels, self._longest_finite, bound, self._dominant_by_finite
-        )
 
     def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
         """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up to max_length."""
@@ -507,7 +509,7 @@ class AffineWeylGroup:
         rep must lie in the open alcove C_p^- (as ``locate`` returns it).
         """
         rep = check_weight(self.rs, rep)
-        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, p)):
+        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, check_prime(p))):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
         image = self._finite_images(rep, max_length)
         out = []

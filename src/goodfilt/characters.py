@@ -56,13 +56,6 @@ __all__ = [
 ]
 
 
-def _require_dominant(rs, weight, what="operation"):
-    w = _r.check_weight(rs, weight)
-    if min(w) < 0:
-        raise PreconditionError(f"{what} requires a dominant weight, got {w}")
-    return w
-
-
 def _form(rs, fund_vec, root_coords):
     """(v, b) for v in fundamental coordinates and b in simple-root coordinates."""
     return sum(
@@ -83,7 +76,7 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int
     mu - beta is dominant exactly when mu_j >= beta_j wherever beta_j > 0
     (``Root.fund_positive``), so a root that leaves the chamber costs no tuple.
     """
-    lam = _require_dominant(rs, lam, "dominant weights below")
+    lam = _r.check_dominant(rs, lam, "dominant weights below")
     seen = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
@@ -169,7 +162,7 @@ def dominant_multiplicities(rs: RootSystem, lam) -> dict[Weight, int]:
     and every dominant weight above mu is already known because the
     support is visited by height.  No Weyl orbit is expanded.
     """
-    lam = _require_dominant(rs, lam, "weight multiplicities")
+    lam = _r.check_dominant(rs, lam, "weight multiplicities")
     return dict(_dominant_multiplicities(rs, lam))
 
 
@@ -190,14 +183,14 @@ def _full_character(rs: RootSystem, lam: Weight):
 
 def weight_multiplicities(rs: RootSystem, lam) -> dict[Weight, int]:
     """The full character of the dual Weyl module with highest weight lam."""
-    lam = _require_dominant(rs, lam, "weight multiplicities")
+    lam = _r.check_dominant(rs, lam, "weight multiplicities")
     return dict(_full_character(rs, lam))
 
 
 @lru_cache(maxsize=None)
 def dim_nabla(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula, evaluated as an exact integer."""
-    lam = _require_dominant(rs, lam, "dimension")
+    lam = _r.check_dominant(rs, lam, "dimension")
     shifted = tuple(a + b for a, b in zip(lam, rs.rho))
     num = 1
     den = 1
@@ -211,7 +204,7 @@ def dim_nabla(rs: RootSystem, lam: Weight) -> int:
 
 def dim_weight_space(rs: RootSystem, tau, xi) -> int:
     """Multiplicity of the weight xi in the (dual) Weyl module of highest weight tau."""
-    tau = _require_dominant(rs, tau, "weight space dimension")
+    tau = _r.check_dominant(rs, tau, "weight space dimension")
     xi = _r.check_weight(rs, xi)
     dom = _r.dominant_conjugate(rs, xi)
     return dominant_multiplicities(rs, tau).get(dom, 0)
@@ -256,8 +249,8 @@ def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
 
 def tensor_nabla_multiplicities(rs: RootSystem, a, b) -> dict[Weight, int]:
     """Decomposition multiplicities of a product of two dual Weyl characters."""
-    a = _require_dominant(rs, a, "tensor decomposition")
-    b = _require_dominant(rs, b, "tensor decomposition")
+    a = _r.check_dominant(rs, a, "tensor decomposition")
+    b = _r.check_dominant(rs, b, "tensor decomposition")
     return dict(_tensor_cached(rs, a, b))
 
 
@@ -265,7 +258,7 @@ def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, 
     """Constituents of a product of one or more dual Weyl characters, folded pairwise."""
     if not weights:
         raise PreconditionError("tensor decomposition needs at least one weight")
-    weights = [_require_dominant(rs, w, "tensor decomposition") for w in weights]
+    weights = [_r.check_dominant(rs, w, "tensor decomposition") for w in weights]
     out = {weights[0]: 1}
     for c in weights[1:]:
         folded: dict[Weight, int] = {}

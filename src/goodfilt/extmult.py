@@ -52,7 +52,6 @@ hypotheses under which they compute the intended Ext dimensions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -111,19 +110,9 @@ def make_workspace(series: str, rank: int) -> Workspace:
     return Workspace(rs=group.rs, group=group, table=KLTable(group))
 
 
-def _is_prime(p: int) -> bool:
-    return isinstance(p, int) and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
-def _require_prime(p) -> None:
-    if not _is_prime(p):
-        raise ConfigurationError(f"p={p!r} is not prime")
-
-
 def _linked_elements(ws: Workspace, a, b, p: int):
     """The elements that locate weights a and b, or None when the two lie
-    in different linkage classes."""
-    _require_prime(p)
+    in different linkage classes; ``locate`` refuses a p that is not prime."""
     loc_a, loc_b = ws.group.locate(a, p), ws.group.locate(b, p)
     if loc_a.antidominant_rep == loc_b.antidominant_rep:
         return loc_a.element, loc_b.element
@@ -216,7 +205,7 @@ class MultiplicityQuery:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        _require_prime(self.p)
+        _r.check_prime(self.p)
         if type(self.n) is not int or self.n < 0:
             raise ConfigurationError(f"n must be a nonnegative int, got n={self.n!r}")
         lam = _r.check_weight(ws.rs, self.lam)
@@ -224,8 +213,8 @@ class MultiplicityQuery:
         for w in (lam, mu):
             if any(c < 0 for c in w):
                 raise ConfigurationError(f"query weights must be dominant, got {w}")
-        ws.group.assert_p_regular(lam, self.p)
-        ws.group.assert_p_regular(mu, self.p)
+        ws.group._assert_p_regular(lam, self.p)
+        ws.group._assert_p_regular(mu, self.p)
         return MultiplicityQuery(self.variant, lam, mu, self.n, self.p)
 
 
@@ -374,7 +363,7 @@ def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
 
     Raises DecompositionError when no (or no unique) such xi exists.
     """
-    _require_prime(p)
+    _r.check_prime(p)
     mu = _r.check_weight(ws.rs, mu)
     rs = ws.rs
     # xi dominant with mu + rho - p*xi = w(rho), whose coordinates lie in
@@ -438,7 +427,7 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) 
     Returns the counts of mus ("cases") and of checks ("tau_checks"), and the
     failing ``IdentityCheckResult``s ("failures").
     """
-    _require_prime(p)
+    _r.check_prime(p)
     rs = ws.rs
     alpha0 = rs.highest_short_root
     h = rs.coxeter_number

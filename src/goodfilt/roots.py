@@ -210,42 +210,27 @@ def _cartan_matrix(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _generate_positive_roots(cartan, symmetrizer):
-    """Positive roots by root-string closure over the simple roots.
+    """Positive roots by reflection closure over the simple roots.
 
-    For a known root beta and simple alpha_i, beta + alpha_i is a root
-    exactly when the alpha_i-string through beta satisfies
-    r - <beta, alpha_i^vee> > 0, where r is the largest k with
-    beta - k*alpha_i a root.  Working up by height this only ever looks
-    at roots already generated.
+    A positive root beta of height > 1 has some i with <beta, alpha_i^vee> > 0
+    (as 0 < (beta, beta) = sum of c_i (beta, alpha_i) with c_i >= 0), and
+    gamma = s_i(beta) is a lower positive root with <gamma, alpha_i^vee> < 0.
+    So applying s_i to each known root wherever that pairing is negative,
+    a step that raises the height, reaches every positive root from the simple ones.
     """
     n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simples)
-    by_height = {1: list(simples)}
-    height = 1
-    while by_height.get(height):
+    known = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = list(known)
+    while frontier:
         nxt = []
-        for b in by_height[height]:
-            pairing = _mat_vec(cartan, b)  # <b, alpha_i^vee> for each i
-            for i in range(n):
-                down = list(b)
-                r = 0
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in known:
-                        r += 1
-                    else:
-                        break
-                if r - pairing[i] > 0:
-                    up = list(b)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        height += 1
-        if nxt:
-            by_height[height] = nxt
+        for b in frontier:
+            for i, c in enumerate(_mat_vec(cartan, b)):  # c = <b, alpha_i^vee>
+                if c < 0:
+                    up = b[:i] + (b[i] - c,) + b[i + 1:]
+                    if up not in known:
+                        known.add(up)
+                        nxt.append(up)
+        frontier = nxt
     ordered = sorted(known, key=lambda b: (sum(b), b))
     roots = []
     for b in ordered:
@@ -373,6 +358,21 @@ def _star(rs: RootSystem, w: Weight) -> Weight:
     return tuple(-x for x in _mat_vec(rs.longest_element_action, w))
 
 
+def check_dominant(rs: RootSystem, weight, what: str) -> Weight:
+    """The checked weight when it is dominant; ``what`` names the refusing operation."""
+    w = check_weight(rs, weight)
+    if min(w) < 0:
+        raise PreconditionError(f"{what} requires a dominant weight, got {w}")
+    return w
+
+
+def check_prime(p) -> int:
+    """p when it is a prime int; True, 5.0 and 1 are refused."""
+    if type(p) is not int or p < 2 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+        raise ConfigurationError(f"p={p!r} is not prime")
+    return p
+
+
 def is_dominant(rs: RootSystem, weight) -> bool:
     return all(x >= 0 for x in check_weight(rs, weight))
 
@@ -387,10 +387,7 @@ def jantzen_bound(rs: RootSystem, p: int) -> int:
 
 def in_jantzen_region(rs: RootSystem, weight, p: int) -> bool:
     """Whether <weight + rho, alpha_0^vee> <= p(p - h + 2)."""
-    w = check_weight(rs, weight)
-    if min(w) < 0:
-        raise PreconditionError(f"jantzen test requires a dominant weight, got {w}")
-    return _in_jantzen_region(rs, w, p)
+    return _in_jantzen_region(rs, check_dominant(rs, weight, "jantzen test"), p)
 
 
 def _in_jantzen_region(rs: RootSystem, w: Weight, p: int) -> bool:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import goodfilt
 from goodfilt.cli import main
 
@@ -44,6 +46,20 @@ def test_rootsystem_invalid_rank_exits_2():
 def test_nonprime_p_exits_2():
     code, _, err = run(["rootsystem", "--series", "A", "--rank", "1", "--p", "6"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (["locate", "--series", "A", "--rank", "1", "--p", "4", "--weight", "1"], 4),
+        (["rootsystem", "--series", "A", "--rank", "1", "--p", "4"], 4),
+        (["check-identity", "--series", "A", "--rank", "1", "--p", "9", "--max-pairing", "12"], 9),
+    ],
+)
+def test_a_p_that_is_not_prime_exits_2_with_the_library_message(argv, p):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: p={p} is not prime\n"
 
 
 def test_locate():
@@ -127,6 +143,12 @@ def test_extmult_omega_filter():
 def test_kl_bad_generator_index():
     code, _, err = run(["kl", "--series", "A", "--rank", "1", "--x", "3", "--y", "1"])
     assert code == 2
+
+
+def test_kl_letter_beyond_the_rank_exits_2_before_any_output():
+    code, out, err = run(["kl", "--series", "A", "--rank", "2", "--x", "3", "--y", "1"])
+    assert (code, out) == (2, "")
+    assert "out of range" in err
 
 
 def test_kl_deep_word_exits_4():

@@ -178,6 +178,65 @@ def test_longest_element_matches_the_rho_walk(series, rank):
     assert rs.longest_element_action == rho_walk_longest_element(rs)
 
 
+def root_string_closure(cartan):
+    """Positive roots in simple coordinates by root-string closure (the
+    construction the reflection closure replaced): beta + alpha_i is a root
+    exactly when r - <beta, alpha_i^vee> > 0, r the largest k with
+    beta - k*alpha_i a root."""
+    n = len(cartan)
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    known, level = set(simples), simples
+    while level:
+        nxt = []
+        for b in level:
+            pairing = roots._mat_vec(cartan, b)
+            for i in range(n):
+                r = 0
+                while b[:i] + (b[i] - r - 1,) + b[i + 1:] in known:
+                    r += 1
+                up = b[:i] + (b[i] + 1,) + b[i + 1:]
+                if r - pairing[i] > 0 and up not in known:
+                    known.add(up)
+                    nxt.append(up)
+        level = nxt
+    return sorted(known, key=lambda b: (sum(b), b))
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [(s, n) for s, (lo, hi) in sorted(roots._RANK_RANGE.items()) for n in range(lo, hi + 1)],
+)
+def test_reflection_closure_matches_the_root_string_closure(series, rank):
+    rs = build_root_system(series, rank)
+    got = [b.simple_coords for b in rs.positive_roots]
+    assert got == root_string_closure(rs.cartan)
+
+
+def test_check_dominant_names_the_operation():
+    a2 = build_root_system("A", 2)
+    assert roots.check_dominant(a2, [0, 3], "test") == (0, 3)
+    with pytest.raises(PreconditionError, match=r"^slicing requires a dominant weight, got \(1, -1\)$"):
+        roots.check_dominant(a2, (1, -1), "slicing")
+    with pytest.raises(ConfigurationError):
+        roots.check_dominant(a2, (1.0, 0), "slicing")
+
+
+def test_check_prime_agrees_with_trial_division():
+    for p in range(-5, 501):
+        if p >= 2 and all(p % d for d in range(2, p)):
+            assert roots.check_prime(p) == p
+        else:
+            with pytest.raises(ConfigurationError, match=rf"^p={p} is not prime$"):
+                roots.check_prime(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.booleans(), st.floats(allow_nan=True)))
+def test_check_prime_refuses_every_bool_and_float(p):
+    with pytest.raises(ConfigurationError, match=rf"^p={re.escape(repr(p))} is not prime$"):
+        roots.check_prime(p)
+
+
 def test_dominant_and_restricted_predicates():
     a1 = build_root_system("A", 1)
     assert roots.is_restricted(a1, (4,), 5)
