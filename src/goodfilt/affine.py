@@ -71,8 +71,8 @@ kp with 0 <= k <= that floor.  So l(base + p*tau) = l(base) + <tau, 2 rho^vee>.
 
 Concurrency: ids and rows are created under one lock, and a row is
 published by one assignment once its neighbours exist.  Table hits and the
-idempotent memos (Bruhat order, lower ideals, locate) take no lock, so a
-group is safe to share across threads.
+idempotent memos (Bruhat order, lower ideals, locate, finite images) take
+no lock, so a group is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ class AffineWeylGroup:
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         # the same ids by finite part, each list by length then matrix form
         self._dominant_by_finite: dict[Matrix, list[int]] = {}
+        # (rep, number of finite parts) -> {w: image}, see _finite_images
+        self._finite_images_memo: dict[tuple[Weight, int], dict[Matrix, Weight]] = {}
         self._leq: dict[tuple[int, int], bool] = {}
         self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
@@ -493,14 +495,23 @@ class AffineWeylGroup:
         return [z for level in levels[: bound + 1] for z in level]
 
     def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
-        """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up to max_length."""
+        """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up
+        to max_length (and perhaps beyond).
+
+        The index only grows, in insertion order, so its first k finite parts
+        never change and the images are kept per (rep, k).
+        """
         if len(self._dominant_levels) <= max_length:
             self.dominant_up_to_length(max_length)
-        m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
-        return {
-            w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
-            for w in list(self._dominant_by_finite)
-        }
+        key = (rep, len(self._dominant_by_finite))
+        image = self._finite_images_memo.get(key)
+        if image is None:
+            m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
+            image = self._finite_images_memo[key] = {
+                w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
+                for w in list(self._dominant_by_finite)[: key[1]]
+            }
+        return image
 
     def dominant_orbit(self, rep: Weight, p: int, max_length: int):
         """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length,
@@ -542,7 +553,8 @@ class AffineWeylGroup:
 
     def stats(self) -> dict[str, int]:
         """Sizes of the group's tables: ids, flagged ids, the flagged ids
-        indexed by finite part, and the Bruhat, lower-ideal and locate memos."""
+        indexed by finite part, and the Bruhat, lower-ideal, locate and
+        finite-image memos."""
         return {
             "ids": len(self._length),
             "flagged_ids": sum(self._dominant),
@@ -550,6 +562,7 @@ class AffineWeylGroup:
             "bruhat_memo": len(self._leq),
             "ideal_memo": len(self._ideal),
             "locate_memo": len(self._locate),
+            "finite_image_memo": len(self._finite_images_memo),
         }
 
 

@@ -4,8 +4,7 @@ Data goes to stdout (JSON by default, TSV with --format tsv); advisories and
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage or configuration
 problems (including --strict advisory promotion and rejected cache files), 3
 singular-weight rejection, 4 internal invariant violation, including inputs
-too deep for the recursion limit and a full ``extmult`` table whose length
-window may cut off entries (none is written).  Output is byte-stable for
+too deep for the recursion limit.  Output is byte-stable for
 identical inputs and cache state: keys are emitted in sorted order
 everywhere.  With ``--stats`` a command also writes one JSON line to stderr:
 the wall and CPU seconds the command took after argument parsing, the sizes
@@ -268,12 +267,6 @@ def cmd_extmult(args, out, err) -> int:
     query = em.MultiplicityQuery(args.variant, args.lam, args.mu, args.n, args.p)
     table = em.multiplicity_table(ws, query, omegas=args.omega)
     _save_cache(ws, args.cache, err)
-    if any(a.startswith(em.WINDOW_EDGE) for a in table.advisories):
-        report_advisories(table.advisories, False, err)
-        err.write(f"error: the full {ws.rs.series}{ws.rs.rank} p={args.p} {args.variant} table for"
-                  f" lam={fmt_weight(args.lam)} mu={fmt_weight(args.mu)} n={args.n} may miss"
-                  " entries beyond its length window; ask for constituents with --omega\n")
-        return EXIT_INVARIANT
     emit_table(table.as_dict(), args.format, out)
     return report_advisories(table.advisories, args.strict, err)
 

@@ -39,9 +39,49 @@ On top of the pair dictionary:
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
 their taus, each with its element, from one walk of the partner's dot
-orbit, bounded by a length window in full mode and by the length law in
-omega mode, so a table locates only its partner weight.  The KL factors
-take elements; the public ones locate their two weights and call the same cores.
+orbit, so a table locates only its partner weight.  The KL factors take
+elements; the public ones locate their two weights and call the same cores.
+
+Which taus a table sums over.  Each variant reads its KL factor at the
+element z with z . lambda^- = base + p*t (t the raw tau of
+``_orbit_congruent``) and files it under tau = twist(t) (see
+``_variant_parts``).  A table keeps tau when p*tau <= top in dominance for
+one of its tops, and walks the orbit to length
+l(base) + max floor(<top, 2 rho^vee> / p), which reaches every kept tau by
+the length law l(base + p*t) = l(base) + <t, 2 rho^vee> (and
+<twist(t), 2 rho^vee> = <t, 2 rho^vee>).  The two modes differ only in their tops.  With target
+constituents omega the tops are p*(omega + shift): nabla(omega) occurs in
+the tensor factor of tau only if tau <= omega + shift.  A full table has
+the one top twist(X), theta the highest root and
+
+    X = base* + partner + 2 rho + p * floor(n/2) * theta,
+
+because every t with a nonzero factor has p*t <= X:
+
+1. The factor is a good-filtration multiplicity.  Take p >= 2h - 2, the
+   Lusztig character formula (LCF) and weights in the Jantzen region.
+   Then the factor of t is [Ext^n_{G_1}(M_1, M_2)^[-1] : nabla(twist(t))]
+   for (M_1, M_2) = (L(lambda_0), L(mu_0)), (L(lambda_0), nabla(mu)) and
+   (Delta(lambda), L(mu_0)) (red_red, red_nabla and delta_red), by the
+   paper's good-filtration theorem and the Lyndon-Hochschild-Serre
+   spectral sequence (LHS).  M_1* (x) M_2 has highest weight
+   twist(base* + partner).
+2. Weight bound.  So p*twist(t) is a weight of H^n(G_1, M) with
+   M = M_1* (x) M_2.  The Friedlander-Parshall spectral sequence (Amer. J.
+   Math. 108, 1986), E_2 = S^i(g*)^[1] (x) H^j(g, M) with 2i + j = n,
+   bounds those weights: H^j(g, M) is a subquotient of Lambda^j(g*) (x) M,
+   and Lambda^j adds at most 2 rho to a weight of M; S^i adds at most
+   p*i*theta.  twist fixes rho and theta, so p*t <= X.
+3. Every p.  The factor depends only on the two elements.  With
+   m = lambda^- + rho, z . lambda^- = w_z(m) + p*nu_z - rho and
+   base + rho = w_z(m) + p*nu, nu and t = nu_z - nu stay fixed while m/p
+   moves in the open alcove.  The 2 rho of X cancels the -rho shifts of
+   base* and partner, so X - p*t is linear and homogeneous in (m, p).  The
+   bound holds at every large prime, where the LCF holds
+   (Andersen-Jantzen-Soergel) and the Jantzen region, quadratic in p,
+   holds the weights; the m/p of those primes are dense in the alcove, so
+   by continuity it holds at every p.  Only a 2 rho cancels the shifts, so a tighter
+   Lambda^j term does not carry over this way.
 
 Results carry advisories (prime-size flags, the character-formula
 assumption, Jantzen-region membership) instead of refusing service; the
@@ -80,16 +120,6 @@ __all__ = [
 ]
 
 VARIANTS = ("red_red", "delta_red", "red_nabla")
-
-# Length window used only when no target constituents are supplied: the
-# orbit walk that both modes share runs up to l(partner) + n + 2 * _QDEG_MARGIN.
-# Exact for the infinite dihedral group (where only the top coefficient is
-# ever nonzero) and generous for the rank-2 boxes this tool is tested on; a
-# table with a nonzero KL factor in the window's top two lengths warns
-# (WINDOW_EDGE).  Omega mode runs the same walk up to the length of its
-# highest candidate, which the length law gives exactly, and needs no window.
-_QDEG_MARGIN = 4
-WINDOW_EDGE = "warning: a nonzero KL factor comes from the top two lengths of the window"
 
 
 @dataclass
@@ -287,12 +317,10 @@ def _variant_parts(ws, query):
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
     """Constituent multiplicities of one Frobenius-kernel Ext group.
 
-    Both modes walk the partner's dot orbit once and locate only the
-    partner.  With ``omegas`` given, the tau sum per target constituent is
-    bounded by the tensor dominance rule (tau <= omega + shift), and the
-    walk reaches every such tau, so the entries are complete.  Without
-    targets, the walk covers a length window around the partner weight
-    (see _QDEG_MARGIN); entries with value zero are omitted either way.
+    Both modes walk the partner's dot orbit once, locate only the partner
+    and keep the taus below their tops (see the module docstring): with
+    ``omegas`` given the entries are those omegas, without them every
+    constituent.  Entries with value zero are omitted either way.
     """
     return _assemble(ws, query, omegas, twisted=True)
 
@@ -304,45 +332,36 @@ def _assemble(ws, query, omegas, twisted):
     partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
     if not twisted:
         twist = lambda tau: tau
-    g, p = ws.group, query.p
+    rs, g, p = ws.rs, ws.group, query.p
+    if omegas is None:
+        theta = rs.positive_roots[-1].fund_coords  # the highest root
+        x = [b + a + 2 * r + p * (query.n // 2) * t
+             for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)]
+        tops = [twist(tuple(x))]
+    else:
+        omegas = {_r.check_weight(rs, omega) for omega in omegas}
+        # a negative omega is never a constituent
+        tops = [tuple(p * (o + s) for o, s in zip(omega, shift)) for omega in omegas if min(omega) >= 0]
+    two_rho_vee = [sum(c) for c in zip(*(b.coroot for b in rs.positive_roots))]
+    reach = [sum(map(mul, two_rho_vee, top)) // p for top in tops]
+    max_len = g.dominant_length(base, p) + max(reach) if reach else -1
+
     loc_partner = g.locate(partner, p)
-    edge = ()  # taus reached from the top two lengths of the window
-
-    if omegas is None:
-        max_len = loc_partner.length + query.n + 2 * _QDEG_MARGIN
-    else:
-        omegas = {_r.check_weight(ws.rs, omega) for omega in omegas}
-        # a negative omega is never a constituent; tau <= top bounds l(z) by l(base + p*top)
-        tops = [_r._vec_add(omega, shift) for omega in omegas if min(omega) >= 0]
-        max_len = max(
-            (g.dominant_length([b + p * t for b, t in zip(base, top)], p) for top in tops),
-            default=-1,
-        )
     raw = g._orbit_congruent(loc_partner.antidominant_rep, p, max_len, base)
-    elements = {twist(t): z for t, z in raw.items()}  # the twist is its own inverse
-    if omegas is None:
-        edge = [tau for tau, z in elements.items() if g.length(z) >= max_len - 1]
-    else:
-        below = {tau for top in tops for tau, _ in ch.dominant_below(ws.rs, top)}
-        elements = {tau: z for tau, z in elements.items() if tau in below}
-
-    factors = {tau: kl_factor(z, loc_partner.element) for tau, z in elements.items()}
     acc: dict[Weight, int] = {}
-    for tau, k in factors.items():
-        if k:
-            for omega, m in tensor_factor(tau).items():
-                acc[omega] = acc.get(omega, 0) + k * m
-    advisories = _advisories(ws, query)
-    if any(factors[tau] for tau in edge):
-        advisories += (
-            f"{WINDOW_EDGE} l(partner) + n + {2 * _QDEG_MARGIN} = {max_len}; "
-            "entries may be missing",
-        )
+    for t, z in raw.items():
+        tau = twist(t)
+        scaled = tuple(p * c for c in tau)
+        if any(_r._dominance_leq(rs, scaled, top) for top in tops):
+            k = kl_factor(z, loc_partner.element)
+            if k:
+                for omega, m in tensor_factor(tau).items():
+                    acc[omega] = acc.get(omega, 0) + k * m
 
     if omegas is not None:
         acc = {w: m for w, m in acc.items() if w in omegas}
     entries = tuple(sorted((w, m) for w, m in acc.items() if m))
-    return MultiplicityTable(entries=entries, query=query, advisories=advisories)
+    return MultiplicityTable(entries=entries, query=query, advisories=_advisories(ws, query))
 
 
 @dataclass(frozen=True)

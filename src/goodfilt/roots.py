@@ -443,9 +443,13 @@ def root_lattice_coords(rs: RootSystem, weight) -> tuple[int, ...] | None:
 
 def dominance_leq(rs: RootSystem, a, b) -> bool:
     """a <= b in the dominance order: b - a a nonnegative integer root sum."""
-    diff = _vec_sub(check_weight(rs, b), check_weight(rs, a))
-    coords = root_lattice_coords(rs, diff)
-    return coords is not None and all(c >= 0 for c in coords)
+    return _dominance_leq(rs, check_weight(rs, a), check_weight(rs, b))
+
+
+def _dominance_leq(rs: RootSystem, a: Weight, b: Weight) -> bool:
+    """``dominance_leq`` of checked weights."""
+    den = rs.inverse_cartan_den
+    return all(c >= 0 and not c % den for c in _scaled_root_coords(rs, _vec_sub(b, a)))
 
 
 def to_dominant_chamber(rs: RootSystem, v: Weight) -> tuple[Weight, int]:

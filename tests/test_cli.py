@@ -212,42 +212,43 @@ def test_extmult_strict_distinguishes_notes_from_warnings():
     assert "warning" in err2
 
 
-def test_extmult_strict_fails_on_window_edge(monkeypatch):
-    from goodfilt import extmult
-
-    argv = [
-        "extmult", "--series", "A", "--rank", "2", "--p", "7",
-        "--variant", "red_red", "--lam", "1,0", "--mu", "1,0", "--n", "2",
-    ]
-    # a full table whose window edge holds a nonzero KL factor is refused,
-    # with or without --strict; the library still returns it, with its advisory
-    monkeypatch.setattr(extmult, "_QDEG_MARGIN", 1)
-    for extra in ([], ["--strict"]):
-        code, out, err = run(argv + extra)
-        assert code == 4 and out == ""
-        assert f"advisory: {extmult.WINDOW_EDGE}" in err
-        assert err.endswith(
-            "error: the full A2 p=7 red_red table for lam=1,0 mu=1,0 n=2 may miss entries "
-            "beyond its length window; ask for constituents with --omega\n"
-        )
-    monkeypatch.setattr(extmult, "_QDEG_MARGIN", 4)
-    code, out, _ = run(argv + ["--strict"])
-    assert code == 0 and json.loads(out)
-
-
-def test_extmult_refuses_g2_window_edge():
-    # the default window misses (1,3), (2,2) and (4,1) of this table
+def test_extmult_g2_full_table_is_exact():
+    # a length window of n + 8 past the partner missed (1,3), (2,2) and (4,1);
+    # the full table is the union of the omega answers and exits 0
     argv = [
         "extmult", "--series", "G", "--rank", "2", "--p", "13",
-        "--variant", "red_nabla", "--lam", "0,2", "--mu", "2,19", "--n", "6",
+        "--variant", "red_nabla", "--lam", "0,2", "--mu", "2,19", "--n", "6", "--strict",
     ]
-    code, out, err = run(argv)
-    assert code == 4 and out == ""
-    assert "error: the full G2 p=13 red_nabla table for lam=0,2 mu=2,19 n=6" in err
-    assert "--omega" in err.splitlines()[-1]
-    code, out, _ = run(argv + ["--omega", "1,3", "--omega", "2,2", "--omega", "4,1"])
+    code, out, _ = run(argv)
     assert code == 0
-    assert json.loads(out) == {"1,3": 1, "2,2": 1, "4,1": 1}
+    full = json.loads(out)
+    assert {"1,3": 1, "2,2": 1, "4,1": 1}.items() <= full.items()
+    omegas = sorted(full) + ["0,0", "3,3", "5,0"]
+    code, out, _ = run(argv + [a for w in omegas for a in ("--omega", w)])
+    assert code == 0
+    assert json.loads(out) == full
+
+
+@pytest.mark.parametrize(
+    "argv, omega_answer",
+    [
+        (["--series", "G", "--rank", "2", "--p", "13", "--variant", "red_red",
+          "--lam", "23,3", "--mu", "14,1", "--n", "1"],
+         {"0,0": 1, "1,0": 4, "3,0": 1}),
+        (["--series", "B", "--rank", "2", "--p", "7", "--variant", "delta_red",
+          "--lam", "0,0", "--mu", "5,2", "--n", "3"],
+         {"1,2": 1}),
+    ],
+)
+def test_extmult_full_tables_hold_their_omega_answers(argv, omega_answer):
+    # a length window of n + 8 past the partner printed {} for the first
+    # and dropped (1,2) from the second, with exit 0 and no warning
+    code, out, _ = run(["extmult", *argv, "--strict"])
+    assert code == 0
+    full = json.loads(out)
+    assert omega_answer.items() <= full.items()
+    code, out, _ = run(["extmult", *argv, *(a for w in omega_answer for a in ("--omega", w))])
+    assert (code, json.loads(out)) == (0, omega_answer)
 
 
 def test_extmult_unlinked_empty_exit_zero():
@@ -443,8 +444,8 @@ def test_extmult_stats_locates_only_the_partner():
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
     # the whole block: a row fill that creates extra ids or walks differently shows here
     assert stats == {
-        "ids": 49, "flagged_ids": 31, "finite_part_index": 30, "bruhat_memo": 130,
-        "ideal_memo": 0, "kl_entries": 113, "locate_memo": 1,
+        "ids": 44, "flagged_ids": 26, "finite_part_index": 26, "bruhat_memo": 67,
+        "ideal_memo": 0, "kl_entries": 63, "locate_memo": 1, "finite_image_memo": 1,
     }
 
 
@@ -462,5 +463,5 @@ def test_extmult_omega_stats_locate_only_the_partner():
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
     assert stats == {
         "ids": 30, "flagged_ids": 15, "finite_part_index": 15, "bruhat_memo": 5,
-        "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1,
+        "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1, "finite_image_memo": 1,
     }

@@ -374,33 +374,9 @@ def test_small_c_star_equivariance(a2):
     assert checked
 
 
-def window_warnings(table):
-    return [a for a in table.advisories if "window" in a]
-
-
-def test_window_edge_contribution_is_flagged(a2, monkeypatch):
-    # ((1,0), (1,0), n=2) at p = 7 has one nonzero KL factor, at length
-    # l(partner) + n + 2: inside the default window, in the top two
-    # lengths of the window with margin 1
-    queries = [MultiplicityQuery(v, (1, 0), (1, 0), 2, 7) for v in em.VARIANTS]
-    full = [em.multiplicity_table(a2, q) for q in queries]
-    assert not any(window_warnings(t) for t in full)
-    monkeypatch.setattr(em, "_QDEG_MARGIN", 1)
-    for q, before in zip(queries, full):
-        table = em.multiplicity_table(a2, q)
-        assert table.entries == before.entries != ()
-        assert window_warnings(table) == [
-            "warning: a nonzero KL factor comes from the top two lengths of the "
-            "window l(partner) + n + 2 = 7; entries may be missing"
-        ]
-        assert not window_warnings(em.multiplicity_table(a2, q, omegas=[(1, 1)]))
-    monkeypatch.setattr(em, "_QDEG_MARGIN", 2)
-    assert not any(window_warnings(em.multiplicity_table(a2, q)) for q in queries)
-
-
 def test_full_mode_agrees_with_omega_mode(a2):
-    # the windowed full table must match the dominance-bounded per-omega
-    # path on every reported entry, and report nothing beyond it
+    # the full table must match the dominance-bounded per-omega path on
+    # every reported entry, and report nothing beyond it
     p = 7
     pool = sorted(
         {wt for _, wt in a2.group.dominant_orbit(
@@ -416,33 +392,103 @@ def test_full_mode_agrees_with_omega_mode(a2):
                     for omega, mult in full.items():
                         per = em.multiplicity_table(a2, q, omegas=[omega])
                         assert per.get(omega) == mult, (variant, lam, mu, n, omega)
-    # and the window must not drop entries the bounded per-omega path finds.
-    # B2 needs orbit bound 8 (at 4 its pool holds one weight).  Its full
-    # tables report coordinates up to 2; the omega boxes reach three past that.
-    b2 = em.make_workspace("B", 2)
-    b2_pool = sorted(
-        {wt for _, wt in b2.group.dominant_orbit(
-            b2.group.locate((1, 0), p).antidominant_rep, p, 8
-        )}
-    )
+    # and the full table must not drop entries the omega path finds: asked
+    # for its own entries and a box around them, omega mode answers the
+    # full table.  B2 needs orbit bound 8 (at 4 its pool holds one weight).
+    b2, g2 = em.make_workspace("B", 2), em.make_workspace("G", 2)
+
+    def orbit(ws, p, weight, bound):
+        g = ws.group
+        return sorted({wt for _, wt in g.dominant_orbit(g.locate(weight, p).antidominant_rep, p, bound)})
+
+    b2_pool, g2_pool = orbit(b2, 7, (1, 0), 8), orbit(g2, 13, (1, 0), 14)
     cases = [
-        (a2, pool[0], pool[1], 6),
-        (b2, b2_pool[0], b2_pool[0], 6),
-        (b2, b2_pool[0], b2_pool[2], 6),
+        (a2, 7, pool[0], pool[1], 6),
+        (b2, 7, b2_pool[0], b2_pool[0], 6),
+        (b2, 7, b2_pool[0], b2_pool[2], 6),
+        (g2, 13, g2_pool[0], g2_pool[1], 4),
+        (g2, 13, g2_pool[1], g2_pool[0], 4),
     ]
-    nonempty = {"A": 0, "B": 0}
-    for ws, lam, mu, box in cases:
+    nonempty = {"A": 0, "B": 0, "G": 0}
+    for ws, p, lam, mu, box in cases:
         for variant in em.VARIANTS:
-            for n in range(3):
+            for n in range(7):
                 q = MultiplicityQuery(variant, lam, mu, n, p)
                 full = em.multiplicity_table(ws, q).as_dict()
                 nonempty[ws.rs.series] += bool(full)
-                for omega in itertools.product(range(box), repeat=2):
-                    if omega in full:
-                        continue
-                    per = em.multiplicity_table(ws, q, omegas=[omega])
-                    assert per.get(omega) == 0, (ws.rs.series, variant, lam, mu, n, omega)
+                omegas = set(itertools.product(range(box), repeat=2)) | set(full)
+                per = em.multiplicity_table(ws, q, omegas=omegas).as_dict()
+                assert per == full, (ws.rs.series, variant, lam, mu, n)
     assert all(nonempty.values()), nonempty
+
+
+@pytest.mark.parametrize(
+    "series, p, variant, lam, mu, n, size, asked",
+    [
+        ("G", 13, "red_red", (23, 3), (14, 1), 1, 6, None),
+        ("B", 7, "delta_red", (0, 0), (5, 2), 3, 4, None),
+        # omega mode pays for each entry's own top, seconds for the outer
+        # ones: ask four low entries, each undercounted by the old window
+        ("B", 7, "red_red", (19, 16), (8, 12), 4, 30, [(0, 0), (0, 2), (1, 0), (1, 2)]),
+    ],
+)
+def test_full_tables_past_the_old_length_window(series, p, variant, lam, mu, n, size, asked):
+    # a window of n + 8 lengths past the partner printed {} for the first,
+    # lost (1,2) of the second, and lost 3 of the 30 entries of the third
+    # and undercounted most of the rest
+    ws = em.make_workspace(series, 2)
+    q = MultiplicityQuery(variant, lam, mu, n, p)
+    full = em.multiplicity_table(ws, q).as_dict()
+    assert len(full) == size
+    omegas = set(full) if asked is None else set(asked)
+    omegas |= set(itertools.product(range(2), repeat=2))  # and some that may be absent
+    answers = em.multiplicity_table(ws, q, omegas=omegas).as_dict()
+    assert answers == {w: m for w, m in full.items() if w in omegas}
+
+
+def friedlander_parshall_top(ws, query):
+    """X = base* + partner + 2 rho + p*floor(n/2)*theta of the module
+    docstring, in raw-tau form, computed from the public root data."""
+    rs, p = ws.rs, query.p
+    (lam0, _), (mu0, _) = (restricted_decompose(rs, w, p) for w in (query.lam, query.mu))
+    partner, base = {
+        "red_red": (mu0, lam0), "delta_red": (query.lam, mu0), "red_nabla": (query.mu, lam0)
+    }[query.variant]
+    theta = max(rs.positive_roots, key=lambda b: b.height).fund_coords
+    return tuple(
+        b + a + 2 * h + p * (query.n // 2) * t
+        for b, a, h, t in zip(r.star(rs, base), partner, rs.rho, theta)
+    )
+
+
+@pytest.mark.parametrize(
+    "series, rank, p, queries, max_n, orbit_bound",
+    [("A", 2, 7, 40, 6, 8), ("B", 2, 7, 30, 6, 10), ("G", 2, 13, 12, 6, 14), ("A", 3, 5, 8, 4, 7)],
+)
+def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queries, max_n, orbit_bound):
+    # walk six lengths past the reach of the bound: every raw tau with a
+    # nonzero KL factor has p*tau <= X, so the walk the tables take misses none
+    ws = em.make_workspace(series, rank)
+    g, rs = ws.group, ws.rs
+    rng = random.Random(0)
+    reps = [
+        rep for rep in itertools.product(range(-p, 0), repeat=rank)
+        if g.in_antidominant_alcove(rep, p)
+    ]
+    nonzero = 0
+    for _ in range(queries):
+        pool = sorted({wt for _, wt in g.dominant_orbit(rng.choice(reps), p, orbit_bound)})
+        lam, mu = rng.choice(pool), rng.choice(pool)
+        q = MultiplicityQuery(rng.choice(em.VARIANTS), lam, mu, rng.randrange(max_n + 1), p)
+        partner, base, _, kl_factor, _, _ = em._variant_parts(ws, q)
+        top = friedlander_parshall_top(ws, q)
+        reach = g.dominant_length(base, p) + 2 * sum(r.to_root_coords(rs, top)) // p
+        loc = g.locate(partner, p)
+        for t, z in g._orbit_congruent(loc.antidominant_rep, p, reach + 6, base).items():
+            if kl_factor(z, loc.element):
+                nonzero += 1
+                assert r.dominance_leq(rs, tuple(p * c for c in t), top), (q, t, top)
+    assert nonzero
 
 
 def reference_tau_candidates_windowed(images, base, p, max_len):
@@ -494,9 +540,10 @@ def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
     through public ``small_c`` / ``big_C`` at the shifted weight
     base + p*twist(tau), which they locate.
 
-    Full tables scan ``dominant_orbit`` for the weights congruent to base;
-    omega mode locates every shifted weight below omega + shift.  Returns
-    the entries and whether the window-edge warning is due.
+    Full tables scan ``dominant_orbit`` two lengths past the reach of the
+    weight bound X and keep the weights whose raw tau has p*tau <= X by
+    public ``dominance_leq``; omega mode locates every shifted weight below
+    omega + shift.
     """
     q = query.validated(ws)
     rs, g, n, p = ws.rs, ws.group, q.n, q.p
@@ -521,10 +568,11 @@ def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
     loc = g.locate(partner, p)
     shifted = {}  # tau -> base + p*twist(tau)
     if omegas is None:
-        max_len = loc.length + n + 2 * em._QDEG_MARGIN
+        top = friedlander_parshall_top(ws, q)
+        max_len = g.dominant_length(base, p) + 2 * sum(r.to_root_coords(rs, top)) // p + 2
         for _, wt in g.dominant_orbit(loc.antidominant_rep, p, max_len):
             diff = [w - b for w, b in zip(wt, base)]
-            if all(d >= 0 and d % p == 0 for d in diff):
+            if all(d >= 0 and d % p == 0 for d in diff) and r.dominance_leq(rs, diff, top):
                 shifted[twist(tuple(d // p for d in diff))] = wt
     else:
         for omega in omegas:
@@ -534,18 +582,15 @@ def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
                     wt = tuple(b + p * t for b, t in zip(base, twist(tau)))
                     if g.is_p_regular(wt, p) and g.linked(wt, partner, p):
                         shifted[tau] = wt
-    factors = {tau: kl(wt) for tau, wt in shifted.items()}
     acc = {}
-    for tau, k in factors.items():
+    for tau, wt in shifted.items():
+        k = kl(wt)
         if k:
             for omega, m in tensor(tau).items():
                 acc[omega] = acc.get(omega, 0) + k * m
     if omegas is not None:
         acc = {w: m for w, m in acc.items() if w in omegas}
-    edge = omegas is None and any(
-        k and g.locate(shifted[tau], p).length >= max_len - 1 for tau, k in factors.items()
-    )
-    return tuple(sorted((w, m) for w, m in acc.items() if m)), edge
+    return tuple(sorted((w, m) for w, m in acc.items() if m))
 
 
 @pytest.mark.parametrize(
@@ -553,10 +598,9 @@ def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
     [("A", 1, 5), ("A", 1, 7), ("A", 2, 5), ("A", 2, 7), ("B", 2, 5), ("B", 2, 7),
      ("G", 2, 7), ("G", 2, 11)],
 )
-def test_tables_on_elements_match_the_weight_route(series, rank, p, monkeypatch):
+def test_tables_on_elements_match_the_weight_route(series, rank, p):
     # tables read the elements they enumerate; the reference locates every
-    # shifted weight again through the public KL factors.  Narrow windows
-    # put nonzero factors at their edge.
+    # shifted weight again through the public KL factors
     ws = em.make_workspace(series, rank)
     g = ws.group
     pools = [
@@ -565,19 +609,13 @@ def test_tables_on_elements_match_the_weight_route(series, rank, p, monkeypatch)
     ]
     pairs = [(pools[0][0], pools[0][2]), (pools[0][1], pools[0][-1]), (pools[1][1], pools[0][3])]
     box = list(itertools.product(range(3 if rank == 2 else 6), repeat=rank))
-    nonempty = edges = 0
+    nonempty = 0
     for lam, mu in pairs:
         for variant in em.VARIANTS:
             for n in range(3):
                 q = MultiplicityQuery(variant, lam, mu, n, p)
-                for margin in (0, 1, 4):
-                    monkeypatch.setattr(em, "_QDEG_MARGIN", margin)
-                    table = em.multiplicity_table(ws, q)
-                    entries, edge = reference_multiplicity_table(ws, q)
-                    assert table.entries == entries, (lam, mu, variant, n, margin)
-                    assert edge == bool(window_warnings(table))
-                    edges += edge
-                entries, _ = reference_multiplicity_table(ws, q, omegas=box)
+                assert em.multiplicity_table(ws, q).entries == reference_multiplicity_table(ws, q)
+                entries = reference_multiplicity_table(ws, q, omegas=box)
                 assert em.multiplicity_table(ws, q, omegas=box).entries == entries
                 nonempty += bool(entries)
         for n in range(3):  # both readings of the duality self-test
@@ -585,9 +623,9 @@ def test_tables_on_elements_match_the_weight_route(series, rank, p, monkeypatch)
             dual = MultiplicityQuery("delta_red", r.star(ws.rs, mu), r.star(ws.rs, lam), n, p)
             for reading, twisted in [(report.dual_delta_red, True),
                                      (report.dual_delta_red_unstarred, False)]:
-                entries, _ = reference_multiplicity_table(ws, dual, twisted=twisted)
+                entries = reference_multiplicity_table(ws, dual, twisted=twisted)
                 assert reading == tuple(sorted((r.star(ws.rs, w), m) for w, m in entries))
-    assert nonempty and edges
+    assert nonempty
 
 
 def test_stats_after_an_extmult_session():
@@ -617,6 +655,7 @@ def test_stats_after_an_extmult_session():
         "bruhat_memo": len(g._leq),
         "ideal_memo": len(g._ideal),
         "locate_memo": len(g._locate),
+        "finite_image_memo": len(g._finite_images_memo),
     }
 
 

@@ -40,6 +40,7 @@ COLD_MEMOS = (
     "_dominant",
     "_dominant_levels",
     "_dominant_by_finite",
+    "_finite_images_memo",
 )
 
 
