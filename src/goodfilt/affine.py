@@ -425,6 +425,10 @@ class AffineWeylGroup:
         """
         lam = check_dominant(self.rs, weight, "dominant_length")
         self._assert_p_regular(lam, check_prime(p))
+        return self._dominant_length(lam, p)
+
+    def _dominant_length(self, lam: Weight, p: int) -> int:
+        """``dominant_length`` of a checked dominant p-regular weight."""
         m = _r._vec_add(lam, self.rs.rho)
         return sum(sum(map(mul, b.coroot, m)) // p + 1 for b in self.rs.positive_roots)
 

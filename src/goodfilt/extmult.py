@@ -344,7 +344,7 @@ def _assemble(ws, query, omegas, twisted):
         tops = [tuple(p * (o + s) for o, s in zip(omega, shift)) for omega in omegas if min(omega) >= 0]
     two_rho_vee = [sum(c) for c in zip(*(b.coroot for b in rs.positive_roots))]
     reach = [sum(map(mul, two_rho_vee, top)) // p for top in tops]
-    max_len = g.dominant_length(base, p) + max(reach) if reach else -1
+    max_len = g._dominant_length(base, p) + max(reach) if reach else -1  # base is p-regular
 
     loc_partner = g.locate(partner, p)
     raw = g._orbit_congruent(loc_partner.antidominant_rep, p, max_len, base)

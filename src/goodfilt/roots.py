@@ -447,9 +447,14 @@ def dominance_leq(rs: RootSystem, a, b) -> bool:
 
 
 def _dominance_leq(rs: RootSystem, a: Weight, b: Weight) -> bool:
-    """``dominance_leq`` of checked weights."""
-    den = rs.inverse_cartan_den
-    return all(c >= 0 and not c % den for c in _scaled_root_coords(rs, _vec_sub(b, a)))
+    """``dominance_leq`` of checked weights; stops at the first simple-root
+    coordinate of b - a that is negative or not an integer."""
+    diff, den = _vec_sub(b, a), rs.inverse_cartan_den
+    for row in rs.inverse_cartan:
+        c = sum(map(mul, row, diff))
+        if c < 0 or c % den:
+            return False
+    return True
 
 
 def to_dominant_chamber(rs: RootSystem, v: Weight) -> tuple[Weight, int]:
