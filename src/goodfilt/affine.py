@@ -499,8 +499,8 @@ class AffineWeylGroup:
         return [z for level in levels[: bound + 1] for z in level]
 
     def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
-        """z . rep - p*nu for each finite part w of the flagged z = (w, nu) up
-        to max_length (and perhaps beyond).
+        """z . rep - p*nu for each finite part w in the finite-part index,
+        which holds those of the flagged z = (w, nu) up to max_length.
 
         The index only grows, in insertion order, so its first k finite parts
         never change and the images are kept per (rep, k).
