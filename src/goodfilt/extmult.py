@@ -334,7 +334,8 @@ def _assemble(ws, query, omegas, twisted):
         twist = lambda tau: tau
     rs, g, p = ws.rs, ws.group, query.p
     if omegas is None:
-        theta = rs.positive_roots[-1].fund_coords  # the highest root
+        # X of the module docstring; theta is the highest root
+        theta = rs.positive_roots[-1].fund_coords
         x = [b + a + 2 * r + p * (query.n // 2) * t
              for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)]
         tops = [twist(tuple(x))]
