@@ -148,8 +148,8 @@ class AffineWeylGroup:
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         # the same ids by finite part, each list by length then matrix form
         self._dominant_by_finite: dict[Matrix, list[int]] = {}
-        # (rep, number of finite parts) -> {w: image}, see _finite_images
-        self._finite_images_memo: dict[tuple[Weight, int], dict[Matrix, Weight]] = {}
+        # rep -> {w: image} over a prefix of the finite parts, see _finite_images
+        self._finite_images_memo: dict[Weight, dict[Matrix, Weight]] = {}
         self._leq: dict[tuple[int, int], bool] = {}
         self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
@@ -502,18 +502,18 @@ class AffineWeylGroup:
         """z . rep - p*nu for each finite part w in the finite-part index,
         which holds those of the flagged z = (w, nu) up to max_length.
 
-        The index only grows, in insertion order, so its first k finite parts
-        never change and the images are kept per (rep, k).
+        The index only grows, in insertion order, so the images are kept per
+        rep and extended by the finite parts added since.  An extension is a
+        new dict, never a change to one a caller may be iterating.
         """
         if len(self._dominant_levels) <= max_length:
             self.dominant_up_to_length(max_length)
-        key = (rep, len(self._dominant_by_finite))
-        image = self._finite_images_memo.get(key)
-        if image is None:
+        image = self._finite_images_memo.get(rep, {})
+        if len(image) < len(self._dominant_by_finite):
             m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
-            image = self._finite_images_memo[key] = {
+            image = self._finite_images_memo[rep] = image | {
                 w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
-                for w in list(self._dominant_by_finite)[: key[1]]
+                for w in list(self._dominant_by_finite)[len(image):]
             }
         return image
 

@@ -343,8 +343,9 @@ def _assemble(ws, query, omegas, twisted):
         omegas = {_r.check_weight(rs, omega) for omega in omegas}
         # a negative omega is never a constituent
         tops = [tuple(p * (o + s) for o, s in zip(omega, shift)) for omega in omegas if min(omega) >= 0]
-    two_rho_vee = [sum(c) for c in zip(*(b.coroot for b in rs.positive_roots))]
-    reach = [sum(map(mul, two_rho_vee, top)) // p for top in tops]
+    # <top, 2 rho^vee> is twice the sum of top's simple-root coordinates
+    den = rs.inverse_cartan_den * p
+    reach = [2 * sum(_r._scaled_root_coords(rs, top)) // den for top in tops]
     max_len = g._dominant_length(base, p) + max(reach) if reach else -1  # base is p-regular
 
     loc_partner = g.locate(partner, p)

@@ -322,6 +322,21 @@ def test_finite_part_index_groups_the_flagged_ids(series, rank):
         assert g.stats()["finite_part_index"] == len(flagged)
 
 
+@pytest.mark.parametrize("series,rank", TYPES)
+def test_finite_images_grow_with_the_index_one_entry_per_rep(series, rank):
+    rs = build_root_system(series, rank)
+    g, fresh = AffineWeylGroup(rs), AffineWeylGroup(rs)
+    p = PRIMES[series, rank][0]
+    reps = alcove_reps(get_group(series, rank), p)[:2]
+    for k in (2, 5, 8):  # each walk adds finite parts to the index
+        for rep in reps:
+            assert g.dominant_orbit(rep, p, k) == reference_dominant_orbit(g, rep, p, k)
+    assert g.stats()["finite_image_memo"] == len(g._finite_images_memo) == len(reps)
+    for rep in reps:
+        assert g._finite_images(rep, 8) == fresh._finite_images(rep, 8)
+        assert list(g._finite_images(rep, 8)) == list(g._dominant_by_finite)
+
+
 @pytest.mark.parametrize(
     "series, rank, primes",
     [("A", 1, (5, 7)), ("A", 2, (5, 7)), ("B", 2, (5, 7)), ("G", 2, (7, 11)),
