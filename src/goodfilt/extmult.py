@@ -45,18 +45,19 @@ elements; the public ones locate their two weights and call the same cores.
 Which taus a table sums over.  Each variant reads its KL factor at the
 element z with z . lambda^- = base + p*t (t the raw tau of
 ``_orbit_congruent``) and files it under tau = twist(t) (see
-``_variant_parts``).  A table keeps tau when p*tau <= top in dominance for
-one of its tops, and walks the orbit to length
-l(base) + max floor(<top, 2 rho^vee> / p), which reaches every kept tau by
-the length law l(base + p*t) = l(base) + <t, 2 rho^vee> (and
-<twist(t), 2 rho^vee> = <t, 2 rho^vee>).  The two modes differ only in their tops.  With target
-constituents omega the tops are p*(omega + shift): nabla(omega) occurs in
-the tensor factor of tau only if tau <= omega + shift.  A full table has
-the one top twist(X), theta the highest root and
+``_variant_parts``).  Every table keeps tau only when p*tau <= twist(X)
+in dominance, with theta the highest root and
 
     X = base* + partner + 2 rho + p * floor(n/2) * theta,
 
-because every t with a nonzero factor has p*t <= X:
+because every t with a nonzero factor has p*t <= X (proof below).  Target
+constituents omega narrow that to the taus with also p*tau <= p*(omega +
+shift) for one omega, as nabla(omega) occurs in the tensor factor of tau
+only if tau <= omega + shift; a full table has no such tops.  The walk
+goes to length l(base) + min(reach(twist(X)), max reach of the omega tops),
+reach(top) = floor(<top, 2 rho^vee> / p), which reaches every kept tau by
+the length law l(base + p*t) = l(base) + <t, 2 rho^vee> (and
+<twist(t), 2 rho^vee> = <t, 2 rho^vee>).  The bound:
 
 1. The factor is a good-filtration multiplicity.  Take p >= 2h - 2, the
    Lusztig character formula (LCF) and weights in the Jantzen region.
@@ -317,36 +318,28 @@ def _variant_parts(ws, query):
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
     """Constituent multiplicities of one Frobenius-kernel Ext group.
 
-    Both modes walk the partner's dot orbit once, locate only the partner
-    and keep the taus below their tops (see the module docstring): with
-    ``omegas`` given the entries are those omegas, without them every
-    constituent.  Entries with value zero are omitted either way.
+    Walks the partner's dot orbit once, locates only the partner and keeps
+    the taus below the weight bound X and, with ``omegas`` given, below one
+    of their tops (see the module docstring).  The entries are those omegas,
+    or without them every constituent; zero entries are omitted.
     """
-    return _assemble(ws, query, omegas, twisted=True)
-
-
-def _assemble(ws, query, omegas, twisted):
-    """``multiplicity_table``; with ``twisted`` false the KL slot reads tau
-    where the formula has twist(tau) (used only by the duality self-test)."""
     query = query.validated(ws)
     partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
-    if not twisted:
-        twist = lambda tau: tau
     rs, g, p = ws.rs, ws.group, query.p
-    if omegas is None:
-        # X of the module docstring; theta is the highest root
-        theta = rs.positive_roots[-1].fund_coords
-        x = [b + a + 2 * r + p * (query.n // 2) * t
-             for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)]
-        tops = [twist(tuple(x))]
-    else:
+    # X of the module docstring, theta the highest root; <top, 2 rho^vee>
+    # is twice the sum of top's simple-root coordinates
+    theta = rs.positive_roots[-1].fund_coords
+    x = twist(tuple(b + a + 2 * r + p * (query.n // 2) * t
+                    for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)))
+    den = rs.inverse_cartan_den * p
+    reach = lambda top: 2 * sum(_r._scaled_root_coords(rs, top)) // den
+    walk = reach(x)
+    if omegas is not None:
         omegas = {_r.check_weight(rs, omega) for omega in omegas}
         # a negative omega is never a constituent
         tops = [tuple(p * (o + s) for o, s in zip(omega, shift)) for omega in omegas if min(omega) >= 0]
-    # <top, 2 rho^vee> is twice the sum of top's simple-root coordinates
-    den = rs.inverse_cartan_den * p
-    reach = [2 * sum(_r._scaled_root_coords(rs, top)) // den for top in tops]
-    max_len = g._dominant_length(base, p) + max(reach) if reach else -1  # base is p-regular
+        walk = min(walk, max(map(reach, tops), default=-1))
+    max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
     loc_partner = g.locate(partner, p)
     raw = g._orbit_congruent(loc_partner.antidominant_rep, p, max_len, base)
@@ -354,7 +347,9 @@ def _assemble(ws, query, omegas, twisted):
     for t, z in raw.items():
         tau = twist(t)
         scaled = tuple(p * c for c in tau)
-        if any(_r._dominance_leq(rs, scaled, top) for top in tops):
+        if _r._dominance_leq(rs, scaled, x) and (
+            omegas is None or any(_r._dominance_leq(rs, scaled, top) for top in tops)
+        ):
             k = kl_factor(z, loc_partner.element)
             if k:
                 for omega, m in tensor_factor(tau).items():
@@ -481,8 +476,8 @@ class DualityReport:
     """Comparison of the red_nabla table against the dualized delta_red table.
 
     ``matched`` uses the delta_red formula as stated (tau starred in its KL
-    slot); ``matched_unstarred`` replaces that tau-star by tau.  On rank-2
-    non-self-dual data the two readings differ and exactly one of them can
+    slot); ``matched_unstarred`` replaces that tau-star by tau, a table of
+    its own (see ``duality_self_test``).  On rank-2 non-self-dual data the two readings differ and exactly one of them can
     agree with red_nabla; the mismatch is reported rather than hidden.
     """
 
@@ -497,19 +492,27 @@ class DualityReport:
 
 
 def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
-    """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) under star."""
-    lam = _r.check_weight(ws.rs, lam)
-    mu = _r.check_weight(ws.rs, mu)
-    direct = multiplicity_table(
-        ws, MultiplicityQuery("red_nabla", lam, mu, n, p)
+    """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) under star.
+
+    Starred, the unstarred reading is the delta_red table of
+    (mu*, lam0* + p*lam1), (lam0, lam1) the restricted split of lam: tau ->
+    tau* moves the star from the KL slot to the tensor factor, where
+    tensor(tau*, lam1) is the star of tensor(tau, lam1*), and X depends
+    only on the base and the partner, which are unchanged.
+    """
+    rs = ws.rs
+    lam = _r.check_weight(rs, lam)
+    mu = _r.check_weight(rs, mu)
+    direct = multiplicity_table(ws, MultiplicityQuery("red_nabla", lam, mu, n, p)).entries
+    mu_star, (lam0, lam1) = _r._star(rs, mu), _restricted_split(lam, p)
+    dual = multiplicity_table(
+        ws, MultiplicityQuery("delta_red", mu_star, _r._star(rs, lam), n, p)
     ).entries
-    dual_query = MultiplicityQuery(
-        "delta_red", _r.star(ws.rs, mu), _r.star(ws.rs, lam), n, p
-    )
-    dual = multiplicity_table(ws, dual_query).entries
-    dual_starred = tuple(sorted((_r.star(ws.rs, w), m) for w, m in dual))
-    dual_un = _assemble(ws, dual_query, None, twisted=False).entries
-    dual_un_starred = tuple(sorted((_r.star(ws.rs, w), m) for w, m in dual_un))
+    dual_starred = tuple(sorted((_r._star(rs, w), m) for w, m in dual))
+    lam_unstarred = tuple(a + p * b for a, b in zip(_r._star(rs, lam0), lam1))
+    dual_un_starred = multiplicity_table(
+        ws, MultiplicityQuery("delta_red", mu_star, lam_unstarred, n, p)
+    ).entries
     return DualityReport(
         lam=lam,
         mu=mu,

@@ -17,9 +17,9 @@ Conventions, fixed once and used by every other module:
   against.
 
 Everything is computed with exact integer arithmetic: the inverse Cartan
-matrix is stored as integers over one common denominator, and only the
-public ``to_root_coords`` returns Fractions.  RootSystem instances are
-immutable and freely shareable between threads; every function here is pure.
+matrix is stored as integers over one common denominator.  RootSystem
+instances are immutable and freely shareable between threads; every
+function here is pure.
 """
 
 from __future__ import annotations
@@ -424,12 +424,6 @@ def validate_p(rs: RootSystem, p: int) -> PrimeReport:
 def _scaled_root_coords(rs: RootSystem, w: Weight) -> tuple[int, ...]:
     """inverse_cartan_den times the simple-root coordinates of w."""
     return tuple(sum(a * x for a, x in zip(row, w)) for row in rs.inverse_cartan)
-
-
-def to_root_coords(rs: RootSystem, weight) -> tuple[Fraction, ...]:
-    """Coefficients of a weight over the simple roots (exact rationals)."""
-    den = rs.inverse_cartan_den
-    return tuple(Fraction(c, den) for c in _scaled_root_coords(rs, check_weight(rs, weight)))
 
 
 def root_lattice_coords(rs: RootSystem, weight) -> tuple[int, ...] | None:

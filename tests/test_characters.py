@@ -136,8 +136,8 @@ def strip_decompose(rs, a, b):
         w: m for w, m in product_character(rs, a, b).items() if all(x >= 0 for x in w)
     }
 
-    def height(w):
-        return sum(r.to_root_coords(rs, w))
+    def height(w):  # inverse_cartan_den > 0 times the height
+        return sum(r._scaled_root_coords(rs, w))
 
     result = {}
     while remaining:

@@ -427,8 +427,7 @@ def test_full_mode_agrees_with_omega_mode(a2):
     [
         ("G", 13, "red_red", (23, 3), (14, 1), 1, 6, None),
         ("B", 7, "delta_red", (0, 0), (5, 2), 3, 4, None),
-        # omega mode pays for each entry's own top, seconds for the outer
-        # ones: ask four low entries, each undercounted by the old window
+        # ask four low entries, each undercounted by the old window
         ("B", 7, "red_red", (19, 16), (8, 12), 4, 30, [(0, 0), (0, 2), (1, 0), (1, 2)]),
     ],
 )
@@ -444,6 +443,17 @@ def test_full_tables_past_the_old_length_window(series, p, variant, lam, mu, n, 
     omegas |= set(itertools.product(range(2), repeat=2))  # and some that may be absent
     answers = em.multiplicity_table(ws, q, omegas=omegas).as_dict()
     assert answers == {w: m for w, m in full.items() if w in omegas}
+
+
+@pytest.mark.parametrize("omega, answer", [((4, 6), 1), ((1, 8), 11)])
+def test_omega_mode_is_capped_by_the_weight_bound(omega, answer):
+    # p*(omega + shift) lies far above X here; walking to that top alone
+    # built 66,778 KL entries for (4,6), where the full table needs 1,392
+    q = MultiplicityQuery("red_red", (19, 16), (8, 12), 4, 7)
+    full_ws, ws = em.make_workspace("B", 2), em.make_workspace("B", 2)
+    assert em.multiplicity_table(full_ws, q).get(omega) == answer
+    assert em.multiplicity_table(ws, q, omegas=[omega]).as_dict() == {omega: answer}
+    assert len(ws.table.memo) <= len(full_ws.table.memo)
 
 
 def friedlander_parshall_top(ws, query):
@@ -482,7 +492,8 @@ def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queri
         q = MultiplicityQuery(rng.choice(em.VARIANTS), lam, mu, rng.randrange(max_n + 1), p)
         partner, base, _, kl_factor, _, _ = em._variant_parts(ws, q)
         top = friedlander_parshall_top(ws, q)
-        reach = g.dominant_length(base, p) + 2 * sum(r.to_root_coords(rs, top)) // p
+        den = rs.inverse_cartan_den * p
+        reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
         loc = g.locate(partner, p)
         for t, z in g._orbit_congruent(loc.antidominant_rep, p, reach + 6, base).items():
             if kl_factor(z, loc.element):
@@ -569,7 +580,8 @@ def reference_multiplicity_table(ws, query, omegas=None, twisted=True):
     shifted = {}  # tau -> base + p*twist(tau)
     if omegas is None:
         top = friedlander_parshall_top(ws, q)
-        max_len = g.dominant_length(base, p) + 2 * sum(r.to_root_coords(rs, top)) // p + 2
+        den = rs.inverse_cartan_den * p
+        max_len = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den + 2
         for _, wt in g.dominant_orbit(loc.antidominant_rep, p, max_len):
             diff = [w - b for w, b in zip(wt, base)]
             if all(d >= 0 and d % p == 0 for d in diff) and r.dominance_leq(rs, diff, top):

@@ -1,9 +1,13 @@
-"""Every name a module of the library imports is used in that module.
+"""Every name a module of the library imports is used in that module, and
+every private function or method of the library is used somewhere in it.
 
 No linter ships with the project, so this reads the source with ``ast``: an
 imported name counts as used when it appears as a ``Name`` node (attribute
 access ``mod.attr`` starts with one) or is listed in ``__all__``.  The
-package ``__init__`` imports only to re-export, so it is not checked.
+package ``__init__`` imports only to re-export, so it is not checked.  A
+private (underscore-prefixed, not dunder) module-level function or method
+counts as used when a ``Name`` or an attribute of that name appears in the
+package outside its own definition.
 """
 
 import ast
@@ -42,3 +46,48 @@ def test_the_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions and methods of ``sources``
+    ({file name: source}) that nothing outside their own definition names."""
+    defined, used = [], []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in [tree.body, *classes]:
+            defined += [
+                (name, node) for node in body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.endswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                used.append((name, node.id if isinstance(node, ast.Name) else node.attr, node.lineno))
+    return [
+        f"{name} line {node.lineno}: {node.name}"
+        for name, node in defined
+        if not any(
+            ref == node.name and not (where == name and node.lineno <= line <= node.end_lineno)
+            for where, ref, line in used
+        )
+    ]
+
+
+def test_the_checker_sees_an_unused_private_name():
+    source = (
+        "def _used():\n    pass\n"
+        "def _dead():\n    return _dead()\n"
+        "class C:\n"
+        "    def __init__(self):\n        _used()\n"
+        "    def _method(self):\n        pass\n"
+        "    def _called(self):\n        pass\n"
+    )
+    assert unused_private_names({"a.py": source, "b.py": "C()._called()\n"}) == [
+        "a.py line 3: _dead", "a.py line 8: _method"
+    ]
+
+
+def test_every_private_name_is_used():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []
