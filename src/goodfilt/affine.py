@@ -283,12 +283,26 @@ class AffineWeylGroup:
 
         Deterministic, so words are stable cache keys across runs and primes.
         """
-        word = []
-        while self._length[x]:
-            i = self.right_descents(x)[0]
-            word.append(i)
-            x = self._rmul[x][i]
-        return tuple(reversed(word))
+        return self.canonical_words((x,))[x]
+
+    def canonical_words(self, ids) -> dict[int, tuple[int, ...]]:
+        """``canonical_word`` of every id in ``ids``, in one walk.
+
+        An id's word is the word of its stripped neighbour plus the stripped
+        letter, so a neighbour shared by many ids is walked once.  The dict
+        also holds the words of the neighbours met on the way.
+        """
+        words: dict[int, tuple[int, ...]] = {}
+        for x in ids:
+            chain = []
+            while x not in words and self._length[x]:
+                i = self.right_descents(x)[0]
+                chain.append((x, i))
+                x = self._rmul[x][i]
+            word = words.setdefault(x, ())
+            for z, i in reversed(chain):
+                word = words[z] = word + (i,)
+        return words
 
     # -- Bruhat order ------------------------------------------------------
 

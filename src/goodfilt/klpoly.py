@@ -172,12 +172,9 @@ class KLTable:
         replaces ``path`` only once complete, so an interrupted save leaves
         the previous cache intact.
         """
-        g = self.group
+        words = self.group.canonical_words({z for pair in self.memo for z in pair})
         records = sorted(
-            (
-                (g.canonical_word(x), g.canonical_word(y), list(p))
-                for (x, y), p in self.memo.items()
-            ),
+            ((words[x], words[y], p) for (x, y), p in self.memo.items()),
             key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
         )
         path = os.fspath(path)
@@ -187,14 +184,10 @@ class KLTable:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
-                for xw, yw, coeffs in records:
-                    fh.write(
-                        json.dumps(
-                            {"x": list(xw), "y": list(yw), "p_of_q": coeffs},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+                # keys in sorted order, as in the header, through json's default encoder
+                for xw, yw, poly in records:
+                    rec = {"p_of_q": list(poly), "x": list(xw), "y": list(yw)}
+                    fh.write(json.dumps(rec) + "\n")
             if os.path.exists(path):
                 shutil.copymode(path, tmp)  # mkstemp makes it owner-only
             os.replace(tmp, path)
@@ -213,6 +206,7 @@ class KLTable:
         """
         g = self.group
         staged = {}
+        word_ids = {}  # int tuples only: (1,) == (True,), and _int_array refuses True
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
             if not header_line:
@@ -237,7 +231,10 @@ class KLTable:
                     raise CacheFormatError(f"{where}: bad record: {exc}") from exc
                 if any(not 0 <= i <= g.rs.rank for i in xw + yw):
                     raise CacheFormatError(f"{where}: generator index out of range")
-                x, y = g.from_word(xw), g.from_word(yw)
+                x, y = (
+                    word_ids[w] if w in word_ids else word_ids.setdefault(w, g.from_word(w))
+                    for w in (tuple(xw), tuple(yw))
+                )
                 poly = _trimmed(coeffs)
                 if g.bruhat_leq(x, y):
                     problem = _invariant_violation(poly, g.length(y) - g.length(x))

@@ -400,8 +400,6 @@ def test_stats_after_a_tensor_query():
     # stabilizer W groups the positive roots by length
     assert ch.stats() == {
         "characters": 1,
-        "full_characters": 1,
-        "dominant_weight_sets": 1,
         "orbits": 2,
         "root_groupings": 1,
         "dimensions": 2,

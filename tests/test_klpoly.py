@@ -1,12 +1,15 @@
+import json
 import os
 from types import SimpleNamespace
 
 import pytest
 
+from goodfilt import extmult as em
 from goodfilt import klpoly
-from goodfilt.affine import get_group
+from goodfilt.affine import AffineWeylGroup, get_group
 from goodfilt.errors import CacheFormatError
 from goodfilt.klpoly import KLTable
+from goodfilt.roots import build_root_system
 
 
 @pytest.fixture()
@@ -136,6 +139,52 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, a2_table, monkeypatch):
     assert KLTable(g).load(path) == len(a2_table.memo)
 
 
+def stripped_word(g, x):
+    """Reference for canonical_word: strip the lowest right descent, one id at a time."""
+    word = []
+    while g.length(x):
+        i = g.right_descents(x)[0]
+        word.append(i)
+        x = g.row(x)[i]
+    return tuple(reversed(word))
+
+
+def reference_cache_bytes(table):
+    """The cache as written one record at a time, each word walked on its own."""
+    g = table.group
+    header = {"format": "kltable", "version": 1, "series": g.rs.series, "rank": g.rs.rank}
+    records = sorted(
+        ((stripped_word(g, x), stripped_word(g, y), list(p)) for (x, y), p in table.memo.items()),
+        key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
+    )
+    lines = [json.dumps(header, sort_keys=True)] + [
+        json.dumps({"x": list(xw), "y": list(yw), "p_of_q": p}, sort_keys=True)
+        for xw, yw, p in records
+    ]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_save_matches_the_one_word_at_a_time_encoder(tmp_path):
+    rs = build_root_system("B", 2)
+    g = AffineWeylGroup(rs)
+    ws = em.Workspace(rs=rs, group=g, table=KLTable(g))
+    query = em.MultiplicityQuery("red_red", (19, 16), (8, 12), 4, 7)
+    assert em.multiplicity_table(ws, query, [(4, 6)]).as_dict() == {(4, 6): 1}
+    ids = {z for pair in ws.table.memo for z in pair}
+    words = g.canonical_words(ids)
+    assert {z: words[z] for z in ids} == {z: g.canonical_word(z) for z in ids}
+    assert max(len(words[z]) for z in ids) == 26
+    fresh = AffineWeylGroup(rs)
+    for z in ids:
+        assert stripped_word(fresh, fresh.from_word(words[z])) == words[z]
+    path = tmp_path / "b2.klcache"
+    ws.table.save(path)
+    assert path.read_bytes() == reference_cache_bytes(ws.table)
+    loaded = KLTable(fresh)
+    assert loaded.load(path) == len(ws.table.memo) == 1392
+    assert reference_cache_bytes(loaded) == path.read_bytes()
+
+
 def test_cache_rejects_bad_header(tmp_path, a2_table):
     path = tmp_path / "bad.klcache"
     path.write_text('{"format": "kltable", "version": 1, "series": "B", "rank": 2}\n')
@@ -185,6 +234,19 @@ def test_cache_rejects_bad_record(tmp_path, a2_table, record, message):
     good = '{"x": [], "y": [1], "p_of_q": [1]}\n'
     path.write_text(A2_HEADER + good + record + "\n")
     with pytest.raises(CacheFormatError, match=r"bad\.klcache:3: .*" + message):
+        a2_table.load(path)
+    assert not a2_table.memo
+
+
+def test_cache_rejects_true_in_a_word_it_has_seen(tmp_path, a2_table):
+    # (1, 0, 1) == (True, 0, 1), so a word read earlier must not vouch for this one
+    path = tmp_path / "bool.klcache"
+    path.write_text(
+        A2_HEADER
+        + '{"x": [1], "y": [1, 0, 1], "p_of_q": [1]}\n'
+        + '{"x": [], "y": [true, 0, 1], "p_of_q": [1]}\n'
+    )
+    with pytest.raises(CacheFormatError, match=r"bool\.klcache:3: bad record: .*integers"):
         a2_table.load(path)
     assert not a2_table.memo
 

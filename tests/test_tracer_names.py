@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from goodfilt import characters
 from goodfilt.affine import AffineWeylGroup
 from goodfilt.roots import build_root_system
 
@@ -54,3 +55,25 @@ def test_a_fresh_group_is_cold():
     assert group.identity == 0
     assert len(group._length) == len(group._dominant) == 1
     assert group.is_dominant(group.identity) is False
+
+
+def test_tensor_queries_reach_freudenthal_through_the_module_name(monkeypatch):
+    # the tracer wraps characters.dominant_multiplicities as a module
+    # attribute; a tensor path that reached Freudenthal another way would
+    # zero the characters.dominant_multiplicities metrics without an error
+    for f in vars(characters).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    calls = []
+    real = characters.dominant_multiplicities
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return real(rs, lam)
+
+    monkeypatch.setattr(characters, "dominant_multiplicities", counted)
+    g2 = build_root_system("G", 2)
+    assert characters.tensor_nabla_multiplicities(g2, (0, 1), (1, 0)) == {
+        (1, 1): 1, (2, 0): 1, (1, 0): 1,
+    }
+    assert calls == [(1, 0)]  # the smaller, 7-dimensional factor
