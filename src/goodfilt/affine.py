@@ -385,8 +385,8 @@ class AffineWeylGroup:
 
         Walks the shifted weight into C_p^- by reflecting across violated
         walls of C_p^- (lowest wall index first; index 0 is the affine
-        wall).  Each crossing strips exactly one separating hyperplane, so
-        the number of steps is the Coxeter length of the located element.
+        wall), and x from the identity along its row by each wall's generator.
+        Each crossing strips one separating hyperplane, so the steps count l(x).
         """
         lam = check_weight(self.rs, weight)
         key = (lam, check_prime(p))  # before the lookup: (lam, 5.0) hashes like (lam, 5)
@@ -396,31 +396,25 @@ class AffineWeylGroup:
         self._assert_p_regular(lam, p)
         a0 = self.rs.highest_short_root
         m = list(_r._vec_add(lam, self.rs.rho))
-        word = []
+        element, steps = self.identity, 0
         while True:
             a0_val = sum(c * v for c, v in zip(a0.coroot, m))
             if a0_val < -p:
-                word.append(0)
-                shift = a0_val + p
-                m = [v - shift * f for v, f in zip(m, a0.fund_coords)]
-                continue
-            for i in range(self.rs.rank):
-                if m[i] > 0:
-                    word.append(i + 1)
-                    col = self.rs.simple_columns[i]
-                    mi = m[i]
-                    m = [v - mi * f for v, f in zip(m, col)]
-                    break
+                i, shift, normal = 0, a0_val + p, a0.fund_coords
             else:
-                break
+                i = next((i for i, v in enumerate(m, start=1) if v > 0), None)
+                if i is None:
+                    break
+                shift, normal = m[i - 1], self.rs.simple_columns[i - 1]
+            m = [v - shift * f for v, f in zip(m, normal)]
+            element, steps = self.row(element)[i], steps + 1
         rep = _r._vec_sub(tuple(m), self.rs.rho)
-        element = self.from_word(word)
         if self.dot(element, rep, p) != lam:
             raise InternalInvariantError(f"alcove walk failed to invert for {lam}")
         length = self.length(element)
-        if length != len(word):
+        if length != steps:
             raise InternalInvariantError(
-                f"walk length {len(word)} disagrees with Coxeter length {length}"
+                f"walk length {steps} disagrees with Coxeter length {length}"
             )
         loc = AlcoveLocation(element=element, antidominant_rep=rep, length=length)
         self._locate[key] = loc
@@ -459,14 +453,19 @@ class AffineWeylGroup:
         matrix form, so the order does not depend on which ids a computation
         created first.
         """
-        lengths, level, out = self._length, [self.identity], []
+        level, out = [self.identity], []
         for k in range(1, bound + 1):
             out += level
-            level = sorted(
-                {y for x in level for y in self.row(x) if lengths[y] == k},
-                key=self._form.__getitem__,
-            )
+            level = self._next_level(level, k)
         return out + level
+
+    def _next_level(self, level: list[int], k: int) -> list[int]:
+        """The neighbours of length k of the ids in ``level``, by matrix form."""
+        lengths = self._length
+        return sorted(
+            {y for x in level for y in self.row(x) if lengths[y] == k},
+            key=self._form.__getitem__,
+        )
 
     def _longest_finite(self) -> int:
         """w_0, whose alcove is the dominant one at the origin."""
@@ -500,13 +499,9 @@ class AffineWeylGroup:
                     for k in range(self._length[first] + 1):
                         publish([first] if k == self._length[first] else [])
         bound = max(bound, 0)
-        lengths = self._length
         while len(levels) <= bound:
             k = len(levels)
-            level = sorted(
-                {y for x in levels[k - 1] for y in self.row(x) if lengths[y] == k},
-                key=self._form.__getitem__,
-            )
+            level = self._next_level(levels[k - 1], k)
             with self._lock:
                 if len(levels) == k:
                     publish(level)

@@ -2,14 +2,16 @@
 
 Data goes to stdout (JSON by default, TSV with --format tsv); advisories and
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage or configuration
-problems (including --strict advisory promotion and rejected cache files), 3
-singular-weight rejection, 4 internal invariant violation, including inputs
-too deep for the recursion limit.  Output is byte-stable for
-identical inputs and cache state: keys are emitted in sorted order
-everywhere.  With ``--stats`` a command also writes one JSON line to stderr:
-the wall and CPU seconds the command took after argument parsing, the sizes
-of the character caches (``characters.stats``) and, when the command built
-one, those of its workspace (``Workspace.stats``).
+problems (including --strict advisory promotion, rejected cache files and a
+--cache path that cannot be read, decoded or written), 3 singular-weight
+rejection, 4 internal invariant violation, including inputs too deep for the
+recursion limit.  Every --cache command saves before it prints, so no
+refusal follows printed data.  Output is byte-stable for identical inputs and
+cache state: keys are emitted in sorted order everywhere.  With ``--stats`` a
+command also writes one JSON line to stderr: the wall and CPU seconds the
+command took after argument parsing, the sizes of the character caches
+(``characters.stats``) and, when the command built one, those of its
+workspace (``Workspace.stats``).
 """
 
 from __future__ import annotations
@@ -23,16 +25,7 @@ import time
 from . import characters as ch
 from . import extmult as em
 from . import roots as _r
-from .errors import (
-    CacheFormatError,
-    ConfigurationError,
-    DecompositionError,
-    DimensionMismatchError,
-    GoodfiltError,
-    InternalInvariantError,
-    PreconditionError,
-    SingularWeightError,
-)
+from .errors import GoodfiltError, InternalInvariantError, SingularWeightError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,13 +71,9 @@ def emit(data: dict, fmt: str, out) -> None:
 
 def emit_table(entries: dict, fmt: str, out) -> None:
     """Multiplicity maps: weight-coordinate string -> integer."""
-    keyed = {fmt_weight(w): m for w, m in entries.items()}
-    if fmt == "json":
-        out.write(json.dumps(keyed, sort_keys=True, separators=(", ", ": ")) + "\n")
-    else:
+    if fmt == "tsv":
         out.write("omega\tmultiplicity\n")
-        for key in sorted(keyed):
-            out.write(f"{key}\t{keyed[key]}\n")
+    emit({fmt_weight(w): m for w, m in entries.items()}, fmt, out)
 
 
 def report_advisories(advisories, strict: bool, err) -> int:
@@ -241,6 +230,7 @@ def cmd_kl(args, out, err) -> int:
     x = ws.group.from_word(args.x)
     y = ws.group.from_word(args.y)
     poly = ws.table.kl(x, y)
+    _save_cache(ws, args.cache, err)
     emit(
         {
             "x": list(ws.group.canonical_word(x)),
@@ -250,7 +240,6 @@ def cmd_kl(args, out, err) -> int:
         args.format,
         out,
     )
-    _save_cache(ws, args.cache, err)
     return EXIT_OK
 
 
@@ -275,6 +264,7 @@ def cmd_check_identity(args, out, err) -> int:
     ws = _workspace(args)
     _load_cache(ws, args.cache, err)
     result = em.run_identity_box(ws, args.p, args.max_pairing, args.tau_pad)
+    _save_cache(ws, args.cache, err)
     failures = [
         {"mu": fmt_weight(f.mu), "tau": fmt_weight(f.tau), "lhs": f.lhs, "rhs": f.rhs}
         for f in result["failures"]
@@ -293,7 +283,6 @@ def cmd_check_identity(args, out, err) -> int:
         args.format,
         out,
     )
-    _save_cache(ws, args.cache, err)
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
@@ -345,19 +334,10 @@ def _run(args, out, err) -> int:
             + "\n"
         )
         return EXIT_INVARIANT
-    except (
-        ConfigurationError,
-        PreconditionError,
-        DimensionMismatchError,
-        DecompositionError,
-        CacheFormatError,
-    ) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     except (InternalInvariantError, AssertionError) as exc:
         err.write(f"internal error: {exc}\n")
         return EXIT_INVARIANT
-    except GoodfiltError as exc:  # pragma: no cover - safety net
+    except (GoodfiltError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

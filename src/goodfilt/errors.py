@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all goodfilt modules.
 
-The CLI maps these onto exit codes: configuration and precondition
-problems exit 2, singular-weight rejections exit 3, and internal
-invariant violations exit 4.
+The CLI maps these onto exit codes: singular-weight rejections exit 3,
+internal invariant violations exit 4, and every other error of this
+package, or an ``OSError`` on a ``--cache`` path, exits 2.
 """
 
 

@@ -102,13 +102,13 @@ class KLTable:
     def kl(self, x: int, y: int) -> tuple[int, ...]:
         if x == y:
             return (1,)
+        key = (x, y)
+        cached = self.memo.get(key)
+        if cached is not None:  # stored entries have x <= y
+            return cached
         g = self.group
         if not g.bruhat_leq(x, y):
             return ()
-        key = (x, y)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
 
         s = g.descent(y)
         v = g.row(y)[s]
@@ -207,7 +207,7 @@ class KLTable:
         g = self.group
         staged = {}
         word_ids = {}  # int tuples only: (1,) == (True,), and _int_array refuses True
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:  # a bad byte reads as U+FFFD
             header_line = fh.readline()
             if not header_line:
                 raise CacheFormatError(f"{path}: empty cache file")

@@ -315,6 +315,37 @@ def test_cache_roundtrip(tmp_path):
     assert code3 == 2
 
 
+CACHE_COMMANDS = {
+    "kl": ["kl", "--series", "A", "--rank", "1", "--x", "1", "--y", "1,0,1"],
+    "extmult": [
+        "extmult", "--series", "A", "--rank", "1", "--p", "5",
+        "--variant", "red_red", "--lam", "12", "--mu", "2", "--n", "2",
+    ],
+    "check-identity": [
+        "check-identity", "--series", "A", "--rank", "1", "--p", "5",
+        "--max-pairing", "12", "--tau-pad", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("unusable", ["missing_directory", "directory", "non_utf8"])
+@pytest.mark.parametrize("command", sorted(CACHE_COMMANDS))
+def test_unusable_cache_path_exits_2_before_any_output(tmp_path, command, unusable):
+    if unusable == "missing_directory":
+        path = tmp_path / "missing" / "kl.cache"
+    elif unusable == "directory":
+        path = tmp_path / "kl.cache"
+        path.mkdir()
+    else:
+        path = tmp_path / "kl.cache"
+        header = '{"format": "kltable", "version": 1, "series": "A", "rank": 1}\n'
+        path.write_bytes(header.encode() + b'{"x": [], "y": [1], "p_of_q": [1]}\xff\n')
+    code, out, err = run(CACHE_COMMANDS[command] + ["--cache", str(path)])
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0]
+
+
 def test_kl_cache_serves_extmult_and_extmult_saves_only_flagged_pairs(tmp_path):
     # a version-1 cache written by `kl` holds pairs of unflagged ids; extmult
     # loads it and prints the same tables, and saves flagged pairs only

@@ -238,6 +238,15 @@ def test_cache_rejects_bad_record(tmp_path, a2_table, record, message):
     assert not a2_table.memo
 
 
+def test_cache_rejects_a_byte_that_is_not_utf8(tmp_path, a2_table):
+    path = tmp_path / "bytes.klcache"
+    good = '{"x": [], "y": [1], "p_of_q": [1]}\n'
+    path.write_bytes((A2_HEADER + good).encode() + b'{"x": [1], "y": [1, 0, 1], "p_of_q": [1\xff]}\n')
+    with pytest.raises(CacheFormatError, match=r"bytes\.klcache:3: bad record"):
+        a2_table.load(path)
+    assert not a2_table.memo
+
+
 def test_cache_rejects_true_in_a_word_it_has_seen(tmp_path, a2_table):
     # (1, 0, 1) == (True, 0, 1), so a word read earlier must not vouch for this one
     path = tmp_path / "bool.klcache"
