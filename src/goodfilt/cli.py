@@ -148,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="bound on <mu+rho, alpha_0^vee> for the mu box",
     )
-    p_c.add_argument("--tau-pad", type=int, default=2, help="tau window in alcove layers")
     p_c.add_argument("--cache", help="JSON-lines KL table to load and update")
     return parser
 
@@ -263,7 +262,7 @@ def cmd_extmult(args, out, err) -> int:
 def cmd_check_identity(args, out, err) -> int:
     ws = _workspace(args)
     _load_cache(ws, args.cache, err)
-    result = em.run_identity_box(ws, args.p, args.max_pairing, args.tau_pad)
+    result = em.run_identity_box(ws, args.p, args.max_pairing)
     _save_cache(ws, args.cache, err)
     failures = [
         {"mu": fmt_weight(f.mu), "tau": fmt_weight(f.tau), "lhs": f.lhs, "rhs": f.rhs}

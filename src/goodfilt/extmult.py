@@ -31,10 +31,10 @@ On top of the pair dictionary:
 * ``multiplicity_table``: the three filtration-multiplicity formulas
   (variants red_red, delta_red, red_nabla), combining the KL factors with
   Steinberg tensor-product multiplicities of dual Weyl characters,
-* ``weight_space_identity_check``: the two-path consistency identity for
-  H^*(G_1, nabla(mu)): total multiplicity of a constituent nabla(tau)
-  equals the xi-weight-space dimension of the Weyl module Delta(tau),
-  where mu = w . 0 + p*xi with w in the finite Weyl group.
+* ``weight_space_identity_check``: the two-path identity for H^*(G_1,
+  nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
+  over all degrees equals dim Delta(tau)_xi; ``run_identity_box`` checks
+  it with one red_nabla table per (mu, degree) for all of mu's taus.
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
@@ -404,27 +404,35 @@ def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
 
 
 def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheckResult:
-    """Two-path check on H^*(G_1, nabla(mu)).
+    """Two-path check on H^*(G_1, nabla(mu)): lhs sums the tau entries of the
+    lambda = 0 red_nabla tables over all degrees, rhs is the xi-weight-space
+    dimension of the Weyl module Delta(tau), where mu = w . 0 + p*xi."""
+    return _identity_checks(ws, mu, [tau], p)[0]
 
-    lhs: total multiplicity of the tau constituent across all cohomological
-    degrees, computed through the red_nabla tables with lambda = 0.
-    rhs: the xi-weight-space dimension of the Weyl module with highest
-    weight tau, where mu = w . 0 + p*xi.
-    """
-    mu = _r.check_weight(ws.rs, mu)
-    tau = _r.check_weight(ws.rs, tau)
+
+def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
+    """``weight_space_identity_check`` of mu against each tau in ``taus``: one
+    decomposition of mu, and one red_nabla table per degree n whose omegas
+    are the taus with n <= max(l(p*tau) - l(mu), 0)."""
+    rs, g = ws.rs, ws.group
+    mu = _r.check_weight(rs, mu)
+    taus = [_r.check_weight(rs, tau) for tau in taus]
     xi = finite_weyl_shift_decompose(ws, mu, p)
-    rhs = ch.dim_weight_space(ws.rs, tau, xi)
-
-    zero = tuple([0] * ws.rs.rank)
-    lhs = 0
-    shifted = tuple(p * t for t in tau)
-    if ws.group.is_p_regular(shifted, p):
-        n_max = ws.group.dominant_length(shifted, p) - ws.group.dominant_length(mu, p)
-        for n in range(0, max(n_max, 0) + 1):
+    rhs = [ch.dim_weight_space(rs, tau, xi) for tau in taus]
+    zero = tuple([0] * rs.rank)
+    lhs = dict.fromkeys(taus, 0)
+    # <p*tau + rho, beta^vee> = p<tau, beta^vee> + ht(beta^vee) and coroot
+    # heights run over 1..h-1, so p*tau is p-regular exactly when 0 is
+    if g.is_p_regular(zero, p):
+        l_mu = g.dominant_length(mu, p)
+        n_max = {tau: max(g.dominant_length(tuple(p * t for t in tau), p) - l_mu, 0) for tau in lhs}
+        for n in range(max(n_max.values()) + 1):
+            omegas = [tau for tau, top in n_max.items() if top >= n]
             q = MultiplicityQuery("red_nabla", zero, mu, n, p)
-            lhs += multiplicity_table(ws, q, omegas=[tau]).get(tau)
-    return IdentityCheckResult(lhs=lhs, rhs=rhs, xi=xi, mu=mu, tau=tau)
+            table = multiplicity_table(ws, q, omegas=omegas).as_dict()
+            for tau in omegas:
+                lhs[tau] += table.get(tau, 0)
+    return [IdentityCheckResult(lhs[tau], r, xi, mu, tau) for tau, r in zip(taus, rhs)]
 
 
 def _box_weights(rs, max_pairing):
@@ -435,39 +443,31 @@ def _box_weights(rs, max_pairing):
     return [w for w in itertools.product(*boxes) if sum(map(mul, cor, w)) < room]
 
 
-def run_identity_box(ws: Workspace, p: int, max_pairing: int, tau_pad: int = 2) -> dict:
+def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
     """Run the two-path identity over every decomposable p-regular mu in a box.
 
-    For each mu the constituents tau range over the dominant weights whose
-    p-fold stretch stays within tau_pad extra alcove layers above the box.
+    For each mu the constituents tau are the dominant weights within two
+    alcove layers above mu: <p*tau + rho, alpha_0^vee> <= <mu + rho, alpha_0^vee> + 2ph.
     Returns the counts of mus ("cases") and of checks ("tau_checks"), and the
     failing ``IdentityCheckResult``s ("failures").
     """
     _r.check_prime(p)
-    rs = ws.rs
-    alpha0 = rs.highest_short_root
-    h = rs.coxeter_number
-    cases = 0
-    tau_checks = 0
+    rs, h = ws.rs, ws.rs.coxeter_number
+    cases = tau_checks = 0
     failures = []
     for mu in _box_weights(rs, max_pairing):
         if not ws.group.is_p_regular(mu, p):
             continue
+        depth = sum(map(mul, rs.highest_short_root.coroot, _r._vec_add(mu, rs.rho)))
+        # <p*tau + rho, alpha_0^vee> = p<tau, alpha_0^vee> + h - 1
+        taus = _box_weights(rs, (depth + 2 * p * h - h + 1) // p + h)
         try:
-            finite_weyl_shift_decompose(ws, mu, p)
+            results = _identity_checks(ws, mu, taus, p)
         except DecompositionError:
             continue
         cases += 1
-        mu_depth = sum(c * (v + r) for c, v, r in zip(alpha0.coroot, mu, rs.rho))
-        tau_bound = mu_depth + tau_pad * p * h
-        for tau in _box_weights(rs, tau_bound // p + h + 2):
-            stretched = tuple(p * t + r for t, r in zip(tau, rs.rho))
-            if sum(c * v for c, v in zip(alpha0.coroot, stretched)) > tau_bound:
-                continue
-            result = weight_space_identity_check(ws, mu, tau, p)
-            tau_checks += 1
-            if not result.ok:
-                failures.append(result)
+        tau_checks += len(results)
+        failures += [r for r in results if not r.ok]
     return {"cases": cases, "tau_checks": tau_checks, "failures": failures}
 
 

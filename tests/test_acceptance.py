@@ -227,7 +227,7 @@ def test_criterion_6_desk_fixtures(ws_a1):
 
 def test_criterion_7_weight_space_identity(ws_a1, ws_a2):
     t0 = time.time()
-    res_a1 = run_identity_box(ws_a1, 5, 50, tau_pad=2)
+    res_a1 = run_identity_box(ws_a1, 5, 50)
     assert res_a1["failures"] == [], res_a1
     assert res_a1["cases"] >= 15
 

@@ -323,7 +323,7 @@ CACHE_COMMANDS = {
     ],
     "check-identity": [
         "check-identity", "--series", "A", "--rank", "1", "--p", "5",
-        "--max-pairing", "12", "--tau-pad", "1",
+        "--max-pairing", "12",
     ],
 }
 
@@ -390,7 +390,7 @@ def test_check_identity_small():
     code, out, _ = run(
         [
             "check-identity", "--series", "A", "--rank", "1", "--p", "5",
-            "--max-pairing", "20", "--tau-pad", "1",
+            "--max-pairing", "20",
         ]
     )
     assert code == 0
@@ -401,19 +401,18 @@ def test_check_identity_small():
 
 
 def test_check_identity_reports_failures(monkeypatch):
-    from goodfilt import extmult as em
+    from goodfilt import characters
 
-    real = em.weight_space_identity_check
+    real = characters.dim_weight_space
 
-    def off_by_one(ws, mu, tau, p):
-        result = real(ws, mu, tau, p)
-        return em.IdentityCheckResult(result.lhs + 1, result.rhs, result.xi, result.mu, result.tau)
+    def one_less(rs, tau, xi):
+        return real(rs, tau, xi) - 1
 
-    monkeypatch.setattr(em, "weight_space_identity_check", off_by_one)
+    monkeypatch.setattr(characters, "dim_weight_space", one_less)
     code, out, _ = run(
         [
             "check-identity", "--series", "A", "--rank", "1", "--p", "5",
-            "--max-pairing", "12", "--tau-pad", "1",
+            "--max-pairing", "12",
         ]
     )
     assert code == 4

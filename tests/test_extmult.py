@@ -356,6 +356,51 @@ def test_weight_space_identity_g2():
     assert hits > 0
 
 
+
+@pytest.mark.parametrize("series, p, mu_pairing, tau_pairing", [("A", 7, 20, 12), ("G", 13, 26, 20)])
+def test_identity_checks_of_a_mu_equal_its_one_tau_checks(series, p, mu_pairing, tau_pairing):
+    # the batch's multi-omega lambda = 0 tables against one-omega tables,
+    # each side in a fresh workspace
+    batch, single = em.make_workspace(series, 2), em.make_workspace(series, 2)
+    taus = em._box_weights(batch.rs, tau_pairing)
+    cases = 0
+    for mu in em._box_weights(batch.rs, mu_pairing):
+        if not batch.group.is_p_regular(mu, p):
+            continue
+        try:
+            results = em._identity_checks(batch, mu, taus, p)
+        except DecompositionError:
+            continue
+        cases += 1
+        # IdentityCheckResult compares lhs, rhs, xi, mu and tau
+        assert results == [em.weight_space_identity_check(single, mu, tau, p) for tau in taus], mu
+    assert cases > 0
+    assert batch.table.memo == single.table.memo
+
+
+def test_identity_box_builds_one_table_per_mu_and_degree(monkeypatch):
+    real, queries = em.multiplicity_table, []
+
+    def counted(ws, query, omegas=None):
+        queries.append((query.mu, query.n))
+        return real(ws, query, omegas)
+
+    monkeypatch.setattr(em, "multiplicity_table", counted)
+    result = em.run_identity_box(em.make_workspace("A", 2), 7, 40)
+    assert len(queries) == len(set(queries))
+    assert len({mu for mu, _ in queries}) == result["cases"] == 91
+
+
+@pytest.mark.parametrize(
+    "series, rank, p, max_pairing, counts",
+    [("A", 1, 5, 50, (20, 190)), ("A", 2, 7, 40, (91, 4948)),
+     ("B", 2, 7, 40, (66, 2858)), ("G", 2, 13, 40, (9, 196))],
+)
+def test_identity_box_window(series, rank, p, max_pairing, counts):
+    result = em.run_identity_box(em.make_workspace(series, rank), p, max_pairing)
+    assert (result["cases"], result["tau_checks"]) == counts
+    assert result["failures"] == []
+
 def test_small_c_star_equivariance(a2):
     p = 7
     pool = sorted(
