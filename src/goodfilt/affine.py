@@ -239,16 +239,8 @@ class AffineWeylGroup:
     def multiply(self, a: int, b: int) -> int:
         return self._walk(a, self.canonical_word(b))
 
-    def apply_generator(self, x: int, i: int) -> int:
-        """x s_i."""
-        return self._walk(x, (i,))
-
     def from_word(self, word) -> int:
         return self._walk(self.identity, word)
-
-    def matrix_form(self, x: int) -> tuple[Matrix, Weight]:
-        """(finite_part, translation): x acts on m = lambda + rho as m -> w(m) + p*nu."""
-        return self._form[x]
 
     # -- length, descents, canonical words --------------------------------
 
@@ -389,10 +381,12 @@ class AffineWeylGroup:
         Each crossing strips one separating hyperplane, so the steps count l(x).
         """
         lam = check_weight(self.rs, weight)
-        key = (lam, check_prime(p))  # before the lookup: (lam, 5.0) hashes like (lam, 5)
-        cached = self._locate.get(key)
+        # only checked primes are stored, so an int p that hits needs no trial
+        # division; any other p is checked first: (lam, 5.0) hashes like (lam, 5)
+        cached = self._locate.get((lam, p)) if type(p) is int else None
         if cached is not None:
             return cached
+        key = (lam, check_prime(p))
         self._assert_p_regular(lam, p)
         a0 = self.rs.highest_short_root
         m = list(_r._vec_add(lam, self.rs.rho))
@@ -579,6 +573,6 @@ class AffineWeylGroup:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 never hit the entries of 1 and 2
 def get_group(series: str, rank: int) -> AffineWeylGroup:
     return AffineWeylGroup(_r.build_root_system(series, rank))

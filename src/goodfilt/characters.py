@@ -179,10 +179,13 @@ def weight_multiplicities(rs: RootSystem, lam) -> dict[Weight, int]:
     }
 
 
-@lru_cache(maxsize=None)
-def dim_nabla(rs: RootSystem, lam: Weight) -> int:
+def dim_nabla(rs: RootSystem, lam) -> int:
     """Weyl dimension formula, evaluated as an exact integer."""
-    lam = _r.check_dominant(rs, lam, "dimension")
+    return _dim_nabla(rs, _r.check_dominant(rs, lam, "dimension"))
+
+
+@lru_cache(maxsize=None)
+def _dim_nabla(rs: RootSystem, lam: Weight) -> int:
     shifted = tuple(map(add, lam, rs.rho))
     num = math.prod(sum(map(mul, beta.coroot, shifted)) for beta in rs.positive_roots)
     den = math.prod(sum(beta.coroot) for beta in rs.positive_roots)
@@ -201,7 +204,7 @@ def dim_weight_space(rs: RootSystem, tau, xi) -> int:
 
 @lru_cache(maxsize=None)
 def _tensor_cached(rs: RootSystem, a: Weight, b: Weight):
-    small, big = (a, b) if dim_nabla(rs, a) <= dim_nabla(rs, b) else (b, a)
+    small, big = (a, b) if _dim_nabla(rs, a) <= _dim_nabla(rs, b) else (b, a)
     acc: dict[Weight, int] = {}
     rho = rs.rho
     big_shifted = tuple(map(add, big, rho))
@@ -246,7 +249,7 @@ def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, 
     for c in weights[1:]:
         folded: dict[Weight, int] = {}
         for nu, k in out.items():
-            for omega, m in _tensor_cached(rs, nu, c).items():
+            for omega, m in tensor_nabla_multiplicities(rs, nu, c).items():
                 folded[omega] = folded.get(omega, 0) + k * m
         out = folded
     return out
@@ -261,7 +264,7 @@ _CACHES = {
     "characters": _dominant_multiplicities,
     "orbits": _orbit,
     "root_groupings": _root_groups,
-    "dimensions": dim_nabla,
+    "dimensions": _dim_nabla,
     "tensor_pairs": _tensor_cached,
 }
 

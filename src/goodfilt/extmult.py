@@ -34,7 +34,7 @@ On top of the pair dictionary:
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
   over all degrees equals dim Delta(tau)_xi; ``run_identity_box`` checks
-  it with one red_nabla table per (mu, degree) for all of mu's taus.
+  it with one red_nabla table per (mu, degree some tau of mu occupies).
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
@@ -44,20 +44,24 @@ elements; the public ones locate their two weights and call the same cores.
 
 Which taus a table sums over.  Each variant reads its KL factor at the
 element z with z . lambda^- = base + p*t (t the raw tau of
-``_orbit_congruent``) and files it under tau = twist(t) (see
-``_variant_parts``).  Every table keeps tau only when p*tau <= twist(X)
-in dominance, with theta the highest root and
+``_orbit_congruent``), files it under tau = twist(t) and tensors nabla(tau)
+with the nabla(e) of its weights e (see ``_variant_parts``).  Every table
+keeps tau only when p*tau <= twist(X) in dominance, with theta the highest
+root and
 
     X = base* + partner + 2 rho + p * floor(n/2) * theta,
 
 because every t with a nonzero factor has p*t <= X (proof below).  Target
-constituents omega narrow that to the taus with also p*tau <= p*(omega +
-shift) for one omega, as nabla(omega) occurs in the tensor factor of tau
-only if tau <= omega + shift; a full table has no such tops.  The walk
-goes to length l(base) + min(reach(twist(X)), max reach of the omega tops),
-reach(top) = floor(<top, 2 rho^vee> / p), which reaches every kept tau by
-the length law l(base + p*t) = l(base) + <t, 2 rho^vee> (and
-<twist(t), 2 rho^vee> = <t, 2 rho^vee>).  The bound:
+constituents omega narrow that to the taus with also tau <= omega + shift
+for one omega, shift the sum of the e*: with E the product of the nabla(e),
+[nabla(tau) (x) E : nabla(omega)] = [nabla(omega) (x) E* : nabla(tau)], and
+every constituent of nabla(omega) (x) E* lies below omega + shift.  A full
+table has no such tops.  The length law l(base + p*t) = l(base) +
+<t, 2 rho^vee>, with <twist(t), 2 rho^vee> = <t, 2 rho^vee> and <w, 2 rho^vee>
+one dot product with ``RootSystem.two_rho_check``, bounds the walk: it goes
+to length l(base) + min(floor(<twist(X), 2 rho^vee> / p), max over the omega
+tops of <top, 2 rho^vee>), which reaches every kept tau, as <alpha, rho^vee>
+> 0 for every positive root alpha.  The bound:
 
 1. The factor is a good-filtration multiplicity.  Take p >= 2h - 2, the
    Lusztig character formula (LCF) and weights in the Jantzen region.
@@ -94,7 +98,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from . import characters as ch
 from . import roots as _r
@@ -284,7 +288,8 @@ def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
 
 
 def _variant_parts(ws, query):
-    """Per-variant plumbing: partner weight, shifted base, twist, KL and tensor factors.
+    """Per-variant plumbing: partner weight, shifted base, twist, KL factor and
+    the weights whose dual Weyl modules are tensored with nabla(tau).
 
     The KL factor of tau is read between the element x that locates the
     shifted weight base + p * twist(tau) and the partner's element y.  The
@@ -295,24 +300,17 @@ def _variant_parts(ws, query):
     mu0, mu1 = _restricted_split(query.mu, query.p)
     star = lambda w: _r._star(ws.rs, w)
     same = lambda w: w
-    n, p = query.n, query.p
+    n = query.n
     if query.variant == "red_red":
-        partner, base, twist = mu0, lam0, same
+        partner, base, twist, weights = mu0, lam0, same, (star(lam1), mu1)
         kl = lambda x, y: _big_C_of_elements(ws, x, y, n)
-        lam1_star = star(lam1)
-        tensor = lambda tau: ch.triple_tensor_nabla_multiplicities(ws.rs, lam1_star, mu1, tau)
-        shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
     elif query.variant == "delta_red":
-        partner, base, twist = query.lam, mu0, star
+        partner, base, twist, weights = query.lam, mu0, star, (mu1,)
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
-        tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, tau, mu1)
-        shift = star(mu1)
     else:  # red_nabla, since the query is validated
-        partner, base, twist = query.mu, lam0, same
+        partner, base, twist, weights = query.mu, lam0, same, (lam1,)
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
-        tensor = lambda tau: ch.tensor_nabla_multiplicities(ws.rs, lam1, tau)
-        shift = star(lam1)
-    return partner, base, twist, kl, tensor, shift
+    return partner, base, twist, kl, weights
 
 
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
@@ -324,20 +322,19 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     or without them every constituent; zero entries are omitted.
     """
     query = query.validated(ws)
-    partner, base, twist, kl_factor, tensor_factor, shift = _variant_parts(ws, query)
+    partner, base, twist, kl_factor, weights = _variant_parts(ws, query)
     rs, g, p = ws.rs, ws.group, query.p
-    # X of the module docstring, theta the highest root; <top, 2 rho^vee>
-    # is twice the sum of top's simple-root coordinates
+    reach = lambda w: sum(map(mul, w, rs.two_rho_check))  # <w, 2 rho^vee>
+    # X of the module docstring, theta the highest root
     theta = rs.positive_roots[-1].fund_coords
     x = twist(tuple(b + a + 2 * r + p * (query.n // 2) * t
                     for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)))
-    den = rs.inverse_cartan_den * p
-    reach = lambda top: 2 * sum(_r._scaled_root_coords(rs, top)) // den
-    walk = reach(x)
+    walk = reach(x) // p
     if omegas is not None:
         omegas = {_r.check_weight(rs, omega) for omega in omegas}
+        shift = _r._star(rs, tuple(map(sum, zip(*weights))))  # the sum of the e*
         # a negative omega is never a constituent
-        tops = [tuple(p * (o + s) for o, s in zip(omega, shift)) for omega in omegas if min(omega) >= 0]
+        tops = [tuple(map(add, omega, shift)) for omega in omegas if min(omega) >= 0]
         walk = min(walk, max(map(reach, tops), default=-1))
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
@@ -346,17 +343,15 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     acc: dict[Weight, int] = {}
     for t, z in raw.items():
         tau = twist(t)
-        scaled = tuple(p * c for c in tau)
-        if _r._dominance_leq(rs, scaled, x) and (
-            omegas is None or any(_r._dominance_leq(rs, scaled, top) for top in tops)
+        if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
+            omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
         ):
             k = kl_factor(z, loc_partner.element)
             if k:
-                for omega, m in tensor_factor(tau).items():
-                    acc[omega] = acc.get(omega, 0) + k * m
+                for omega, m in ch.multi_tensor_nabla_multiplicities(rs, *weights, tau).items():
+                    if omegas is None or omega in omegas:
+                        acc[omega] = acc.get(omega, 0) + k * m
 
-    if omegas is not None:
-        acc = {w: m for w, m in acc.items() if w in omegas}
     entries = tuple(sorted((w, m) for w, m in acc.items() if m))
     return MultiplicityTable(entries=entries, query=query, advisories=_advisories(ws, query))
 
@@ -413,7 +408,9 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
 def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
     """``weight_space_identity_check`` of mu against each tau in ``taus``: one
     decomposition of mu, and one red_nabla table per degree n whose omegas
-    are the taus with n <= max(l(p*tau) - l(mu), 0)."""
+    are the taus that occupy it: n <= top and n = top (mod 2), as tau's KL
+    factor is the coefficient of t^(top - n) in a polynomial in t^2 = q, with
+    top = l(p*tau) - l(mu) = l(0) - l(mu) + <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
     mu = _r.check_weight(rs, mu)
     taus = [_r.check_weight(rs, tau) for tau in taus]
@@ -424,10 +421,10 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     # <p*tau + rho, beta^vee> = p<tau, beta^vee> + ht(beta^vee) and coroot
     # heights run over 1..h-1, so p*tau is p-regular exactly when 0 is
     if g.is_p_regular(zero, p):
-        l_mu = g.dominant_length(mu, p)
-        n_max = {tau: max(g.dominant_length(tuple(p * t for t in tau), p) - l_mu, 0) for tau in lhs}
-        for n in range(max(n_max.values()) + 1):
-            omegas = [tau for tau, top in n_max.items() if top >= n]
+        gap = g._dominant_length(zero, p) - g.dominant_length(mu, p)
+        tops = {tau: gap + sum(map(mul, tau, rs.two_rho_check)) for tau in lhs}
+        for n in sorted({n for top in tops.values() for n in range(top % 2, top + 1, 2)}):
+            omegas = [tau for tau, top in tops.items() if top >= n and (top - n) % 2 == 0]
             q = MultiplicityQuery("red_nabla", zero, mu, n, p)
             table = multiplicity_table(ws, q, omegas=omegas).as_dict()
             for tau in omegas:

@@ -135,6 +135,7 @@ class RootSystem:
     symmetrizer: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
+    two_rho_check: tuple[int, ...]  # 2 rho^vee over the simple coroots: <w, 2 rho^vee> = w . it
     coxeter_number: int
     highest_short_root: Root
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
@@ -261,7 +262,7 @@ def _generate_positive_roots(cartan, symmetrizer):
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 never hit the entries of 1 and 2
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the full Cartan datum for a simple type.
 
@@ -273,7 +274,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     if series not in _RANK_RANGE:
         raise ConfigurationError(f"unknown series {series!r} (expected A-G)")
     lo, hi = _RANK_RANGE[series]
-    if not isinstance(rank, int) or not lo <= rank <= hi:
+    if type(rank) is not int or not lo <= rank <= hi:
         raise ConfigurationError(
             f"invalid type {series}{rank}: rank must be in [{lo}, {hi}] for series {series}"
         )
@@ -313,6 +314,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         symmetrizer=tuple(d),
         positive_roots=roots,
         rho=rho,
+        two_rho_check=tuple(map(sum, zip(*(b.coroot for b in roots)))),
         coxeter_number=coxeter,
         highest_short_root=top_short,
         longest_element_action=(),  # set below, from the chamber walk

@@ -112,9 +112,8 @@ def test_words_take_int_letters_only(a2, word):
     pattern = r"word \(.*\) has a letter that is not an int$"
     with pytest.raises(ConfigurationError, match=pattern):
         a2.from_word(word)
-    x = a2.from_word((2, 0))
     with pytest.raises(ConfigurationError, match=pattern):
-        a2.apply_generator(x, word[-1])
+        a2.from_word((2, 0, word[-1]))
     with pytest.raises(ConfigurationError, match="out of range"):
         a2.from_word([0, 3])
     assert a2.from_word([]) == a2.identity
@@ -126,15 +125,15 @@ def test_generators_are_involutions(a2):
 
     for i in range(3):
         x = a2.from_word((2, 0))
-        once = a2.apply_generator(x, i)
-        assert a2.apply_generator(once, i) == x
+        once = a2.row(x)[i]
+        assert a2.row(once)[i] == x
         once_left = left(x, i)
         assert left(once_left, i) == x
 
 
 def test_dihedral_word_growth(a1):
-    x = a1.apply_generator(a1.identity, 0)
-    x = a1.apply_generator(x, 1)
+    x = a1.row(a1.identity)[0]
+    x = a1.row(x)[1]
     assert a1.length(x) == 2
 
 
@@ -143,7 +142,7 @@ def test_length_changes_by_one(a2):
         x = a2.from_word(word)
         lx = a2.length(x)
         for i in range(3):
-            assert abs(a2.length(a2.apply_generator(x, i)) - lx) == 1
+            assert abs(a2.length(a2.row(x)[i]) - lx) == 1
 
 
 def test_canonical_word_evaluates_and_has_length(a2):

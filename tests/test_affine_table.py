@@ -88,14 +88,14 @@ def test_table_agrees_with_matrix_model(case):
     rs = g.rs
     x = g.from_word(word)
     form = model_form(rs, word)
-    assert g.matrix_form(x) == form
+    assert g._form[x] == form
     assert g._index[form] == x
     assert g.length(x) == root_count_length(rs, form)
     inverse = g.from_word(reversed(word))
-    assert g.matrix_form(inverse) == model_inverse(form)
+    assert g._form[inverse] == model_inverse(form)
     assert g.multiply(x, inverse) == g.multiply(inverse, x) == g.identity
     for i in range(rank + 1):  # left multiplication s_i x
-        assert g.matrix_form(g.from_word([i] + word)) == model_form(rs, [i] + word)
+        assert g._form[g.from_word([i] + word)] == model_form(rs, [i] + word)
     y = g.identity
     for i in word:
         for j, z in enumerate(g.row(y)):
@@ -195,7 +195,7 @@ def test_elements_up_to_length_keeps_its_levels(series, rank):
         for n in range(k + 1)
         for w in itertools.product(range(rank + 1), repeat=n)
     }
-    assert {g.matrix_form(z) for z in g.elements_up_to_length(k)} == model
+    assert {g._form[z] for z in g.elements_up_to_length(k)} == model
 
 
 def test_concurrent_fills_agree_with_sequential():
@@ -317,7 +317,7 @@ def test_finite_part_index_groups_the_flagged_ids(series, rank):
         flagged = [z for level in g._dominant_levels for z in level]  # past k below w_0
         by_finite = {}
         for z in flagged:  # already by length, then matrix form
-            by_finite.setdefault(g.matrix_form(z)[0], []).append(z)
+            by_finite.setdefault(g._form[z][0], []).append(z)
         assert g._dominant_by_finite == by_finite
         assert g.stats()["finite_part_index"] == len(flagged)
 

@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from goodfilt import characters as ch
 from goodfilt import roots as r
-from goodfilt.errors import PreconditionError
+from goodfilt.errors import ConfigurationError, PreconditionError
 from goodfilt.roots import _RANK_RANGE, build_root_system
 
 BOX_LIMIT = 3000  # largest root-lattice box of a drawn weight
@@ -213,6 +215,35 @@ def test_dim_examples(a1):
 def test_dim_requires_dominant(a1):
     with pytest.raises(PreconditionError):
         ch.dim_nabla(a1, (-2,))
+
+
+def test_dim_checks_its_weight_ahead_of_the_cache(a2):
+    # a warm (1, 0) entry answers neither (True, 0) nor (1.0, 0), and a list is a weight
+    assert ch.dim_nabla(a2, (1, 0)) == 3
+    for weight in [(True, 0), (1.0, 0)]:
+        with pytest.raises(ConfigurationError):
+            ch.dim_nabla(a2, weight)
+    assert ch.dim_nabla(a2, [1, 0]) == 3
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_constituents_lie_below_omega_plus_the_starred_factors(series, rank):
+    # [nabla(tau) (x) E : nabla(omega)] = [nabla(omega) (x) E* : nabla(tau)], so every
+    # constituent omega has tau <= omega + the sum of the e*: extmult's omega tops
+    rs = build_root_system(series, rank)
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(12):
+        tau, e1, e2 = (tuple(rng.randrange(3) for _ in range(rank)) for _ in range(3))
+        for es, product in [
+            ((e1,), ch.tensor_nabla_multiplicities(rs, tau, e1)),
+            ((e1, e2), ch.multi_tensor_nabla_multiplicities(rs, e1, e2, tau)),
+        ]:
+            shift = tuple(map(sum, zip(*(r.star(rs, e) for e in es))))
+            for omega in product:
+                assert r.dominance_leq(rs, tau, tuple(map(add, omega, shift))), (tau, es, omega)
+                checked += 1
+    assert checked
 
 
 def test_dim_weight_space(a1, a2):

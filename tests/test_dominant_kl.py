@@ -77,7 +77,7 @@ def test_flagged_kl_and_bruhat_match_the_unrestricted_recursion(series, rank):
     # outside the finite Weyl group (on the way up to w_0)
     zero = (0,) * rank
     assert all(
-        g.is_dominant(z) or g.matrix_form(z)[1] == zero
+        g.is_dominant(z) or g._form[z][1] == zero
         for z, row in enumerate(g._rmul)
         if row is not None
     )

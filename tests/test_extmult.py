@@ -391,6 +391,27 @@ def test_identity_box_builds_one_table_per_mu_and_degree(monkeypatch):
     assert len({mu for mu, _ in queries}) == result["cases"] == 91
 
 
+def test_identity_box_builds_tables_only_for_degrees_of_its_taus_parity(monkeypatch):
+    # tau's factor in degree n is the coefficient of t^(top - n) in a polynomial
+    # in t^2, top = l(p*tau) - l(mu), so tau is asked only at n <= top, n = top mod 2
+    real, tables = em.multiplicity_table, []
+
+    def counted(ws, query, omegas=None):
+        tables.append((query, omegas))
+        return real(ws, query, omegas)
+
+    monkeypatch.setattr(em, "multiplicity_table", counted)
+    ws = em.make_workspace("A", 2)
+    g = ws.group
+    em.run_identity_box(ws, 7, 40)
+    for q, omegas in tables:
+        for tau in omegas:
+            top = g.dominant_length(tuple(7 * t for t in tau), 7) - g.dominant_length(q.mu, 7)
+            assert 0 <= q.n <= top and (top - q.n) % 2 == 0, (q, tau)
+    assert len(tables) <= 647  # 1,163 when every degree up to top was asked
+    assert sum(len(omegas) for _, omegas in tables) <= 19310  # 35,452
+
+
 @pytest.mark.parametrize(
     "series, rank, p, max_pairing, counts",
     [("A", 1, 5, 50, (20, 190)), ("A", 2, 7, 40, (91, 4948)),
@@ -535,7 +556,7 @@ def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queri
         pool = sorted({wt for _, wt in g.dominant_orbit(rng.choice(reps), p, orbit_bound)})
         lam, mu = rng.choice(pool), rng.choice(pool)
         q = MultiplicityQuery(rng.choice(em.VARIANTS), lam, mu, rng.randrange(max_n + 1), p)
-        partner, base, _, kl_factor, _, _ = em._variant_parts(ws, q)
+        partner, base, _, kl_factor, _ = em._variant_parts(ws, q)
         top = friedlander_parshall_top(ws, q)
         den = rs.inverse_cartan_den * p
         reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den

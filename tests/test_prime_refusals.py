@@ -5,9 +5,11 @@ import re
 
 import pytest
 
+from goodfilt import affine, roots
 from goodfilt import extmult as em
 from goodfilt.affine import AffineWeylGroup, restricted_decompose
 from goodfilt.errors import ConfigurationError, PreconditionError
+from goodfilt.klpoly import KLTable
 from goodfilt.roots import build_root_system
 
 NOT_PRIME = [0, 1, 4, 9, True, 5.0, -7]
@@ -83,6 +85,25 @@ def test_a_served_prime_does_not_open_the_memo_to_its_float():
     em.ext_dim_pair(ws, (8,), (0,), 1, 5)  # serves the locate memo at 5
     with refusal(5.0):
         em.ext_dim_pair(ws, (8,), (0,), 1, 5.0)
+
+
+def test_a_repeat_query_trial_divides_its_prime_once(monkeypatch):
+    # only checked primes enter the locate memo, so a hit at an int p needs no check
+    real, calls = roots.check_prime, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(affine, "check_prime", counted)
+    monkeypatch.setattr(roots, "check_prime", counted)
+    g = AffineWeylGroup(build_root_system("A", 2))
+    ws = em.Workspace(g.rs, g, KLTable(g))
+    q = em.MultiplicityQuery("red_nabla", (0, 0), (8, 3), 2, 7)
+    em.multiplicity_table(ws, q)
+    calls.clear()
+    em.multiplicity_table(ws, q)
+    assert calls == [7]
 
 
 def test_the_prime_functions_still_answer_at_a_prime():

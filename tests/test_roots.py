@@ -73,6 +73,32 @@ def test_positive_roots_have_nonnegative_simple_coords(series, rank):
         assert sum(r.simple_coords) >= 1
 
 
+@pytest.mark.parametrize("rank", [True, 1.0, 2.0], ids=repr)
+def test_a_rank_that_is_not_an_int_is_refused_cold_and_warm(rank):
+    # True == 1 and 2.0 == 2 hash alike, so a warm cache used to answer them
+    with pytest.raises(ConfigurationError):
+        build_root_system.__wrapped__("A", rank)  # the uncached body
+    for build in (build_root_system, get_group):
+        build("A", int(rank))
+        with pytest.raises(ConfigurationError):
+            build("A", rank)
+
+
+ALL_PAIRS = [
+    (s, n) for s, (lo, hi) in sorted(roots._RANK_RANGE.items()) for n in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("series,rank", ALL_PAIRS)
+def test_two_rho_check_pairs_as_twice_the_root_height(series, rank):
+    # <alpha_i, rho^vee> = 1, so <omega_j, 2 rho^vee> is twice the sum of the
+    # simple-root coordinates of omega_j
+    rs = build_root_system(series, rank)
+    for j, omega in enumerate(roots._identity_matrix(rank)):
+        scaled = 2 * sum(roots._scaled_root_coords(rs, omega))
+        assert rs.two_rho_check[j] * rs.inverse_cartan_den == scaled
+
+
 def test_invalid_types_rejected():
     for series, rank in [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2), ("A", 9)]:
         with pytest.raises(ConfigurationError):
