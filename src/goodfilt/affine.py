@@ -78,9 +78,9 @@ no lock, so a group is safe to share across threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from . import roots as _r
 from .errors import (
@@ -99,8 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlcoveLocation:
+class AlcoveLocation(NamedTuple):
     """Result of locating a p-regular weight: lambda = element . antidominant_rep."""
 
     element: int
@@ -111,12 +110,7 @@ class AlcoveLocation:
 def restricted_decompose(rs: RootSystem, weight, p: int) -> tuple[Weight, Weight]:
     """Split a dominant weight as lambda_0 + p*lambda_1 with lambda_0 restricted."""
     w = check_dominant(rs, weight, "restricted decomposition")
-    return _restricted_split(w, check_prime(p))
-
-
-def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
-    """``restricted_decompose`` of a checked dominant weight."""
-    return tuple(x % p for x in w), tuple(x // p for x in w)
+    return _r._restricted_split(w, check_prime(p))
 
 
 class AffineWeylGroup:
@@ -337,8 +331,10 @@ class AffineWeylGroup:
 
     def dot(self, x: int, weight, p: int) -> Weight:
         """x . weight at the prime p; any other p raises ConfigurationError."""
-        lam = check_weight(self.rs, weight)
-        check_prime(p)
+        return self._dot(x, check_weight(self.rs, weight), check_prime(p))
+
+    def _dot(self, x: int, lam: Weight, p: int) -> Weight:
+        """``dot`` of a checked weight at a checked prime."""
         mat, tr = self._form[x]
         shifted = _r._vec_add(lam, self.rs.rho)
         moved = _r._vec_add(_r._mat_vec(mat, shifted), tuple(p * c for c in tr))
@@ -389,21 +385,22 @@ class AffineWeylGroup:
         key = (lam, check_prime(p))
         self._assert_p_regular(lam, p)
         a0 = self.rs.highest_short_root
+        a0_coroot, a0_normal, columns = a0.coroot, a0.fund_coords, self.rs.simple_columns
         m = list(_r._vec_add(lam, self.rs.rho))
         element, steps = self.identity, 0
         while True:
-            a0_val = sum(c * v for c, v in zip(a0.coroot, m))
+            a0_val = sum(c * v for c, v in zip(a0_coroot, m))
             if a0_val < -p:
-                i, shift, normal = 0, a0_val + p, a0.fund_coords
+                i, shift, normal = 0, a0_val + p, a0_normal
             else:
                 i = next((i for i, v in enumerate(m, start=1) if v > 0), None)
                 if i is None:
                     break
-                shift, normal = m[i - 1], self.rs.simple_columns[i - 1]
+                shift, normal = m[i - 1], columns[i - 1]
             m = [v - shift * f for v, f in zip(m, normal)]
             element, steps = self.row(element)[i], steps + 1
         rep = _r._vec_sub(tuple(m), self.rs.rho)
-        if self.dot(element, rep, p) != lam:
+        if self._dot(element, rep, p) != lam:
             raise InternalInvariantError(f"alcove walk failed to invert for {lam}")
         length = self.length(element)
         if length != steps:
@@ -575,4 +572,6 @@ class AffineWeylGroup:
 
 @lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 never hit the entries of 1 and 2
 def get_group(series: str, rank: int) -> AffineWeylGroup:
-    return AffineWeylGroup(_r.build_root_system(series, rank))
+    """The one group of a type; a lower-case series is answered by the upper-case entry."""
+    rs = _r.build_root_system(series, rank)
+    return AffineWeylGroup(rs) if rs.series == series else get_group(rs.series, rank)

@@ -79,18 +79,19 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, tuple[int
     lam = _r.check_dominant(rs, lam, "dominant weights below")
     seen = {lam: (0,) * rs.rank}
     frontier = [lam]
+    steps = [(b.fund_positive, b.fund_coords, b.simple_coords) for b in rs.positive_roots]
     while frontier:
         nxt = []
         for mu in frontier:
             c = seen[mu]
-            for beta in rs.positive_roots:
-                for j, f in beta.fund_positive:
+            for positive, fund, simple in steps:
+                for j, f in positive:
                     if mu[j] < f:
                         break
                 else:
-                    nu = tuple(map(sub, mu, beta.fund_coords))
+                    nu = tuple(map(sub, mu, fund))
                     if nu not in seen:
-                        seen[nu] = tuple(map(add, c, beta.simple_coords))
+                        seen[nu] = tuple(map(add, c, simple))
                         nxt.append(nu)
         frontier = nxt
     return tuple(sorted(seen.items(), key=lambda t: (sum(t[1]), t[0])))
@@ -125,11 +126,11 @@ def _dominant_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     for mu, diff_coords in dominant_below(rs, lam)[1:]:
         acc = 0
         for beta, size in _root_groups(rs, tuple(i for i, x in enumerate(mu) if not x)):
-            step = 2 * beta.length_half  # (beta, beta)
+            step, fund = 2 * beta.length_half, beta.fund_coords  # step = (beta, beta)
             up = mu
             form = _form(rs, mu, beta.simple_coords)
             while True:
-                up = tuple(map(add, up, beta.fund_coords))
+                up = tuple(map(add, up, fund))
                 form += step
                 m = mult.get(_r.to_dominant_chamber(rs, up)[0], 0)
                 if not m:

@@ -97,15 +97,17 @@ hypotheses under which they compute the intended Ext dimensions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add, mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import characters as ch
 from . import roots as _r
-from .affine import AffineWeylGroup, _restricted_split, get_group
 from .errors import ConfigurationError, DecompositionError, InternalInvariantError
-from .klpoly import KLTable
 from .roots import RootSystem, Weight
+
+if TYPE_CHECKING:  # loaded by make_workspace, so a tensor-only process never imports them
+    from .affine import AffineWeylGroup
+    from .klpoly import KLTable
 
 __all__ = [
     "Workspace",
@@ -127,8 +129,7 @@ __all__ = [
 VARIANTS = ("red_red", "delta_red", "red_nabla")
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     """Shared computation state for one (series, rank)."""
 
     rs: RootSystem
@@ -141,6 +142,9 @@ class Workspace:
 
 
 def make_workspace(series: str, rank: int) -> Workspace:
+    from .affine import get_group
+    from .klpoly import KLTable
+
     group = get_group(series, rank)
     return Workspace(rs=group.rs, group=group, table=KLTable(group))
 
@@ -182,7 +186,7 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
     """``big_C`` between the elements x and y of one linkage class: a sum
     over the z below both in Bruhat order whose image of C_p^- is dominant
     (the flagged ids)."""
-    g = ws.group
+    g, c_coeff = ws.group, ws.table.c_coeff
     lx, ly = g.length(x), g.length(y)
     total = 0
     for z in g.dominant_up_to_length(min(lx, ly)):
@@ -190,9 +194,9 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
             continue
         lz = g.length(z)
         for m in range(n + 1):
-            a = ws.table.c_coeff(z, x, lx - lz - m)
+            a = c_coeff(z, x, lx - lz - m)
             if a:
-                b = ws.table.c_coeff(z, y, ly - lz - n + m)
+                b = c_coeff(z, y, ly - lz - n + m)
                 if b:
                     total += a * b
     if total and (n - (lx - ly)) % 2:
@@ -227,8 +231,7 @@ def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class MultiplicityQuery:
+class MultiplicityQuery(NamedTuple):
     variant: str
     lam: Weight
     mu: Weight
@@ -253,8 +256,7 @@ class MultiplicityQuery:
         return MultiplicityQuery(self.variant, lam, mu, self.n, self.p)
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(NamedTuple):
     entries: tuple[tuple[Weight, int], ...]
     query: MultiplicityQuery
     advisories: tuple[str, ...]
@@ -294,10 +296,12 @@ def _variant_parts(ws, query):
     The KL factor of tau is read between the element x that locates the
     shifted weight base + p * twist(tau) and the partner's element y.  The
     twist is tau-star for delta_red and the identity otherwise; both are
-    involutions.
+    involutions.  A Frobenius factor of the first slot enters dualized, as
+    Hom_{G_1}(L(lambda_0) (x) L(lambda_1)^[1], M) = L(lambda_1)^{*[1]} (x)
+    Hom_{G_1}(L(lambda_0), M), so red_red and red_nabla tensor with lambda_1*.
     """
-    lam0, lam1 = _restricted_split(query.lam, query.p)
-    mu0, mu1 = _restricted_split(query.mu, query.p)
+    lam0, lam1 = _r._restricted_split(query.lam, query.p)
+    mu0, mu1 = _r._restricted_split(query.mu, query.p)
     star = lambda w: _r._star(ws.rs, w)
     same = lambda w: w
     n = query.n
@@ -308,7 +312,7 @@ def _variant_parts(ws, query):
         partner, base, twist, weights = query.lam, mu0, star, (mu1,)
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
     else:  # red_nabla, since the query is validated
-        partner, base, twist, weights = query.mu, lam0, same, (lam1,)
+        partner, base, twist, weights = query.mu, lam0, same, (star(lam1),)
         kl = lambda x, y: _c_of_elements(ws, y, x, n)
     return partner, base, twist, kl, weights
 
@@ -338,15 +342,15 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
         walk = min(walk, max(map(reach, tops), default=-1))
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
-    loc_partner = g.locate(partner, p)
-    raw = g._orbit_congruent(loc_partner.antidominant_rep, p, max_len, base)
+    y, rep, _ = g.locate(partner, p)
+    raw = g._orbit_congruent(rep, p, max_len, base)
     acc: dict[Weight, int] = {}
     for t, z in raw.items():
         tau = twist(t)
         if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
             omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
         ):
-            k = kl_factor(z, loc_partner.element)
+            k = kl_factor(z, y)
             if k:
                 for omega, m in ch.multi_tensor_nabla_multiplicities(rs, *weights, tau).items():
                     if omegas is None or omega in omegas:
@@ -356,8 +360,7 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     return MultiplicityTable(entries=entries, query=query, advisories=_advisories(ws, query))
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
+class IdentityCheckResult(NamedTuple):
     lhs: int
     rhs: int
     xi: Weight
@@ -468,55 +471,29 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
     return {"cases": cases, "tau_checks": tau_checks, "failures": failures}
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    """Comparison of the red_nabla table against the dualized delta_red table.
-
-    ``matched`` uses the delta_red formula as stated (tau starred in its KL
-    slot); ``matched_unstarred`` replaces that tau-star by tau, a table of
-    its own (see ``duality_self_test``).  On rank-2 non-self-dual data the two readings differ and exactly one of them can
-    agree with red_nabla; the mismatch is reported rather than hidden.
-    """
+class DualityReport(NamedTuple):
+    """The red_nabla table against the delta_red table it is dual to."""
 
     lam: Weight
     mu: Weight
     n: int
     matched: bool
-    matched_unstarred: bool
     red_nabla: tuple
     dual_delta_red: tuple
-    dual_delta_red_unstarred: tuple
 
 
 def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
-    """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) under star.
+    """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) entry for entry.
 
-    Starred, the unstarred reading is the delta_red table of
-    (mu*, lam0* + p*lam1), (lam0, lam1) the restricted split of lam: tau ->
-    tau* moves the star from the KL slot to the tensor factor, where
-    tensor(tau*, lam1) is the star of tensor(tau, lam1*), and X depends
-    only on the base and the partner, which are unchanged.
+    Ext^n_{G_1}(L(lam), nabla(mu)) and Ext^n_{G_1}(Delta(mu*), L(lam*)) are
+    isomorphic G-modules (dualize both arguments), so the two tables agree
+    with omega not starred.
     """
     rs = ws.rs
     lam = _r.check_weight(rs, lam)
     mu = _r.check_weight(rs, mu)
     direct = multiplicity_table(ws, MultiplicityQuery("red_nabla", lam, mu, n, p)).entries
-    mu_star, (lam0, lam1) = _r._star(rs, mu), _restricted_split(lam, p)
     dual = multiplicity_table(
-        ws, MultiplicityQuery("delta_red", mu_star, _r._star(rs, lam), n, p)
+        ws, MultiplicityQuery("delta_red", _r._star(rs, mu), _r._star(rs, lam), n, p)
     ).entries
-    dual_starred = tuple(sorted((_r._star(rs, w), m) for w, m in dual))
-    lam_unstarred = tuple(a + p * b for a, b in zip(_r._star(rs, lam0), lam1))
-    dual_un_starred = multiplicity_table(
-        ws, MultiplicityQuery("delta_red", mu_star, lam_unstarred, n, p)
-    ).entries
-    return DualityReport(
-        lam=lam,
-        mu=mu,
-        n=n,
-        matched=(direct == dual_starred),
-        matched_unstarred=(direct == dual_un_starred),
-        red_nabla=direct,
-        dual_delta_red=dual_starred,
-        dual_delta_red_unstarred=dual_un_starred,
-    )
+    return DualityReport(lam, mu, n, direct == dual, direct, dual)

@@ -17,18 +17,17 @@ Conventions, fixed once and used by every other module:
   against.
 
 Everything is computed with exact integer arithmetic: the inverse Cartan
-matrix is stored as integers over one common denominator.  RootSystem
-instances are immutable and freely shareable between threads; every
-function here is pure.
+matrix is stored as integers over one common denominator, found by
+fraction-free elimination.  RootSystem instances are immutable and freely
+shareable between threads; every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import (
     ConfigurationError,
@@ -86,25 +85,27 @@ def _identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_inv(m):
-    """Exact inverse of an integer matrix via Fraction Gaussian elimination."""
+def _inverse_times_det(m):
+    """(det m, det m times the inverse of m) by fraction-free Gauss-Jordan
+    elimination (Bareiss), every division exact.
+
+    No row is swapped: the k-th pivot is the k-th leading principal minor,
+    positive for a Cartan matrix of finite type.
+    """
     n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot = a[k]
         for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+            if r != k:
+                f = a[r][k]
+                a[r] = [(pivot[k] * x - f * y) // prev for x, y in zip(a[r], pivot)]
+        prev = pivot[k]
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A positive root in three coordinate systems.
 
     ``simple_coords``: coefficients over the simple roots (all >= 0);
@@ -127,8 +128,7 @@ class Root:
         return sum(self.simple_coords)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(NamedTuple):
     series: str
     rank: int
     cartan: Matrix
@@ -235,12 +235,8 @@ def _generate_positive_roots(cartan, symmetrizer):
     ordered = sorted(known, key=lambda b: (sum(b), b))
     roots = []
     for b in ordered:
-        fund = _mat_vec(cartan, b)
-        norm = sum(
-            b[i] * b[j] * symmetrizer[i] * cartan[i][j]
-            for i in range(n)
-            for j in range(n)
-        )
+        fund = _mat_vec(cartan, b)  # fund[i] = <b, alpha_i^vee>, so (b, alpha_i) = d_i fund[i]
+        norm = sum(map(mul, b, map(mul, symmetrizer, fund)))
         if norm % 2:
             raise InternalInvariantError(f"odd squared length for root {b}")
         half = norm // 2
@@ -268,9 +264,11 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
     Raises ConfigurationError for invalid (series, rank) pairs.  Rank is
     capped at 8 (E8); this is a desk-scale tool and the fixed tables are
-    exhaustively tested.
+    exhaustively tested.  A series in lower case is answered by the entry of
+    its upper case, so each type has one root system.
     """
-    series = str(series).upper()
+    if series != (upper := str(series).upper()):
+        return build_root_system(upper, rank)
     if series not in _RANK_RANGE:
         raise ConfigurationError(f"unknown series {series!r} (expected A-G)")
     lo, hi = _RANK_RANGE[series]
@@ -305,8 +303,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         )
 
     columns = tuple(zip(*cartan))
-    inv_cartan = _mat_inv(cartan)
-    inv_den = math.lcm(*(x.denominator for row in inv_cartan for x in row))
+    det, adjugate = _inverse_times_det(cartan)
+    common = math.gcd(det, *(x for row in adjugate for x in row))
     rs = RootSystem(
         series=series,
         rank=rank,
@@ -320,8 +318,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         longest_element_action=(),  # set below, from the chamber walk
         simple_columns=columns,
         simple_moves=tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in columns),
-        inverse_cartan=tuple(tuple(int(x * inv_den) for x in row) for row in inv_cartan),
-        inverse_cartan_den=inv_den,
+        inverse_cartan=tuple(tuple(x // common for x in row) for row in adjugate),
+        inverse_cartan_den=det // common,
     )
     # w0 sends the dominant chamber to the antidominant one, so -w0(omega_j),
     # minus the j-th column of w0, is the dominant conjugate of -omega_j
@@ -329,7 +327,12 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     w0 = tuple(tuple(-x for x in row) for row in zip(*stars))
     if _mat_mul(w0, w0) != _identity_matrix(rank):
         raise InternalInvariantError(f"{series}{rank}: w0 action is not an involution")
-    return replace(rs, longest_element_action=w0)
+    return rs._replace(longest_element_action=w0)
+
+
+def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
+    """The split lambda_0 + p*lambda_1 of a checked dominant weight, lambda_0 restricted."""
+    return tuple(x % p for x in w), tuple(x // p for x in w)
 
 
 def check_weight(rs: RootSystem, weight) -> Weight:
@@ -397,8 +400,7 @@ def _in_jantzen_region(rs: RootSystem, w: Weight, p: int) -> bool:
     return sum(map(mul, rs.highest_short_root.coroot, _vec_add(w, rs.rho))) <= jantzen_bound(rs, p)
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     """Advisory flags for a prime; never blocks computation."""
 
     p: int

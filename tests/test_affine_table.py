@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from goodfilt.affine import AffineWeylGroup, get_group
 from goodfilt.errors import PreconditionError, SingularWeightError
-from goodfilt.roots import _mat_inv, build_root_system
+from goodfilt.roots import build_root_system
+from reference_linalg import fraction_inverse  # tests/ is on the path
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 
@@ -55,14 +56,14 @@ def model_form(rs, word):
 def model_inverse(form):
     """(w, nu)^{-1} = (w^{-1}, -w^{-1} nu), exactly."""
     w, nu = form
-    winv = _mat_inv(w)
+    winv = fraction_inverse(w)
     return winv, tuple(-sum(a * t for a, t in zip(row, nu)) for row in winv)
 
 
 def root_count_length(rs, form):
     """sum over positive beta of |<nu, beta^vee> + [w^{-1}(beta) < 0]|."""
     w, nu = form
-    winv = _mat_inv(w)
+    winv = fraction_inverse(w)
     positive = {beta.fund_coords for beta in rs.positive_roots}
     total = 0
     for beta in rs.positive_roots:

@@ -113,3 +113,20 @@ def test_the_prime_functions_still_answer_at_a_prime():
     ws = em.make_workspace("A", 1)
     for call in extmult_calls(ws, 5).values():
         call()
+
+
+def test_a_fresh_query_trial_divides_its_prime_twice(monkeypatch):
+    # once in MultiplicityQuery.validated and once in locate, whose own dot
+    # is the unchecked core
+    real, calls = roots.check_prime, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(affine, "check_prime", counted)
+    monkeypatch.setattr(roots, "check_prime", counted)
+    g = AffineWeylGroup(build_root_system("A", 2))
+    ws = em.Workspace(g.rs, g, KLTable(g))
+    em.multiplicity_table(ws, em.MultiplicityQuery("red_nabla", (0, 0), (8, 3), 2, 7))
+    assert calls == [7, 7]

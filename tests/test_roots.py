@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -14,6 +15,7 @@ from goodfilt.errors import (
     PreconditionError,
 )
 from goodfilt.roots import build_root_system
+from reference_linalg import fraction_inverse  # tests/ is on the path
 
 # (series, rank) -> (positive root count, coxeter number)
 CLASSICAL_TABLE = {
@@ -97,6 +99,25 @@ def test_two_rho_check_pairs_as_twice_the_root_height(series, rank):
     for j, omega in enumerate(roots._identity_matrix(rank)):
         scaled = 2 * sum(roots._scaled_root_coords(rs, omega))
         assert rs.two_rho_check[j] * rs.inverse_cartan_den == scaled
+
+
+@pytest.mark.parametrize("series,rank", ALL_PAIRS)
+def test_integer_inverse_cartan_equals_the_fraction_inverse(series, rank):
+    # the fraction-free elimination against Gauss-Jordan over Fraction: the
+    # denominator is the least common one, and the entries are exact
+    rs = build_root_system(series, rank)
+    inverse = fraction_inverse(rs.cartan)
+    assert rs.inverse_cartan_den == math.lcm(*(x.denominator for row in inverse for x in row))
+    assert rs.inverse_cartan == tuple(
+        tuple(x * rs.inverse_cartan_den for x in row) for row in inverse
+    )
+
+
+def test_one_root_system_and_one_group_per_series():
+    for series in ("A", "a"):
+        assert build_root_system(series, 2) is build_root_system("A", 2)
+        assert get_group(series, 2) is get_group("A", 2)
+    assert get_group("a", 2).rs is build_root_system("A", 2)
 
 
 def test_invalid_types_rejected():
