@@ -33,7 +33,9 @@ length once, when its id is created: l(x) + 1 exactly when C_p^- lies on
 the same side of the wall x(H_i) as x(C_p^-), which one root pairing
 decides.  For H_i = {<m, gamma_i^vee> + k_i p = 0} it reads w(gamma_i),
 and that one product also gives the neighbour's form, with no matrix product:
-x s_i = (w - w(gamma_i) (x) gamma_i^vee, nu - k_i w(gamma_i)).  The tests
+x s_i = (w - w(gamma_i) (x) gamma_i^vee, nu - k_i w(gamma_i)).  All of it
+but the translation depends only on the finite part w, so each finite part's
+steps are computed once (``_steps_of``) and a row fill reads them.  The tests
 check lengths against the root-counting formula
 
     l(w, nu) = sum over positive roots beta of |<nu, beta^vee> + [w^{-1}(beta) < 0]|
@@ -54,6 +56,7 @@ flagged neighbour.  ``dominant_up_to_length`` is therefore the walk up
 from w_0 by lengthening steps, which never fills the row of an unflagged
 id, and ``bruhat_leq`` and ``KLTable.kl`` strip from a flagged y a descent
 s with ys flagged (``descent``), so between flagged ids they stay flagged.
+That descent is fixed when y's row is filled, and read as a list entry.
 
 The walk also files each flagged id under its finite part w, a
 p-independent index.  Since z = (w, nu) sends m to w(m) + p*nu, the image
@@ -132,6 +135,9 @@ class AffineWeylGroup:
         # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
         walls = [(a0.fund_coords, 1)] + [(tuple(-c for c in v), 0) for v in rs.simple_columns]
         self._gens = tuple((gamma, self._coroot[gamma], k) for gamma, k in walls)
+        # finite part w -> per generator (w(gamma), its coroot, the coroot's
+        # coordinate sum, the neighbour's finite part, k), see _steps_of
+        self._steps: dict[Matrix, tuple] = {}
         self._lock = threading.Lock()
         self._form: list[tuple[Matrix, Weight]] = []  # id -> (finite_part, translation)
         self._index: dict[tuple[Matrix, Weight], int] = {}  # matrix form -> id
@@ -139,6 +145,7 @@ class AffineWeylGroup:
         self._length: list[int] = []
         self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
         self._descents: list[tuple[int, ...] | None] = []  # set with the row
+        self._descent: list[int | None] = []  # the stripping descent, set with the row
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         # the same ids by finite part, each list by length then matrix form
         self._dominant_by_finite: dict[Matrix, list[int]] = {}
@@ -169,6 +176,7 @@ class AffineWeylGroup:
         self._form.append(form)
         self._rmul.append(None)
         self._descents.append(None)
+        self._descent.append(None)
         self._length.append(length)
         # -rho lies in C_p^- at p = h, so the alcove is dominant iff x(-rho) is
         h = self.rs.coxeter_number
@@ -183,6 +191,23 @@ class AffineWeylGroup:
             row = self._fill_row(x)
         return row
 
+    def _steps_of(self, mat: Matrix) -> tuple:
+        """The generator steps of the finite part ``mat``, computed once.
+
+        Step i holds w(gamma_i), its coroot c, the sum of c's coordinates,
+        the finite part w - w(gamma_i) (x) gamma_i^vee of x s_i, and k_i:
+        all that a row fill needs besides x's translation.
+        """
+        steps = []
+        for gamma, r, k in self._gens:
+            wg = _r._mat_vec(mat, gamma)
+            c = self._coroot[wg]
+            rows = zip(mat, wg)
+            moved = tuple(tuple(a - g * b for a, b in zip(v, r)) if g else v for v, g in rows)
+            steps.append((wg, c, sum(c), moved, k))
+        steps = self._steps[mat] = tuple(steps)
+        return steps
+
     def _fill_row(self, x: int) -> tuple[int, ...]:
         with self._lock:
             row = self._rmul[x]
@@ -192,17 +217,14 @@ class AffineWeylGroup:
             lx = self._length[x]
             h = self.rs.coxeter_number
             row, descents = [], []
-            for i, (gamma, r, k) in enumerate(self._gens):
+            steps = self._steps.get(mat) or self._steps_of(mat)
+            for i, (wg, c, c_sum, moved, k) in enumerate(steps):
                 # l(x s_i) > l(x) iff C^- and x(C^-) lie on one side of x(H_i),
                 # i.e. f(x^{-1}(c)) > 0 for f = <., gamma^vee> + k p and c in C^-.
                 # Take c = -rho at p = h; <x^{-1} m, gamma^vee> = <m - p nu, (w gamma)^vee>.
-                wg = _r._mat_vec(mat, gamma)
-                c = self._coroot[wg]
-                up = k * h - sum(c) - h * sum(map(mul, c, tr)) > 0
+                up = k * h - c_sum - h * sum(map(mul, c, tr)) > 0
                 ly = lx + 1 if up else lx - 1
                 # x s_i: m -> w(m) - <m, gamma^vee> w(gamma) + p (nu - k w(gamma))
-                rows = zip(mat, wg)
-                moved = tuple(tuple(a - g * b for a, b in zip(v, r)) if g else v for v, g in rows)
                 form = (moved, _r._vec_sub(tr, wg) if k else tr)
                 y = self._index.get(form)
                 if y is None:
@@ -215,6 +237,12 @@ class AffineWeylGroup:
                 if not up:
                     descents.append(i)
             self._descents[x] = tuple(descents)
+            # the lowest s with xs flagged, else the lowest descent: a shorter
+            # neighbour of an unflagged x is unflagged, and w_0 has none flagged
+            flagged = self._dominant
+            self._descent[x] = next(
+                (s for s in descents if flagged[row[s]]), descents[0] if descents else None
+            )
             row = self._rmul[x] = tuple(row)
             return row
 
@@ -254,15 +282,11 @@ class AffineWeylGroup:
         """The right descent that walks down from y strip (y not the identity).
 
         For a flagged y the lowest s with ys flagged, which exists unless
-        y = w_0; otherwise the lowest right descent.
+        y = w_0; otherwise the lowest right descent.  Fixed when y's row is
+        filled.
         """
-        row = self.row(y)
-        descents = self._descents[y]
-        if self._dominant[y]:
-            for s in descents:
-                if self._dominant[row[s]]:
-                    return s
-        return descents[0]
+        self.row(y)
+        return self._descent[y]
 
     def canonical_word(self, x: int) -> tuple[int, ...]:
         """Reduced word obtained by stripping the lowest-indexed right descent.
@@ -295,19 +319,21 @@ class AffineWeylGroup:
     def bruhat_leq(self, x: int, y: int) -> bool:
         if x == y:
             return True
-        lengths, flagged = self._length, self._dominant
+        lengths = self._length
         if lengths[x] >= lengths[y]:
             return False
         key = (x, y)
         cached = self._leq.get(key)
         if cached is None:
+            flagged, rmul, strip = self._dominant, self._rmul, self._descent
             # for s with ys < y: x <= y iff xs <= ys when xs < x, else x <= ys.
             # If x and ys are flagged but xs < x is not, then xs = tx for a
             # finite t that also descends ys, and xs <= ys iff x <= ys.
             while 0 < lengths[x] < lengths[y]:
-                s = self.descent(y)
-                xs = self.row(x)[s]
-                y = self._rmul[y][s]
+                row = rmul[y] or self._fill_row(y)
+                s = strip[y]
+                xs = (rmul[x] or self._fill_row(x))[s]
+                y = row[s]
                 if lengths[xs] < lengths[x] and (flagged[xs] or not (flagged[x] and flagged[y])):
                     x = xs
             cached = self._leq[key] = x == y or not lengths[x]
@@ -382,7 +408,14 @@ class AffineWeylGroup:
         cached = self._locate.get((lam, p)) if type(p) is int else None
         if cached is not None:
             return cached
-        key = (lam, check_prime(p))
+        return self._locate_checked(lam, check_prime(p))
+
+    def _locate_checked(self, lam: Weight, p: int) -> AlcoveLocation:
+        """``locate`` of a checked weight at a checked prime."""
+        key = (lam, p)
+        cached = self._locate.get(key)
+        if cached is not None:
+            return cached
         self._assert_p_regular(lam, p)
         a0 = self.rs.highest_short_root
         a0_coroot, a0_normal, columns = a0.coroot, a0.fund_coords, self.rs.simple_columns
@@ -466,7 +499,12 @@ class AffineWeylGroup:
         return x
 
     def dominant_up_to_length(self, bound: int) -> list[int]:
-        """The flagged ids of length <= bound, by length then matrix form.
+        """The flagged ids of length <= bound, by length then matrix form."""
+        return [z for level in self._levels(bound)[: max(bound, 0) + 1] for z in level]
+
+    def _levels(self, bound: int) -> list[list[int]]:
+        """The kept levels of flagged ids, level k those of length k, built
+        at least to length bound; the list itself, for reading in place.
 
         The walk up from w_0: a longer neighbour of a flagged id is flagged,
         and every flagged id above w_0 has a shorter flagged one, so it
@@ -477,6 +515,8 @@ class AffineWeylGroup:
         its ids there.
         """
         levels = self._dominant_levels
+        if len(levels) > bound:
+            return levels
 
         def publish(level):  # under the lock
             for z in level:
@@ -489,14 +529,13 @@ class AffineWeylGroup:
                 if not levels:
                     for k in range(self._length[first] + 1):
                         publish([first] if k == self._length[first] else [])
-        bound = max(bound, 0)
         while len(levels) <= bound:
             k = len(levels)
             level = self._next_level(levels[k - 1], k)
             with self._lock:
                 if len(levels) == k:
                     publish(level)
-        return [z for level in levels[: bound + 1] for z in level]
+        return levels
 
     def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
         """z . rep - p*nu for each finite part w in the finite-part index,
@@ -506,8 +545,7 @@ class AffineWeylGroup:
         rep and extended by the finite parts added since.  An extension is a
         new dict, never a change to one a caller may be iterating.
         """
-        if len(self._dominant_levels) <= max_length:
-            self.dominant_up_to_length(max_length)
+        self._levels(max_length)
         image = self._finite_images_memo.get(rep, {})
         if len(image) < len(self._dominant_by_finite):
             m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho

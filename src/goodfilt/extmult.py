@@ -188,17 +188,19 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
     (the flagged ids)."""
     g, c_coeff = ws.group, ws.table.c_coeff
     lx, ly = g.length(x), g.length(y)
+    bound = min(lx, ly)
     total = 0
-    for z in g.dominant_up_to_length(min(lx, ly)):
-        if not (g.bruhat_leq(z, x) and g.bruhat_leq(z, y)):
-            continue
-        lz = g.length(z)
-        for m in range(n + 1):
-            a = c_coeff(z, x, lx - lz - m)
-            if a:
-                b = c_coeff(z, y, ly - lz - n + m)
-                if b:
-                    total += a * b
+    for level in g._levels(bound)[: bound + 1]:
+        for z in level:
+            if not (g.bruhat_leq(z, x) and g.bruhat_leq(z, y)):
+                continue
+            lz = g.length(z)
+            for m in range(n + 1):
+                a = c_coeff(z, x, lx - lz - m)
+                if a:
+                    b = c_coeff(z, y, ly - lz - n + m)
+                    if b:
+                        total += a * b
     if total and (n - (lx - ly)) % 2:
         raise InternalInvariantError("parity violation in big_C")
     return total
@@ -342,7 +344,7 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
         walk = min(walk, max(map(reach, tops), default=-1))
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
-    y, rep, _ = g.locate(partner, p)
+    y, rep, _ = g._locate_checked(partner, p)  # the query is validated
     raw = g._orbit_congruent(rep, p, max_len, base)
     acc: dict[Weight, int] = {}
     for t, z in raw.items():

@@ -29,9 +29,20 @@ with v = ys flagged (``AffineWeylGroup.descent``), and
   tz > z while tv < v, so mu(z, v) is 0 unless v = tz, and then
   zs = ty > z drops out.
 
-The entries are still the ordinary P_{x,y}, whichever descent computed
-them, so other pairs (``goodfilt kl``) take the recursion as stated and
-one memo serves both.
+mu(z, v) is 0 at even gaps l(v) - l(z), so the flagged sum of column v and
+descent s runs over one list, built once from the kept levels of flagged
+ids (``_mu_candidates``): the z with zs < z and l(v) - l(z) odd.  A z
+shorter than x is skipped before its Bruhat test; mu(z, v) and P_{x,z}
+are read from the memo in place.  The entries are still the ordinary
+P_{x,y}, whichever descent computed them, so other pairs (``goodfilt kl``)
+take the recursion as stated, over the lower ideal of v filtered by the
+same parity, and one memo serves both.
+
+``c_coeff`` reads the coefficient of t^s, t = sqrt(q).  As 2 deg_q P_{u,v}
+<= l(v) - l(u) - 1 for u != v, any s >= l(v) - l(u) gives 0 with no
+recursion, so a degree-0 Ext table computes no entry.  ``c_coeff`` and the
+mu-sum read memo hits without calling ``kl``, so a wrapper of ``kl`` sees
+only the lookups that go through it.
 
 Concurrency: the memo dict is the only shared state.  Entries are
 immutable and insertion is idempotent (same key always yields the same
@@ -96,6 +107,7 @@ class KLTable:
     def __init__(self, group: AffineWeylGroup):
         self.group = group
         self.memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._candidates: dict[tuple[int, int], list[int]] = {}  # see _mu_candidates
 
     # -- core recursion ----------------------------------------------------
 
@@ -103,34 +115,45 @@ class KLTable:
         if x == y:
             return (1,)
         key = (x, y)
-        cached = self.memo.get(key)
+        memo = self.memo
+        cached = memo.get(key)
         if cached is not None:  # stored entries have x <= y
             return cached
         g = self.group
         if not g.bruhat_leq(x, y):
             return ()
 
-        s = g.descent(y)
-        v = g.row(y)[s]
-        xs = g.row(x)[s]
-        ly = g.length(y)
-        gap = ly - g.length(x)
-        flagged = g.is_dominant(x) and g.is_dominant(v)
-        if g.length(xs) > g.length(x):
+        lengths, flagged, rmul = g._length, g._dominant, g._rmul
+        row = rmul[y] or g._fill_row(y)
+        s = g._descent[y]
+        v = row[s]
+        xs = (rmul[x] or g._fill_row(x))[s]
+        lx, lv = lengths[x], lengths[v]
+        gap = lv + 1 - lx
+        both = flagged[x] and flagged[v]
+        if lengths[xs] > lx:
             result = self.kl(xs, y)
         else:
-            if flagged and not g.is_dominant(xs):
+            if both and not flagged[xs]:
                 xs = x  # xs = tx with t finite and tv < v, so P_{xs,v} = P_{x,v}
             # (shift, scale, P): each term has degree <= gap // 2 when its
             # factors obey the degree bound, though the sum may cancel lower
-            terms = [(0, 1, self.kl(xs, v)), (1, 1, self.kl(x, v))]
-            # unflagged z add nothing when v is flagged; mu(z, v) is 0 unless z <= v
-            below = g.dominant_up_to_length(ly - 2) if flagged else g.lower_ideal(v)
+            terms = [(0, 1, memo.get((xs, v)) or self.kl(xs, v)),
+                     (1, 1, memo.get((x, v)) or self.kl(x, v))]
+            # unflagged z add nothing when v is flagged; mu(z, v) is 0 unless
+            # z <= v, zs < z and l(v) - l(z) is odd
+            if both:
+                below = self._mu_candidates(v, s)
+            else:
+                below = [z for z in g.lower_ideal(v)
+                         if (lv - lengths[z]) % 2 and s in g.right_descents(z)]
             for z in below:
-                if s in g.right_descents(z) and g.bruhat_leq(x, z):
-                    m = self.mu(z, v)
-                    if m:
-                        terms.append(((ly - g.length(z)) // 2, -m, self.kl(x, z)))
+                lz = lengths[z]
+                if lz < lx or not g.bruhat_leq(x, z):
+                    continue
+                m = _coeff(memo.get((z, v)) or self.kl(z, v), (lv - lz - 1) // 2)  # mu(z, v)
+                if m:
+                    terms.append(((lv + 1 - lz) // 2, -m, memo.get((x, z)) or self.kl(x, z)))
             acc = [0] * (gap // 2 + 1)
             for shift, scale, poly in terms:
                 for i, c in enumerate(poly, start=shift):
@@ -140,8 +163,25 @@ class KLTable:
         problem = _invariant_violation(result, gap)
         if problem:
             raise InternalInvariantError(f"KL polynomial for gap {gap}: {problem}")
-        self.memo[key] = result
+        memo[key] = result
         return result
+
+    def _mu_candidates(self, v: int, s: int) -> list[int]:
+        """The flagged z with s a right descent and l(v) - l(z) odd, by
+        length then matrix form: the z the flagged mu-sum of column v with
+        descent s may read.  Built once from the kept levels, which are
+        complete below l(v)."""
+        key = (v, s)
+        found = self._candidates.get(key)
+        if found is None:
+            g = self.group
+            lv = g._length[v]
+            levels = g._levels(lv - 1)
+            found = self._candidates[key] = [
+                z for level in levels[(lv - 1) % 2 : lv : 2] for z in level
+                if s in g.right_descents(z)
+            ]
+        return found
 
     def mu(self, x: int, y: int) -> int:
         """Coefficient of q^((l(y)-l(x)-1)/2) in P_{x,y}; 0 for even gaps."""
@@ -153,11 +193,14 @@ class KLTable:
     def c_coeff(self, u: int, v: int, s: int) -> int:
         """Coefficient of t^s in P_{u,v} read as a polynomial in t = sqrt(q).
 
-        P_{u,v} is a polynomial in t^2, so odd or negative s give 0.
+        P_{u,v} is a polynomial in t^2, so odd or negative s give 0, and
+        for u != v its t-degree is at most l(v) - l(u) - 1, so s at or
+        above the length gap gives 0 with no recursion.
         """
-        if s < 0 or s % 2:
+        lengths = self.group._length
+        if s < 0 or s % 2 or (u != v and s >= lengths[v] - lengths[u]):
             return 0
-        return _coeff(self.kl(u, v), s // 2)
+        return _coeff(self.memo.get((u, v)) or self.kl(u, v), s // 2)
 
     # -- persistence ---------------------------------------------------------
 

@@ -168,6 +168,18 @@ def test_row_fill_agrees_with_matrix_products(series, rank, bound):
     assert g._dominant == ref._dominant
 
 
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_the_stored_descent_is_the_stripping_rule(series, rank):
+    # a flagged y strips its lowest descent s with ys flagged; any other y,
+    # and w_0, which has no such s, strips its lowest descent
+    g = AffineWeylGroup(build_root_system(series, rank))
+    for y in g.elements_up_to_length(12)[1:]:
+        descents = g.right_descents(y)
+        down = [s for s in descents if g.is_dominant(g.row(y)[s])]
+        expected = down[0] if g.is_dominant(y) and down else descents[0]
+        assert g._descent[y] == g.descent(y) == expected
+
+
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_every_edge_is_an_involution(series, rank):
     g = get_group(series, rank)

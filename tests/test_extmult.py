@@ -871,6 +871,19 @@ def test_degree_zero_tensors_the_dual_of_the_first_frobenius_factor(case):
         assert table_dict(ws, variant, lam, mu, 0, p) == expected, variant
 
 
+def test_a_degree_zero_table_computes_no_kl_entry():
+    # at n = 0 a factor reads t^(l(x) - l(z)) in P_{z,x}, which is 0 for z != x
+    # by the degree bound, so the delta_red walk up to X computes no KL entry
+    ws, p = em.make_workspace("D", 5), 11
+    lam, mu = (2, 3, 0, 1, 12), (2, 3, 0, 1, 1)
+    (lam0, lam1), (mu0, mu1) = (restricted_decompose(ws.rs, w, p) for w in (lam, mu))
+    assert lam0 == mu0 and r.star(ws.rs, lam1) != lam1
+    entries = len(ws.table.memo)
+    expected = ch.tensor_nabla_multiplicities(ws.rs, r.star(ws.rs, lam1), mu1)
+    assert table_dict(ws, "delta_red", lam, mu, 0, p) == expected
+    assert len(ws.table.memo) == entries
+
+
 @settings(max_examples=30, deadline=None)
 @given(star_queries())
 def test_red_nabla_is_dual_to_delta_red(case):

@@ -286,3 +286,20 @@ def test_cache_loads_trailing_zero_trimmed(tmp_path, a2_table):
     key = (g.from_word((1,)), g.from_word((1, 0, 1)))
     assert a2_table.memo == {key: (1,)}
     assert KLTable(g).kl(*key) == (1,)
+
+
+@pytest.mark.parametrize("series,rank,bound", [("A", 2, 10), ("B", 2, 12), ("G", 2, 14)])
+def test_every_mu_candidate_list_is_a_filter_of_the_flagged_ids(series, rank, bound):
+    g = AffineWeylGroup(build_root_system(series, rank))
+    table = KLTable(g)
+    flagged = g.dominant_up_to_length(bound)
+    for y in flagged:
+        for x in flagged:
+            table.kl(x, y)
+    assert len(table._candidates) > 10
+    for (v, s), found in table._candidates.items():
+        lv = g.length(v)
+        assert found == [
+            z for z in g.dominant_up_to_length(lv - 1)
+            if (lv - g.length(z)) % 2 and s in g.right_descents(z)
+        ]
