@@ -1,11 +1,11 @@
 """The affine Weyl group W_p = W x pZR with dot action and alcove geometry.
 
 A group element is a small ``int`` indexing arrays owned by its group: its
-Coxeter length, its right descents, and its row ``(x s_0, ..., x s_r)`` of
-the right-multiplication table.  A row is filled on first use, creating
-the ids of neighbours not met before, so a group holds only what a
-computation reaches.  Products, reduced words, Bruhat order and lower
-ideals are walks in this table.
+Coxeter length and its row ``(x s_0, ..., x s_r)`` of the
+right-multiplication table, whose shorter entries are its right descents.
+A row is filled on first use, creating the ids of neighbours not met
+before, so a group holds only what a computation reaches.  Products,
+reduced words, Bruhat order and lower ideals are walks in this table.
 
 Each id also keeps its matrix form, used only where weights are touched
 (``dot``, ``locate``) and to recognise an element reached along two paths:
@@ -144,7 +144,6 @@ class AffineWeylGroup:
         self._rmul: list[tuple[int, ...] | None] = []  # id -> row, None until filled
         self._length: list[int] = []
         self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
-        self._descents: list[tuple[int, ...] | None] = []  # set with the row
         self._descent: list[int | None] = []  # the stripping descent, set with the row
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
         # the same ids by finite part, each list by length then matrix form
@@ -175,7 +174,6 @@ class AffineWeylGroup:
         x = len(self._form)
         self._form.append(form)
         self._rmul.append(None)
-        self._descents.append(None)
         self._descent.append(None)
         self._length.append(length)
         # -rho lies in C_p^- at p = h, so the alcove is dominant iff x(-rho) is
@@ -236,7 +234,6 @@ class AffineWeylGroup:
                 row.append(y)
                 if not up:
                     descents.append(i)
-            self._descents[x] = tuple(descents)
             # the lowest s with xs flagged, else the lowest descent: a shorter
             # neighbour of an unflagged x is unflagged, and w_0 has none flagged
             flagged = self._dominant
@@ -274,9 +271,9 @@ class AffineWeylGroup:
         return self._dominant[x]
 
     def right_descents(self, x: int) -> tuple[int, ...]:
-        if self._rmul[x] is None:
-            self._fill_row(x)
-        return self._descents[x]
+        """The s with l(xs) < l(x), read from x's row."""
+        lengths, lx = self._length, self._length[x]
+        return tuple(s for s, y in enumerate(self.row(x)) if lengths[y] < lx)
 
     def descent(self, y: int) -> int:
         """The right descent that walks down from y strip (y not the identity).

@@ -88,6 +88,25 @@ tops of <top, 2 rho^vee>), which reaches every kept tau, as <alpha, rho^vee>
    by continuity it holds at every p.  Only a 2 rho cancels the shifts, so a tighter
    Lambda^j term does not carry over this way.
 
+Which elements a table pays for.  P_{u,v} is a polynomial in q = t^2 with
+2 deg_q P_{u,v} <= l(v) - l(u) - 1 for u != v (Kazhdan-Lusztig, Invent.
+Math. 53, 1979), so two laws decide, before any KL work, which walked z can
+have a nonzero factor against the partner's element y:
+
+* Parity: only z with l(z) = l(y) + n (mod 2).  For delta_red and
+  red_nabla the factor is the coefficient of t^(l(z) - l(y) - n) in
+  P_{y,z}, which is 0 at odd exponents.  For red_red every nonzero term of
+  ``big_C`` is a product of coefficients of t^(l(z) - l(z') - m) and
+  t^(l(y) - l(z') - n + m), both even, so l(z) + l(y) - n is even.
+  Translations in pZR have even length (the length law adds
+  <tau, 2 rho^vee>), so the parity is constant on each finite part, and a
+  table touches exactly one parity class of the orbit: the groundwork for
+  reading all degrees of one class from one walk.
+* Degree 0: only z = y.  At n = 0 the exponent l(z) - l(y) is at or above
+  the degree bound of P_{y,z} unless z = y; for red_red at m = 0 the two
+  factors need z' = z and z' = y.  So a degree-0 table walks only up to
+  l(y) and reads one factor, at y.
+
 Results carry advisories (prime-size flags, the character-formula
 assumption, Jantzen-region membership) instead of refusing service; the
 formulas are exact combinatorics regardless, and the advisories state the
@@ -102,7 +121,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import characters as ch
 from . import roots as _r
-from .errors import ConfigurationError, DecompositionError, InternalInvariantError
+from .errors import ConfigurationError, DecompositionError
 from .roots import RootSystem, Weight
 
 if TYPE_CHECKING:  # loaded by make_workspace, so a tensor-only process never imports them
@@ -159,12 +178,9 @@ def _linked_elements(ws: Workspace, a, b, p: int):
 
 def _c_of_elements(ws: Workspace, z: int, x: int, n: int) -> int:
     """The coefficient of t^(l(x) - l(z) - n) in P_{z,x}: z the plain
-    (Weyl-module) element, x the reduced one."""
-    s = ws.group.length(x) - ws.group.length(z) - n
-    value = ws.table.c_coeff(z, x, s)
-    if value and s % 2:
-        raise InternalInvariantError("parity violation in small_c")
-    return value
+    (Weyl-module) element, x the reduced one.  ``c_coeff`` reads 0 at an
+    odd exponent, so the parity rule needs no check here."""
+    return ws.table.c_coeff(z, x, ws.group.length(x) - ws.group.length(z) - n)
 
 
 def ext_dim_pair(ws: Workspace, red_weight, plain_weight, n: int, p: int) -> int:
@@ -185,7 +201,13 @@ def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
 def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
     """``big_C`` between the elements x and y of one linkage class: a sum
     over the z below both in Bruhat order whose image of C_p^- is dominant
-    (the flagged ids)."""
+    (the flagged ids).
+
+    The first factor reads t^(l(x) - l(z) - m), which is 0 at odd
+    exponents, so m runs over the parity of l(x) - l(z) only.  Then the
+    second exponent has the parity of l(x) + l(y) - n, so the sum is 0 off
+    that parity with no check.
+    """
     g, c_coeff = ws.group, ws.table.c_coeff
     lx, ly = g.length(x), g.length(y)
     bound = min(lx, ly)
@@ -195,14 +217,12 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
             if not (g.bruhat_leq(z, x) and g.bruhat_leq(z, y)):
                 continue
             lz = g.length(z)
-            for m in range(n + 1):
+            for m in range((lx - lz) % 2, n + 1, 2):
                 a = c_coeff(z, x, lx - lz - m)
                 if a:
                     b = c_coeff(z, y, ly - lz - n + m)
                     if b:
                         total += a * b
-    if total and (n - (lx - ly)) % 2:
-        raise InternalInvariantError("parity violation in big_C")
     return total
 
 
@@ -324,8 +344,10 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
 
     Walks the partner's dot orbit once, locates only the partner and keeps
     the taus below the weight bound X and, with ``omegas`` given, below one
-    of their tops (see the module docstring).  The entries are those omegas,
-    or without them every constituent; zero entries are omitted.
+    of their tops (see the module docstring).  It reads a KL factor only
+    where the parity and degree-0 laws allow one (same docstring).  The
+    entries are those omegas, or without them every constituent; zero
+    entries are omitted.
     """
     query = query.validated(ws)
     partner, base, twist, kl_factor, weights = _variant_parts(ws, query)
@@ -344,10 +366,15 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
         walk = min(walk, max(map(reach, tops), default=-1))
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
-    y, rep, _ = g._locate_checked(partner, p)  # the query is validated
-    raw = g._orbit_congruent(rep, p, max_len, base)
+    y, rep, ly = g._locate_checked(partner, p)  # the query is validated
+    lengths, n = g._length, query.n
+    if not n:
+        max_len = min(max_len, ly)
     acc: dict[Weight, int] = {}
-    for t, z in raw.items():
+    for t, z in g._orbit_congruent(rep, p, max_len, base).items():
+        # the factor is 0 off the parity class of l(y) + n, and at z != y in degree 0
+        if (lengths[z] - ly - n) % 2 or not (n or z == y):
+            continue
         tau = twist(t)
         if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
             omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)

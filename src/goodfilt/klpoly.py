@@ -40,7 +40,8 @@ same parity, and one memo serves both.
 
 ``c_coeff`` reads the coefficient of t^s, t = sqrt(q).  As 2 deg_q P_{u,v}
 <= l(v) - l(u) - 1 for u != v, any s >= l(v) - l(u) gives 0 with no
-recursion, so a degree-0 Ext table computes no entry.  ``c_coeff`` and the
+recursion; a degree-0 Ext table, which reads s = l(v) - l(u), asks only
+u = v (``extmult``'s walk stops at l(v)).  ``c_coeff`` and the
 mu-sum read memo hits without calling ``kl``, so a wrapper of ``kl`` sees
 only the lookups that go through it.
 
@@ -146,7 +147,7 @@ class KLTable:
                 below = self._mu_candidates(v, s)
             else:
                 below = [z for z in g.lower_ideal(v)
-                         if (lv - lengths[z]) % 2 and s in g.right_descents(z)]
+                         if (lv - lengths[z]) % 2 and lengths[g.row(z)[s]] < lengths[z]]
             for z in below:
                 lz = lengths[z]
                 if lz < lx or not g.bruhat_leq(x, z):
@@ -175,11 +176,12 @@ class KLTable:
         found = self._candidates.get(key)
         if found is None:
             g = self.group
-            lv = g._length[v]
+            lengths = g._length
+            lv = lengths[v]
             levels = g._levels(lv - 1)
             found = self._candidates[key] = [
                 z for level in levels[(lv - 1) % 2 : lv : 2] for z in level
-                if s in g.right_descents(z)
+                if lengths[g.row(z)[s]] < lengths[z]
             ]
         return found
 

@@ -129,8 +129,8 @@ class MatrixProductGroup(AffineWeylGroup):
             mat, tr = self._form[x]
             lx = self._length[x]
             h = self.rs.coxeter_number
-            row, descents = [], []
-            for i, (gmat, gtr, gamma, k) in enumerate(self.ref_gens):
+            row = []
+            for gmat, gtr, gamma, k in self.ref_gens:
                 wg = tuple(sum(a * b for a, b in zip(r, gamma)) for r in mat)
                 c = self.ref_coroot[wg]
                 up = k * h - sum(c) - h * sum(a * b for a, b in zip(c, tr)) > 0
@@ -140,9 +140,6 @@ class MatrixProductGroup(AffineWeylGroup):
                 if y is None:
                     y = self._new(form, lx + 1 if up else lx - 1)
                 row.append(y)
-                if not up:
-                    descents.append(i)
-            self._descents[x] = tuple(descents)
             row = self._rmul[x] = tuple(row)
             return row
 
@@ -163,7 +160,6 @@ def test_row_fill_agrees_with_matrix_products(series, rank, bound):
     assert len(g._form) == len(ref._form) > bound
     assert g._form == ref._form
     assert g._rmul == ref._rmul
-    assert g._descents == ref._descents
     assert g._length == ref._length
     assert g._dominant == ref._dominant
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from goodfilt import characters as ch
 from goodfilt import extmult as em
 from goodfilt import roots as r
-from goodfilt.affine import restricted_decompose
+from goodfilt.affine import AffineWeylGroup, restricted_decompose
 from goodfilt.errors import (
     ConfigurationError,
     DecompositionError,
@@ -17,6 +17,7 @@ from goodfilt.errors import (
     SingularWeightError,
 )
 from goodfilt.extmult import MultiplicityQuery
+from goodfilt.klpoly import KLTable
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +572,73 @@ def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queri
     assert nonzero
 
 
+@pytest.mark.parametrize(
+    "series, rank, p, queries, orbit_bound",
+    [("A", 2, 7, 30, 8), ("B", 2, 7, 24, 10), ("G", 2, 13, 12, 14), ("A", 3, 5, 8, 7)],
+)
+def test_the_walk_skips_only_elements_whose_factor_is_zero(series, rank, p, queries, orbit_bound):
+    # walk up to X with no skip: every element that the parity and degree-0
+    # laws exclude has KL factor 0
+    ws = em.make_workspace(series, rank)
+    g, rs = ws.group, ws.rs
+    rng = random.Random(1)
+    reps = [
+        rep for rep in itertools.product(range(-p, 0), repeat=rank)
+        if g.in_antidominant_alcove(rep, p)
+    ]
+    excluded = 0
+    for _ in range(queries):
+        pool = sorted({wt for _, wt in g.dominant_orbit(rng.choice(reps), p, orbit_bound)})
+        lam, mu = rng.choice(pool), rng.choice(pool)
+        for variant in em.VARIANTS:
+            for n in range(5):
+                q = MultiplicityQuery(variant, lam, mu, n, p)
+                partner, base, _, _, _ = em._variant_parts(ws, q)
+                top = friedlander_parshall_top(ws, q)
+                den = rs.inverse_cartan_den * p
+                reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
+                loc = g.locate(partner, p)
+                y, ly = loc.element, loc.length
+                for z in g._orbit_congruent(loc.antidominant_rep, p, reach, base).values():
+                    lz = g.length(z)
+                    if (lz - ly - n) % 2 == 0 and (n or z == y):
+                        continue
+                    excluded += 1
+                    if variant == "red_red":
+                        assert em._big_C_of_elements(ws, z, y, n) == 0, (q, z)
+                    else:
+                        assert em._c_of_elements(ws, y, z, n) == 0, (q, z)
+    assert excluded
+
+
+def test_tables_ask_factors_only_where_the_laws_allow(a2, monkeypatch):
+    # a table asks the KL factor of z against the partner's element y only
+    # when l(z) = l(y) + n (mod 2), and in degree 0 only for z = y
+    g, p = a2.group, 7
+    asked = []  # (walked element z, partner's element y, n)
+    c_core, big_C_core = em._c_of_elements, em._big_C_of_elements
+
+    def c_of_elements(ws, y, z, n):
+        asked.append((z, y, n))
+        return c_core(ws, y, z, n)
+
+    def big_C_of_elements(ws, z, y, n):
+        asked.append((z, y, n))
+        return big_C_core(ws, z, y, n)
+
+    monkeypatch.setattr(em, "_c_of_elements", c_of_elements)
+    monkeypatch.setattr(em, "_big_C_of_elements", big_C_of_elements)
+    pool = sorted({wt for _, wt in g.dominant_orbit(g.locate((1, 1), p).antidominant_rep, p, 10)})
+    for lam, mu in [(pool[0], pool[2]), (pool[1], pool[-1]), (pool[3], pool[3])]:
+        for variant in em.VARIANTS:
+            for n in range(4):
+                em.multiplicity_table(a2, MultiplicityQuery(variant, lam, mu, n, p))
+    assert asked
+    for z, y, n in asked:
+        assert (g.length(z) - g.length(y) - n) % 2 == 0
+        assert n or z == y
+
+
 def reference_tau_candidates_windowed(images, base, p, max_len):
     """The scan the finite-part index replaced, over ``images``: the
     (length, dot image) of every element whose image is dominant."""
@@ -817,8 +885,9 @@ def test_duality_reports_star_reading(a2):
 
 # per type at a prime p >= h: the highest degree asked, how far past l(0)
 # the pool of restricted weights reaches, and whether a table's partner
-# weight may have a Frobenius part (on D5 and E6 that makes a walk of
-# seconds to minutes); the partner is mu for red_nabla and lam for delta_red
+# weight may have a Frobenius part at degree n > 0 (on D5 and E6 that makes
+# a walk of seconds to minutes; at degree 0 the walk stops at the partner's
+# length); the partner is mu for red_nabla and lam for delta_red
 STAR_TYPES = {
     ("A", 3, 5): (2, 3, True),
     ("A", 4, 5): (1, 2, True),
@@ -849,8 +918,8 @@ def star_queries(draw, max_degree=None):
     lam0 = draw(st.sampled_from(pool))
     mu0 = lam0 if draw(st.booleans()) else draw(st.sampled_from(pool))
     lam1 = draw(st.sampled_from([w for w in small if r.star(ws.rs, w) != w]))
-    mu1 = draw(st.sampled_from([(0,) * rank] + small * frobenius_partner))
     n = draw(st.integers(0, top if max_degree is None else max_degree))
+    mu1 = draw(st.sampled_from([(0,) * rank] + small * (frobenius_partner or not n)))
     lam, mu = (tuple(a + p * b for a, b in zip(w0, w1)) for w0, w1 in ((lam0, lam1), (mu0, mu1)))
     return ws, lam, mu, n, p
 
@@ -866,22 +935,27 @@ def test_degree_zero_tensors_the_dual_of_the_first_frobenius_factor(case):
     expected = {}
     if lam0 == mu0:
         expected = ch.tensor_nabla_multiplicities(ws.rs, r.star(ws.rs, lam1), mu1)
-    frobenius_partner = STAR_TYPES[ws.rs.series, ws.rs.rank, p][2]
-    for variant in em.VARIANTS if frobenius_partner else ("red_red", "red_nabla"):
+    for variant in em.VARIANTS:
         assert table_dict(ws, variant, lam, mu, 0, p) == expected, variant
 
 
 def test_a_degree_zero_table_computes_no_kl_entry():
-    # at n = 0 a factor reads t^(l(x) - l(z)) in P_{z,x}, which is 0 for z != x
-    # by the degree bound, so the delta_red walk up to X computes no KL entry
-    ws, p = em.make_workspace("D", 5), 11
-    lam, mu = (2, 3, 0, 1, 12), (2, 3, 0, 1, 1)
-    (lam0, lam1), (mu0, mu1) = (restricted_decompose(ws.rs, w, p) for w in (lam, mu))
-    assert lam0 == mu0 and r.star(ws.rs, lam1) != lam1
-    entries = len(ws.table.memo)
-    expected = ch.tensor_nabla_multiplicities(ws.rs, r.star(ws.rs, lam1), mu1)
-    assert table_dict(ws, "delta_red", lam, mu, 0, p) == expected
-    assert len(ws.table.memo) == entries
+    # at n = 0 a factor reads t^(l(z) - l(y)) in P_{y,z}, which is 0 for z != y
+    # by the degree bound, so the delta_red walk stops at the partner lam's
+    # length and computes no KL entry; a fresh group counts the ids it creates
+    for series, rank, p, lam, mu, omega in [
+        ("D", 5, 11, (2, 3, 0, 1, 12), (2, 3, 0, 1, 1), (0, 0, 0, 1, 0)),
+        ("E", 6, 13, (13, 1, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)),
+    ]:
+        rs = r.build_root_system(series, rank)
+        g = AffineWeylGroup(rs)
+        ws = em.Workspace(rs, g, KLTable(g))
+        (lam0, lam1), (mu0, mu1) = (restricted_decompose(rs, w, p) for w in (lam, mu))
+        assert lam0 == mu0 and r.star(rs, lam1) != lam1
+        expected = ch.tensor_nabla_multiplicities(rs, r.star(rs, lam1), mu1)
+        assert table_dict(ws, "delta_red", lam, mu, 0, p) == expected == {omega: 1}
+        assert ws.stats()["kl_entries"] == 0
+        assert ws.stats()["ids"] < 2000, series
 
 
 @settings(max_examples=30, deadline=None)
