@@ -206,10 +206,12 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
     The first factor reads t^(l(x) - l(z) - m), which is 0 at odd
     exponents, so m runs over the parity of l(x) - l(z) only.  Then the
     second exponent has the parity of l(x) + l(y) - n, so the sum is 0 off
-    that parity with no check.
+    that parity, answered before any KL work.
     """
     g, c_coeff = ws.group, ws.table.c_coeff
     lx, ly = g.length(x), g.length(y)
+    if (lx + ly - n) % 2:
+        return 0
     bound = min(lx, ly)
     total = 0
     for level in g._levels(bound)[: bound + 1]:

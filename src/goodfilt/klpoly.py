@@ -24,19 +24,22 @@ with v = ys flagged (``AffineWeylGroup.descent``), and
 * if xs > x, then xs is flagged, so P_{x,y} = P_{xs,y} stays inside;
 * if xs < x and xs is not flagged, then xs = tx with t a finite
   generator, which v also descends by, so P_{xs,v} = P_{x,v} is read
-  instead;
-* the sum runs over flagged z only.  An unflagged z has a finite t with
-  tz > z while tv < v, so mu(z, v) is 0 unless v = tz, and then
-  zs = ty > z drops out.
+  instead.
 
-mu(z, v) is 0 at even gaps l(v) - l(z), so the flagged sum of column v and
-descent s runs over one list, built once from the kept levels of flagged
-ids (``_mu_candidates``): the z with zs < z and l(v) - l(z) odd.  A z
-shorter than x is skipped before its Bruhat test; mu(z, v) and P_{x,z}
-are read from the memo in place.  The entries are still the ordinary
-P_{x,y}, whichever descent computed them, so other pairs (``goodfilt kl``)
-take the recursion as stated, over the lower ideal of v filtered by the
-same parity, and one memo serves both.
+The mu-sum of column v and descent s runs over one list per (v, s), built
+once (``_mu_candidates``): the z <= v with zs < z and l(v) - l(z) odd, as
+mu(z, v) is 0 at even gaps.  Which z it holds depends on v's flag alone,
+for every x.  A flagged v takes them from the kept levels of flagged ids,
+each tested for the descent before Bruhat order.  Unflagged z add nothing
+there, by the mu-lemma of Kazhdan-Lusztig (Invent. Math. 53, 1979): a
+flagged v has every finite t as a left descent, and an unflagged z has a
+finite t with tz > z, so mu(z, v) is 0 unless v = tz.  As a shorter
+neighbour of an unflagged id is unflagged, v flagged makes y = vs flagged,
+so then zs = ty < y has length l(z) + 1 and z drops out.  Any other v
+(``goodfilt kl``'s pairs) takes them from its lower ideal.  A z shorter
+than x is skipped before its Bruhat test; mu(z, v) and P_{x,z} are read
+from the memo in place.  The entries are the ordinary P_{x,y}, whichever
+descent computed them, so one memo serves every pair.
 
 ``c_coeff`` reads the coefficient of t^s, t = sqrt(q).  As 2 deg_q P_{u,v}
 <= l(v) - l(u) - 1 for u != v, any s >= l(v) - l(u) gives 0 with no
@@ -131,24 +134,16 @@ class KLTable:
         xs = (rmul[x] or g._fill_row(x))[s]
         lx, lv = lengths[x], lengths[v]
         gap = lv + 1 - lx
-        both = flagged[x] and flagged[v]
         if lengths[xs] > lx:
             result = self.kl(xs, y)
         else:
-            if both and not flagged[xs]:
+            if flagged[x] and flagged[v] and not flagged[xs]:
                 xs = x  # xs = tx with t finite and tv < v, so P_{xs,v} = P_{x,v}
             # (shift, scale, P): each term has degree <= gap // 2 when its
             # factors obey the degree bound, though the sum may cancel lower
             terms = [(0, 1, memo.get((xs, v)) or self.kl(xs, v)),
                      (1, 1, memo.get((x, v)) or self.kl(x, v))]
-            # unflagged z add nothing when v is flagged; mu(z, v) is 0 unless
-            # z <= v, zs < z and l(v) - l(z) is odd
-            if both:
-                below = self._mu_candidates(v, s)
-            else:
-                below = [z for z in g.lower_ideal(v)
-                         if (lv - lengths[z]) % 2 and lengths[g.row(z)[s]] < lengths[z]]
-            for z in below:
+            for z in self._mu_candidates(v, s):
                 lz = lengths[z]
                 if lz < lx or not g.bruhat_leq(x, z):
                     continue
@@ -168,29 +163,31 @@ class KLTable:
         return result
 
     def _mu_candidates(self, v: int, s: int) -> list[int]:
-        """The flagged z with s a right descent and l(v) - l(z) odd, by
-        length then matrix form: the z the flagged mu-sum of column v with
-        descent s may read.  Built once from the kept levels, which are
-        complete below l(v)."""
+        """The z <= v with s a right descent and l(v) - l(z) odd: the z the
+        mu-sum of column v with descent s may read, built once.  A flagged v
+        takes them from the kept levels of flagged ids, which are complete
+        below l(v), by length then matrix form, descent tested before Bruhat
+        order; any other v from its lower ideal."""
         key = (v, s)
         found = self._candidates.get(key)
         if found is None:
             g = self.group
             lengths = g._length
             lv = lengths[v]
-            levels = g._levels(lv - 1)
-            found = self._candidates[key] = [
-                z for level in levels[(lv - 1) % 2 : lv : 2] for z in level
-                if lengths[g.row(z)[s]] < lengths[z]
-            ]
+            if g._dominant[v]:
+                levels = g._levels(lv - 1)
+                found = [z for level in levels[(lv - 1) % 2 : lv : 2] for z in level
+                         if lengths[g.row(z)[s]] < lengths[z] and g.bruhat_leq(z, v)]
+            else:
+                found = [z for z in g.lower_ideal(v)
+                         if (lv - lengths[z]) % 2 and lengths[g.row(z)[s]] < lengths[z]]
+            self._candidates[key] = found
         return found
 
     def mu(self, x: int, y: int) -> int:
         """Coefficient of q^((l(y)-l(x)-1)/2) in P_{x,y}; 0 for even gaps."""
-        gap = self.group.length(y) - self.group.length(x)
-        if gap <= 0 or gap % 2 == 0:
-            return 0
-        return _coeff(self.kl(x, y), (gap - 1) // 2)
+        lengths = self.group._length
+        return self.c_coeff(x, y, lengths[y] - lengths[x] - 1)
 
     def c_coeff(self, u: int, v: int, s: int) -> int:
         """Coefficient of t^s in P_{u,v} read as a polynomial in t = sqrt(q).

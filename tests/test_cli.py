@@ -493,6 +493,6 @@ def test_extmult_omega_stats_locate_only_the_partner():
     assert json.loads(done.stdout) == {"0,2": 1}
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
     assert stats == {
-        "ids": 30, "flagged_ids": 15, "finite_part_index": 15, "bruhat_memo": 5,
+        "ids": 30, "flagged_ids": 15, "finite_part_index": 15, "bruhat_memo": 7,
         "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1, "finite_image_memo": 1,
     }

@@ -93,6 +93,26 @@ def test_flagged_kl_and_bruhat_match_the_unrestricted_recursion(series, rank):
     assert len(table.memo) < len(memo)
 
 
+# every pair with x unflagged and y flagged up to this length; its count of x <= y
+UNFLAGGED_BELOW_FLAGGED = [("A", 2, 9, 550), ("B", 2, 10, 490), ("G", 2, 11, 297)]
+
+
+@pytest.mark.parametrize("series,rank,bound,below", UNFLAGGED_BELOW_FLAGGED)
+def test_unflagged_below_flagged_pairs_match_the_unrestricted_recursion(
+    series, rank, bound, below
+):
+    # a flagged column v reads its mu-sum from flagged z for every x
+    g = AffineWeylGroup(build_root_system(series, rank))
+    table, memo = KLTable(g), {}
+    elements = g.elements_up_to_length(bound)
+    pairs = [(x, y) for y in elements if g.is_dominant(y) for x in elements if not g.is_dominant(x)]
+    assert sum(x in g.lower_ideal(y) for x, y in pairs) == below
+    for x, y in pairs:
+        assert table.kl(x, y) == reference_kl(g, memo, x, y), (
+            g.canonical_word(x), g.canonical_word(y)
+        )
+
+
 @st.composite
 def flagged_pairs(draw):
     series, rank = draw(st.sampled_from(sorted(RANDOM)))

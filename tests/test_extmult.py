@@ -91,6 +91,16 @@ def test_parity_vanishing(a1):
                 assert em.big_C(a1, lam, mu, n, 5) == 0
 
 
+def test_big_c_off_parity_does_no_kl_work():
+    ws = em.make_workspace("B", 2)
+    lam, mu, p = (9, 19), (4, 25), 7
+    g = ws.group
+    assert (g.locate(lam, p).length + g.locate(mu, p).length - 1) % 2
+    assert em.big_C(ws, lam, mu, 1, p) == 0
+    assert not ws.table.memo
+    assert em.ext_dim_G_red_red(ws, lam, mu, 1, p) == 0
+
+
 def test_factorization_consistency_fixture(a1):
     assert em.ext_dim_G_red_red(a1, (12,), (2,), 2, 5) == 1
     for n in range(6):

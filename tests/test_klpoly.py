@@ -290,16 +290,25 @@ def test_cache_loads_trailing_zero_trimmed(tmp_path, a2_table):
 
 @pytest.mark.parametrize("series,rank,bound", [("A", 2, 10), ("B", 2, 12), ("G", 2, 14)])
 def test_every_mu_candidate_list_is_a_filter_of_the_flagged_ids(series, rank, bound):
+    # a flagged v's list filters the flagged ids, any other v's its lower
+    # ideal; Bruhat order is read from lower_ideal, not bruhat_leq
     g = AffineWeylGroup(build_root_system(series, rank))
     table = KLTable(g)
     flagged = g.dominant_up_to_length(bound)
     for y in flagged:
         for x in flagged:
             table.kl(x, y)
-    assert len(table._candidates) > 10
+    everything = g.elements_up_to_length(6)
+    for y in everything:
+        for x in everything:
+            table.kl(x, y)
+    assert sum(g.is_dominant(v) for v, _ in table._candidates) > 10
+    assert sum(not g.is_dominant(v) for v, _ in table._candidates) > 10
     for (v, s), found in table._candidates.items():
-        lv = g.length(v)
-        assert found == [
-            z for z in g.dominant_up_to_length(lv - 1)
-            if (lv - g.length(z)) % 2 and s in g.right_descents(z)
+        lv, ideal = g.length(v), g.lower_ideal(v)
+        pool = g.dominant_up_to_length(lv - 1) if g.is_dominant(v) else sorted(ideal)
+        expected = [
+            z for z in pool
+            if (lv - g.length(z)) % 2 and s in g.right_descents(z) and z in ideal
         ]
+        assert (found if g.is_dominant(v) else sorted(found)) == expected
