@@ -10,12 +10,12 @@ from importlib import import_module
 
 _EXPORTS = {  # module: the names re-exported from it
     "affine": "AffineWeylGroup AlcoveLocation get_group restricted_decompose",
-    "characters": "dim_nabla dim_weight_space tensor_nabla_multiplicities "
-    "triple_tensor_nabla_multiplicities weight_multiplicities",
+    "characters": "dim_nabla dim_weight_space multi_tensor_nabla_multiplicities "
+    "tensor_nabla_multiplicities weight_multiplicities",
     "errors": "CacheFormatError ConfigurationError DecompositionError DimensionMismatchError "
     "GoodfiltError InternalInvariantError PreconditionError SingularWeightError",
     "extmult": "MultiplicityQuery MultiplicityTable Workspace big_C duality_self_test "
-    "ext_dim_G_red_red ext_dim_pair make_workspace multiplicity_table "
+    "ext_dim_G_red_red make_workspace multiplicity_table "
     "weight_space_identity_check small_c",
     "klpoly": "KLTable",
     "roots": "PrimeReport Root RootSystem build_root_system dominance_leq in_jantzen_region "

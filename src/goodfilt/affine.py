@@ -5,7 +5,9 @@ Coxeter length and its row ``(x s_0, ..., x s_r)`` of the
 right-multiplication table, whose shorter entries are its right descents.
 A row is filled on first use, creating the ids of neighbours not met
 before, so a group holds only what a computation reaches.  Products,
-reduced words, Bruhat order and lower ideals are walks in this table.
+reduced words, Bruhat order and lower ideals are walks in this table;
+canonical words and lower ideals share one walk down by the lowest right
+descent (``_strip_to``), each extending a value it already holds.
 
 Each id also keeps its matrix form, used only where weights are touched
 (``dot``, ``locate``) and to recognise an element reached along two paths:
@@ -301,15 +303,22 @@ class AffineWeylGroup:
         """
         words: dict[int, tuple[int, ...]] = {}
         for x in ids:
-            chain = []
-            while x not in words and self._length[x]:
-                i = self.right_descents(x)[0]
-                chain.append((x, i))
-                x = self._rmul[x][i]
+            x, chain = self._strip_to(x, words)
             word = words.setdefault(x, ())
-            for z, i in reversed(chain):
+            for z, i in chain:
                 word = words[z] = word + (i,)
         return words
+
+    def _strip_to(self, x: int, known) -> tuple[int, list[tuple[int, int]]]:
+        """Strip the lowest right descent from x until an id in ``known`` or
+        the identity is reached: that id, and the (id, letter) steps taken,
+        shortest id first, so each step extends the value of the one before."""
+        chain = []
+        while x not in known and self._length[x]:
+            i = self.right_descents(x)[0]
+            chain.append((x, i))
+            x = self._rmul[x][i]
+        return x, chain[::-1]
 
     # -- Bruhat order ------------------------------------------------------
 
@@ -337,16 +346,11 @@ class AffineWeylGroup:
         return cached
 
     def lower_ideal(self, y: int) -> frozenset:
-        """The set {z : z <= y} in Bruhat order (finite for every y)."""
-        chain = []
-        while y not in self._ideal and self._length[y]:
-            s = self.right_descents(y)[0]
-            chain.append((y, s))
-            y = self._rmul[y][s]
-        ideal = self._ideal.get(y)
-        if ideal is None:
-            ideal = self._ideal[y] = frozenset((y,))
-        for z, s in reversed(chain):
+        """The set {z : z <= y} in Bruhat order (finite for every y): the
+        ideal of ys, s the lowest right descent, and its image under s."""
+        y, chain = self._strip_to(y, self._ideal)
+        ideal = self._ideal.setdefault(y, frozenset((y,)))
+        for z, s in chain:
             ideal = self._ideal[z] = ideal | {self.row(w)[s] for w in ideal}
         return ideal
 

@@ -52,7 +52,6 @@ __all__ = [
     "dim_weight_space",
     "tensor_nabla_multiplicities",
     "multi_tensor_nabla_multiplicities",
-    "triple_tensor_nabla_multiplicities",
     "stats",
 ]
 
@@ -254,11 +253,6 @@ def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, 
                 folded[omega] = folded.get(omega, 0) + k * m
         out = folded
     return out
-
-
-def triple_tensor_nabla_multiplicities(rs: RootSystem, a, b, c) -> dict[Weight, int]:
-    """Constituents of a threefold product, folded pairwise."""
-    return multi_tensor_nabla_multiplicities(rs, a, b, c)
 
 
 _CACHES = {

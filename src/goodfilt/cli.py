@@ -2,8 +2,9 @@
 
 Data goes to stdout (JSON by default, TSV with --format tsv); advisories and
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage or configuration
-problems (including --strict advisory promotion, rejected cache files and a
---cache path that cannot be read, decoded or written), 3 singular-weight
+problems (including --strict advisory promotion, which ``rootsystem`` and
+``extmult`` offer, rejected cache files and a --cache path that cannot be
+read, decoded or written), 3 singular-weight
 rejection, 4 internal invariant violation, including inputs too deep for the
 recursion limit.  Every --cache command saves before it prints, so no
 refusal follows printed data.  Output is byte-stable for identical inputs and
@@ -108,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         if need_p:
             p.add_argument("--p", required=True, type=int, help="prime modulus")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--strict", action="store_true", help="fail on advisories")
         p.add_argument("--stats", action="store_true", help="time and cache sizes on stderr")
 
     p_rs = sub.add_parser("rootsystem", help="print root-system data and the alcove bound")
@@ -149,6 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on <mu+rho, alpha_0^vee> for the mu box",
     )
     p_c.add_argument("--cache", help="JSON-lines KL table to load and update")
+
+    for p in (p_rs, p_e):  # the commands whose output carries advisories
+        p.add_argument("--strict", action="store_true", help="fail on advisories")
     return parser
 
 

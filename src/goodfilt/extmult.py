@@ -1,33 +1,36 @@
 """Good-filtration multiplicities of Frobenius-kernel Ext groups.
 
 All quantities here reduce to coefficients of affine Kazhdan-Lusztig
-polynomials through one generating-function dictionary.  Write a p-regular
-dominant weight as lambda = x . lambda^- with lambda^- the antidominant
-representative and l(lambda) := l(x).  For two linked weights, with x the
-element of the "reduced" (quantum-irreducible) side and z the element of
-the plain Weyl/dual-Weyl side,
+polynomials through one coefficient, the paper's c(a, b, n).  Write a
+p-regular dominant weight as lambda = x . lambda^- with lambda^- the
+antidominant representative and l(lambda) := l(x).  For two linked
+weights a = z . rep, the (dual) Weyl-module side, and b = x . rep, the
+"reduced" (quantum-irreducible) side,
 
-    dim Ext^n_G(Delta(z . rep), nabla_red(x . rep))
-        = dim Ext^n_G(Delta_red(x . rep), nabla(z . rep))
-        = coefficient of t^(l(x) - l(z) - n) in P_{z,x}(t),   t = sqrt(q).
+    c(a, b, n) = dim Ext^n_G(Delta(a), nabla_red(b))
+               = dim Ext^n_G(Delta_red(b), nabla(a))
+               = coefficient of t^(l(x) - l(z) - n) in P_{z,x}(t),   t = sqrt(q),
 
-``ext_dim_pair`` computes exactly that coefficient.  The exponent places
-n = l(x) - l(z) at the constant term and walks down the polynomial as n
-decreases; since P is a polynomial in t^2 the dimensions obey the parity
-rule  n == l(x) - l(z) (mod 2).  Orientation note: the degree is read in
-P_{z,x} (plain element first), which is the unique reading under which
-the P_{z,x} = 0 for z > x support convention produces nonzero higher Ext
-groups; the built-in consistency identity over cohomology of the first
-Frobenius kernel (``weight_space_identity_check``) pins this convention end to end.
+and c(a, b, n) = 0 when a and b lie in different linkage classes.
+``small_c(a, b, n)`` computes exactly that coefficient.  The exponent
+places n = l(x) - l(z) at the constant term and walks down the polynomial
+as n decreases; since P is a polynomial in t^2 the dimensions obey the
+parity rule  n == l(x) - l(z) (mod 2).  Orientation note: the degree is
+read in P_{z,x} (Weyl-module element first), which is the unique reading
+under which the P_{z,x} = 0 for z > x support convention produces nonzero
+higher Ext groups; the built-in consistency identity over cohomology of
+the first Frobenius kernel (``weight_space_identity_check``) pins this
+convention end to end.
 
-On top of the pair dictionary:
+On top of c:
 
-* ``small_c(a, b, n)``: the same coefficient with a the Weyl-module
-  weight and b the reduced weight (zero across distinct linkage classes),
 * ``big_C(a, b, n)``: the convolution
   sum over z dominant-in-orbit, m in [0, n] of
       c(z, x_a, l(x_a)-l(z)-m) * c(z, x_b, l(x_b)-l(z)-n+m),
-  which is the n-th graded dimension of the reduced-reduced pairing,
+  which is the n-th graded dimension of the reduced-reduced pairing;
+  ``ext_dim_G_red_red`` is the same sum as a degree-split double sum of
+  ``small_c`` values over the dominant weights of the linkage class, a
+  second organisation that checks it,
 * ``multiplicity_table``: the three filtration-multiplicity formulas
   (variants red_red, delta_red, red_nabla), combining the KL factors with
   Steinberg tensor-product multiplicities of dual Weyl characters,
@@ -131,7 +134,6 @@ if TYPE_CHECKING:  # loaded by make_workspace, so a tensor-only process never im
 __all__ = [
     "Workspace",
     "make_workspace",
-    "ext_dim_pair",
     "small_c",
     "big_C",
     "ext_dim_G_red_red",
@@ -183,19 +185,15 @@ def _c_of_elements(ws: Workspace, z: int, x: int, n: int) -> int:
     return ws.table.c_coeff(z, x, ws.group.length(x) - ws.group.length(z) - n)
 
 
-def ext_dim_pair(ws: Workspace, red_weight, plain_weight, n: int, p: int) -> int:
-    """dim Ext^n between the reduced module at red_weight and the plain
-    (dual) Weyl module at plain_weight, as a KL coefficient.
+def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
+    """c(delta_weight, red_weight, n): dim Ext^n between the (dual) Weyl
+    module at delta_weight and the reduced module at red_weight, as a KL
+    coefficient (see the module docstring).
 
     Zero when the weights lie in different linkage classes.
     """
-    pair = _linked_elements(ws, plain_weight, red_weight, p)
+    pair = _linked_elements(ws, delta_weight, red_weight, p)
     return _c_of_elements(ws, *pair, n) if pair else 0
-
-
-def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
-    """c(delta_weight, red_weight, n): first slot indexes the Weyl module."""
-    return ext_dim_pair(ws, red_weight, delta_weight, n, p)
 
 
 def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
@@ -247,9 +245,9 @@ def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     total = 0
     for m in range(n + 1):
         for nu in nus:
-            a = ext_dim_pair(ws, lam, nu, m, p)
+            a = small_c(ws, nu, lam, m, p)
             if a:
-                b = ext_dim_pair(ws, mu, nu, n - m, p)
+                b = small_c(ws, nu, mu, n - m, p)
                 if b:
                     total += a * b
     return total

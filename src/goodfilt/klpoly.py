@@ -10,10 +10,13 @@ right-descent recursion: for s with ys < y and v := ys,
               - sum over z with x <= z <= v, zs < z of
                 mu(z, v) q^{(l(y)-l(z))/2} P_{x,z}        if xs < x,
 
-with P_{x,x} = 1 and P_{x,y} = 0 unless x <= y in Bruhat order.  One check
-of the defining invariants (constant term 1, nonnegative coefficients,
-2 deg_q <= l(y) - l(x) - 1) guards every entry before it is stored, computed
-or loaded; a violation raises rather than poisoning the memo.
+with P_{x,x} = 1 and P_{x,y} = 0 unless x <= y in Bruhat order.  Each
+term goes straight into one array of floor((l(y) - l(x)) / 2) + 1
+coefficients, as its stored factors obey the degree bound below.  One
+check of the defining invariants (constant term 1, nonnegative
+coefficients, 2 deg_q <= l(y) - l(x) - 1) guards every entry before it is
+stored, computed or loaded; a violation raises rather than poisoning the
+memo.
 
 Every value ``extmult`` reads pairs two flagged ids (dominant alcoves, see
 ``affine``), and between those the recursion stays flagged: the
@@ -139,22 +142,23 @@ class KLTable:
         else:
             if flagged[x] and flagged[v] and not flagged[xs]:
                 xs = x  # xs = tx with t finite and tv < v, so P_{xs,v} = P_{x,v}
-            # (shift, scale, P): each term has degree <= gap // 2 when its
-            # factors obey the degree bound, though the sum may cancel lower
-            terms = [(0, 1, memo.get((xs, v)) or self.kl(xs, v)),
-                     (1, 1, memo.get((x, v)) or self.kl(x, v))]
+            # each term has degree <= gap // 2, as its stored factors obey the
+            # degree bound, though the sum may cancel lower
+            acc = [0] * (gap // 2 + 1)
+            for i, c in enumerate(memo.get((xs, v)) or self.kl(xs, v)):
+                acc[i] += c
+            for i, c in enumerate(memo.get((x, v)) or self.kl(x, v), start=1):
+                acc[i] += c
             for z in self._mu_candidates(v, s):
                 lz = lengths[z]
                 if lz < lx or not g.bruhat_leq(x, z):
                     continue
                 m = _coeff(memo.get((z, v)) or self.kl(z, v), (lv - lz - 1) // 2)  # mu(z, v)
                 if m:
-                    terms.append(((lv + 1 - lz) // 2, -m, memo.get((x, z)) or self.kl(x, z)))
-            acc = [0] * (gap // 2 + 1)
-            for shift, scale, poly in terms:
-                for i, c in enumerate(poly, start=shift):
-                    acc[i] += scale * c
-            result = _trimmed(acc[: max(shift + len(poly) for shift, _, poly in terms)])
+                    poly = memo.get((x, z)) or self.kl(x, z)
+                    for i, c in enumerate(poly, start=(lv + 1 - lz) // 2):
+                        acc[i] -= m * c
+            result = _trimmed(acc)
 
         problem = _invariant_violation(result, gap)
         if problem:

@@ -507,18 +507,18 @@ def test_g2_seven_squared():
 
 
 def test_triple_tensor(a1, a2):
-    assert ch.triple_tensor_nabla_multiplicities(a1, (1,), (1,), (1,)) == {
+    assert ch.multi_tensor_nabla_multiplicities(a1, (1,), (1,), (1,)) == {
         (3,): 1,
         (1,): 2,
     }
-    assert ch.triple_tensor_nabla_multiplicities(a2, (2, 0), (0, 0), (0, 0)) == {
+    assert ch.multi_tensor_nabla_multiplicities(a2, (2, 0), (0, 0), (0, 0)) == {
         (2, 0): 1
     }
     # independence of the folding order and of argument permutations
     for trip in [((1, 0), (0, 1), (1, 1)), ((2, 0), (1, 0), (0, 1))]:
-        base = ch.triple_tensor_nabla_multiplicities(a2, *trip)
+        base = ch.multi_tensor_nabla_multiplicities(a2, *trip)
         for perm in itertools.permutations(trip):
-            assert ch.triple_tensor_nabla_multiplicities(a2, *perm) == base
+            assert ch.multi_tensor_nabla_multiplicities(a2, *perm) == base
         # fold in the other association by hand
         a, b, c = trip
         other = {}

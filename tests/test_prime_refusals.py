@@ -35,7 +35,6 @@ def affine_calls(g, p):
 
 def extmult_calls(ws, p):
     return {
-        "ext_dim_pair": lambda: em.ext_dim_pair(ws, (8,), (0,), 1, p),
         "small_c": lambda: em.small_c(ws, (0,), (8,), 1, p),
         "big_C": lambda: em.big_C(ws, (1,), (5,), 1, p),
         "ext_dim_G_red_red": lambda: em.ext_dim_G_red_red(ws, (1,), (5,), 1, p),
@@ -82,9 +81,9 @@ def test_a_served_prime_does_not_open_the_memo_to_its_float():
         with refusal(5.0):
             call()
     ws = em.make_workspace("A", 1)
-    em.ext_dim_pair(ws, (8,), (0,), 1, 5)  # serves the locate memo at 5
+    em.small_c(ws, (0,), (8,), 1, 5)  # serves the locate memo at 5
     with refusal(5.0):
-        em.ext_dim_pair(ws, (8,), (0,), 1, 5.0)
+        em.small_c(ws, (0,), (8,), 1, 5.0)
 
 
 def test_a_repeat_query_trial_divides_its_prime_once(monkeypatch):
