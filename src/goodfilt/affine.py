@@ -479,7 +479,7 @@ class AffineWeylGroup:
         created first.
         """
         level, out = [self.identity], []
-        for k in range(1, bound + 1):
+        for k in range(1, _r._check_int(bound, "bound") + 1):
             out += level
             level = self._next_level(level, k)
         return out + level
@@ -501,6 +501,7 @@ class AffineWeylGroup:
 
     def dominant_up_to_length(self, bound: int) -> list[int]:
         """The flagged ids of length <= bound, by length then matrix form."""
+        bound = _r._check_int(bound, "bound")
         return [z for level in self._levels(bound)[: max(bound, 0) + 1] for z in level]
 
     def _levels(self, bound: int) -> list[list[int]]:
@@ -565,6 +566,7 @@ class AffineWeylGroup:
         rep = check_weight(self.rs, rep)
         if not (isinstance(p, int) and self.in_antidominant_alcove(rep, check_prime(p))):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
+        _r._check_int(max_length, "max_length")
         image = self._finite_images(rep, max_length)
         out = []
         for z in self.dominant_up_to_length(max_length):

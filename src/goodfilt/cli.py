@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout (JSON by default, TSV with --format tsv); advisories and
-diagnostics go to stderr.  Exit codes: 0 success, 2 usage or configuration
+diagnostics go to stderr.  The advisories are built here, from
+``roots.validate_p`` and ``roots.in_jantzen_region``: a multiplicity table
+holds only its entries.  Exit codes: 0 success, 2 usage or configuration
 problems (including --strict advisory promotion, which ``rootsystem`` and
 ``extmult`` offer, rejected cache files and a --cache path that cannot be
 read, decoded or written), 3 singular-weight
@@ -32,6 +34,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_INVARIANT = 4
+
+# the standing hypothesis of every multiplicity table
+CHARACTER_FORMULA_NOTE = (
+    "note: results assume the characteristic-p irreducible character "
+    "formula for all p-regular weights"
+)
 
 
 def weight_arg(text: str) -> tuple[int, ...]:
@@ -77,16 +85,13 @@ def emit_table(entries: dict, fmt: str, out) -> None:
     emit({fmt_weight(w): m for w, m in entries.items()}, fmt, out)
 
 
-def report_advisories(advisories, strict: bool, err) -> int:
-    """Print advisories; under --strict, condition warnings become failures.
-
-    Entries prefixed "note:" are standing hypothesis statements and never
-    fail a strict run; everything else is a violated checkable condition.
-    """
-    for note in advisories:
-        err.write(f"advisory: {note}\n")
-    hard = [a for a in advisories if not a.startswith("note:")]
-    if strict and hard:
+def report_advisories(lines, failed: bool, strict: bool, err) -> int:
+    """Print advisory lines; under --strict, ``failed`` (a checked condition
+    on the inputs failed) makes the command fail.  A standing hypothesis
+    is printed but never fails a run."""
+    for line in lines:
+        err.write(f"advisory: {line}\n")
+    if strict and failed:
         err.write("error: advisories present and --strict given\n")
         return EXIT_CONFIG
     return EXIT_OK
@@ -192,7 +197,7 @@ def cmd_rootsystem(args, out, err) -> int:
         },
     }
     emit(data, args.format, out)
-    return report_advisories(report.warnings, args.strict, err)
+    return report_advisories(report.warnings, not report.ok, args.strict, err)
 
 
 def cmd_locate(args, out, err) -> int:
@@ -259,7 +264,16 @@ def cmd_extmult(args, out, err) -> int:
     table = em.multiplicity_table(ws, query, omegas=args.omega)
     _save_cache(ws, args.cache, err)
     emit_table(table.as_dict(), args.format, out)
-    return report_advisories(table.advisories, args.strict, err)
+    rs, p = ws.rs, args.p
+    prime = [f"warning: {w}" for w in _r.validate_p(rs, p).warnings]
+    outside = [
+        f"warning: {name}={list(w)} lies outside the region "
+        f"<w+rho, alpha_0^vee> <= p(p-h+2) = {_r.jantzen_bound(rs, p)}"
+        for name, w in (("lambda", args.lam), ("mu", args.mu))
+        if not _r.in_jantzen_region(rs, w, p)
+    ]
+    lines = prime + [CHARACTER_FORMULA_NOTE] + outside
+    return report_advisories(lines, bool(prime or outside), args.strict, err)
 
 
 def cmd_check_identity(args, out, err) -> int:

@@ -110,10 +110,12 @@ have a nonzero factor against the partner's element y:
   factors need z' = z and z' = y.  So a degree-0 table walks only up to
   l(y) and reads one factor, at y.
 
-Results carry advisories (prime-size flags, the character-formula
-assumption, Jantzen-region membership) instead of refusing service; the
-formulas are exact combinatorics regardless, and the advisories state the
-hypotheses under which they compute the intended Ext dimensions.
+A table holds only its entries and refuses no query for its hypotheses:
+the formulas are exact combinatorics regardless, and they compute the
+intended Ext dimensions under the hypotheses of point 1 above (p >= 2h - 2,
+the character formula, the Jantzen region).  The CLI reports those
+hypotheses as advisories; a Python caller asks ``roots.validate_p`` and
+``roots.in_jantzen_region`` directly.
 """
 
 from __future__ import annotations
@@ -192,6 +194,7 @@ def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
 
     Zero when the weights lie in different linkage classes.
     """
+    n = _r._check_int(n, "n", nonnegative=True)
     pair = _linked_elements(ws, delta_weight, red_weight, p)
     return _c_of_elements(ws, *pair, n) if pair else 0
 
@@ -228,6 +231,7 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
 
 def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
     """The n-th graded dimension of the reduced-reduced Ext pairing."""
+    n = _r._check_int(n, "n", nonnegative=True)
     pair = _linked_elements(ws, lam, mu, p)
     return _big_C_of_elements(ws, *pair, n) if pair else 0
 
@@ -235,7 +239,7 @@ def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
 def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     """Same sum as big_C, organized as a degree-split double sum over the
     dominant weights nu of the shared linkage class."""
-    g = ws.group
+    g, n = ws.group, _r._check_int(n, "n", nonnegative=True)
     pair = _linked_elements(ws, lam, mu, p)
     if not pair:
         return 0
@@ -266,8 +270,7 @@ class MultiplicityQuery(NamedTuple):
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
         _r.check_prime(self.p)
-        if type(self.n) is not int or self.n < 0:
-            raise ConfigurationError(f"n must be a nonnegative int, got n={self.n!r}")
+        _r._check_int(self.n, "n", nonnegative=True)
         lam = _r.check_weight(ws.rs, self.lam)
         mu = _r.check_weight(ws.rs, self.mu)
         for w in (lam, mu):
@@ -280,35 +283,12 @@ class MultiplicityQuery(NamedTuple):
 
 class MultiplicityTable(NamedTuple):
     entries: tuple[tuple[Weight, int], ...]
-    query: MultiplicityQuery
-    advisories: tuple[str, ...]
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.entries)
 
     def get(self, omega, default=0) -> int:
         return self.as_dict().get(tuple(omega), default)
-
-
-def _advisories(ws: Workspace, query: MultiplicityQuery) -> tuple[str, ...]:
-    """Hypothesis notes and condition warnings attached to every table.
-
-    Entries prefixed "note:" are standing assumptions (always present);
-    the rest are checkable conditions the inputs violated, and are what
-    strict front ends should treat as failures.
-    """
-    notes = [f"warning: {w}" for w in _r.validate_p(ws.rs, query.p).warnings]
-    notes.append(
-        "note: results assume the characteristic-p irreducible character "
-        "formula for all p-regular weights"
-    )
-    for name, w in (("lambda", query.lam), ("mu", query.mu)):
-        if not _r._in_jantzen_region(ws.rs, w, query.p):
-            notes.append(
-                f"warning: {name}={list(w)} lies outside the region "
-                f"<w+rho, alpha_0^vee> <= p(p-h+2) = {_r.jantzen_bound(ws.rs, query.p)}"
-            )
-    return tuple(notes)
 
 
 def _variant_parts(ws, query):
@@ -386,7 +366,7 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
                         acc[omega] = acc.get(omega, 0) + k * m
 
     entries = tuple(sorted((w, m) for w, m in acc.items() if m))
-    return MultiplicityTable(entries=entries, query=query, advisories=_advisories(ws, query))
+    return MultiplicityTable(entries)
 
 
 class IdentityCheckResult(NamedTuple):
@@ -481,6 +461,7 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
     failing ``IdentityCheckResult``s ("failures").
     """
     _r.check_prime(p)
+    _r._check_int(max_pairing, "max_pairing")
     rs, h = ws.rs, ws.rs.coxeter_number
     cases = tau_checks = 0
     failures = []
@@ -503,9 +484,6 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
 class DualityReport(NamedTuple):
     """The red_nabla table against the delta_red table it is dual to."""
 
-    lam: Weight
-    mu: Weight
-    n: int
     matched: bool
     red_nabla: tuple
     dual_delta_red: tuple
@@ -525,4 +503,4 @@ def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
     dual = multiplicity_table(
         ws, MultiplicityQuery("delta_red", _r._star(rs, mu), _r._star(rs, lam), n, p)
     ).entries
-    return DualityReport(lam, mu, n, direct == dual, direct, dual)
+    return DualityReport(direct == dual, direct, dual)

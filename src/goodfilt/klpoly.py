@@ -51,10 +51,11 @@ u = v (``extmult``'s walk stops at l(v)).  ``c_coeff`` and the
 mu-sum read memo hits without calling ``kl``, so a wrapper of ``kl`` sees
 only the lookups that go through it.
 
-Concurrency: the memo dict is the only shared state.  Entries are
-immutable and insertion is idempotent (same key always yields the same
-polynomial), so concurrent lookups and racing writers are benign under
-CPython's atomic dict assignment.
+Concurrency: the shared state is two dicts, the memo and the mu-candidate
+lists (``_candidates``).  Both are published idempotently: a key always
+gets the same value (a polynomial, or a list built in full before it is
+stored and never changed after), so concurrent lookups and racing writers
+are benign under CPython's atomic dict assignment.
 
 The memo is keyed on pairs of the group's integer element ids.
 Persistence is JSON lines: a header record followed by one record per

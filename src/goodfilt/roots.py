@@ -162,51 +162,35 @@ class RootSystem(NamedTuple):
 
 
 def _cartan_matrix(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
+    """The Cartan matrix and the half squared lengths d of the simple roots.
+
+    Each series gives its Dynkin edges (0-based nodes) and d; every edge
+    i - j then gets <alpha_j, alpha_i^vee> = -max(d_i, d_j) / d_i, so a bond
+    is single between roots of one length and has the length ratio on the
+    short root's row.
+    """
     n = rank
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def edge(i, j, cij=-1, cji=-1):
-        # 0-based node labels
-        c[i][j] = cij
-        c[j][i] = cji
-
-    if series in ("A", "B", "C"):
-        for i in range(n - 1):
-            edge(i, i + 1)
-        if series == "B" and n >= 2:
-            # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2
-            c[n - 1][n - 2] = -2
-        if series == "C" and n >= 2:
-            # alpha_n long: <alpha_n, alpha_{n-1}^vee> = -2
-            c[n - 2][n - 1] = -2
-        d = [1] * n
-        if series == "B":
-            d = [2] * (n - 1) + [1]
-        if series == "C":
-            d = [1] * (n - 1) + [2]
+    nodes = list(range(n))
+    edges = list(zip(nodes, nodes[1:]))
+    d = [1] * n
+    if series == "B":
+        d = [2] * (n - 1) + [1]
+    elif series == "C":
+        d[-1] = 2
     elif series == "D":
-        for i in range(n - 3):
-            edge(i, i + 1)
-        edge(n - 3, n - 2)
-        edge(n - 3, n - 1)
-        d = [1] * n
+        edges[-1] = (n - 3, n - 1)
     elif series == "E":
         # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 hangs off node 4
         chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            edge(a, b)
-        edge(1, 3)
-        d = [1] * n
+        edges = list(zip(chain, chain[1:])) + [(1, 3)]
     elif series == "F":
-        edge(0, 1)
-        edge(1, 2, cij=-1, cji=-2)  # <alpha_3, alpha_2^vee> = -1, <alpha_2, alpha_3^vee> = -2
-        edge(2, 3)
         d = [2, 2, 1, 1]
     elif series == "G":
-        edge(0, 1, cij=-3, cji=-1)  # alpha_1 short, alpha_2 long
         d = [1, 3]
-    else:  # pragma: no cover - guarded by caller
-        raise ConfigurationError(f"unknown series {series!r}")
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        c[i][j] = -(max(d[i], d[j]) // d[i])
+        c[j][i] = -(max(d[i], d[j]) // d[j])
     return c, d
 
 
@@ -336,7 +320,10 @@ def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
 
 
 def check_weight(rs: RootSystem, weight) -> Weight:
-    w = tuple(weight)
+    try:
+        w = tuple(weight)
+    except TypeError:
+        raise ConfigurationError(f"weight {weight!r} is not a sequence of ints") from None
     # type(), not isinstance(): True is no coordinate, and nothing is rounded
     if not {int}.issuperset(map(type, w)):
         raise ConfigurationError(f"weight {w!r} has a coordinate that is not an int")
@@ -378,6 +365,14 @@ def check_prime(p) -> int:
     return p
 
 
+def _check_int(value, name: str, nonnegative: bool = False) -> int:
+    """value when it is an int, and >= 0 if ``nonnegative``; True and 2.0 are refused."""
+    if type(value) is not int or (nonnegative and value < 0):
+        kind = "a nonnegative int" if nonnegative else "an int"
+        raise ConfigurationError(f"{name} must be {kind}, got {name}={value!r}")
+    return value
+
+
 def is_dominant(rs: RootSystem, weight) -> bool:
     return all(x >= 0 for x in check_weight(rs, weight))
 
@@ -392,11 +387,7 @@ def jantzen_bound(rs: RootSystem, p: int) -> int:
 
 def in_jantzen_region(rs: RootSystem, weight, p: int) -> bool:
     """Whether <weight + rho, alpha_0^vee> <= p(p - h + 2)."""
-    return _in_jantzen_region(rs, check_dominant(rs, weight, "jantzen test"), p)
-
-
-def _in_jantzen_region(rs: RootSystem, w: Weight, p: int) -> bool:
-    """``in_jantzen_region`` of a checked dominant weight."""
+    w = check_dominant(rs, weight, "jantzen test")
     return sum(map(mul, rs.highest_short_root.coroot, _vec_add(w, rs.rho))) <= jantzen_bound(rs, p)
 
 

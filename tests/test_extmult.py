@@ -200,7 +200,9 @@ def test_query_validation(a1, a2):
 
 def test_advisories_at_the_jantzen_bound():
     # <w+rho, alpha_0^vee> = p(p-h+2) is a multiple of p, so a weight on the
-    # bound is p-singular and only the advisories can be asked for it
+    # bound is p-singular and no table can be asked for it: the edge belongs
+    # to roots.in_jantzen_region.  The CLI's advisory lines are pinned in
+    # tests/test_cli_golden.py.
     for series, p, small in (("A", 7, 3), ("B", 7, 5), ("G", 13, 7)):
         ws = em.make_workspace(series, 2)
         coroot, bound = ws.rs.highest_short_root.coroot, r.jantzen_bound(ws.rs, p)
@@ -212,26 +214,32 @@ def test_advisories_at_the_jantzen_bound():
             )
             for pairing in (bound, bound + 1)
         )
-        jantzen = lambda t: [a for a in t if "outside the region" in a]
-        assert not jantzen(em._advisories(ws, MultiplicityQuery("red_red", inside, inside, 0, p)))
+        assert r.in_jantzen_region(ws.rs, inside, p)
+        assert not r.in_jantzen_region(ws.rs, outside, p)
         zero = (0, 0)
-        table = em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, outside, 0, p), [])
-        assert jantzen(table.advisories) == [
-            f"warning: mu={list(outside)} lies outside the region "
-            f"<w+rho, alpha_0^vee> <= p(p-h+2) = {bound}"
-        ]
-        # a prime below 2h-2 still warns
-        table = em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, zero, 0, small))
+        with pytest.raises(SingularWeightError):
+            em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, inside, 0, p), [])
+        # a weight outside the region is answered all the same
+        query = MultiplicityQuery("red_red", zero, outside, 0, p)
+        assert em.multiplicity_table(ws, query, []).entries == ()
+        # a prime below 2h-2 is flagged by roots.validate_p, and its table answered
         h = ws.rs.coxeter_number
-        assert f"warning: p={small} < 2h-2 = {2 * h - 2} for {series}2" in table.advisories
+        assert r.validate_p(ws.rs, small).warnings == (f"p={small} < 2h-2 = {2 * h - 2} for {series}2",)
+        assert r.validate_p(ws.rs, p).ok
+        assert em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, zero, 0, small)).entries
 
 
 def test_advisories(a2):
+    # a table holds only its entries, at a prime below 2h-2 as at any other;
+    # the hypotheses are asked of roots, and the CLI reports them
+    assert em.MultiplicityTable._fields == ("entries",)
+    assert em.DualityReport._fields == ("matched", "red_nabla", "dual_delta_red")
     t = em.multiplicity_table(a2, MultiplicityQuery("red_red", (1, 1), (1, 1), 0, 3))
-    assert any("2h-2" in a for a in t.advisories)
+    assert t.entries == (((0, 0), 1),)
+    assert any("2h-2" in w for w in r.validate_p(a2.rs, 3).warnings)
     t2 = em.multiplicity_table(a2, MultiplicityQuery("red_red", (1, 1), (1, 1), 0, 7))
-    assert not any("2h-2" in a for a in t2.advisories)
-    assert any("character formula" in a for a in t2.advisories)
+    assert t2.entries == (((0, 0), 1),)
+    assert r.validate_p(a2.rs, 7).ok and r.in_jantzen_region(a2.rs, (1, 1), 7)
 
 
 def test_entrywise_degree_vanishing(a1):
