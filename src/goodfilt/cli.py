@@ -8,22 +8,36 @@ problems (including --strict advisory promotion, which ``rootsystem`` and
 ``extmult`` offer, rejected cache files and a --cache path that cannot be
 read, decoded or written), 3 singular-weight
 rejection, 4 internal invariant violation, including inputs too deep for the
-recursion limit.  Every --cache command saves before it prints, so no
-refusal follows printed data.  Output is byte-stable for identical inputs and
+recursion limit.  Output is byte-stable for identical inputs and
 cache state: keys are emitted in sorted order everywhere.  With ``--stats`` a
 command also writes one JSON line to stderr: the wall and CPU seconds the
 command took after argument parsing, the sizes of the character caches
 (``characters.stats``) and, when the command built one, those of its
-workspace (``Workspace.stats``).
+workspace (``Workspace.stats``).  ``main(argv, out, err)`` writes
+everything, argparse's usage errors and ``--help`` included, to the two
+streams it is given.
+
+Each ``cmd_*`` function only computes: it takes the parsed arguments and
+the workspace, and returns an ``Outcome`` (data, exit code, advisory lines,
+and whether a checked condition failed).  ``_run`` alone does the I/O, in
+this order: it builds the workspace of ``kl``, ``extmult`` and
+``check-identity``; loads ``--cache`` if the file exists; runs the command;
+saves the cache; prints the data as JSON or TSV (tables, those of ``tensor``
+and ``extmult``, keyed by weight, under an ``omega``, ``multiplicity``
+header in TSV); writes the ``advisory:`` lines; and applies --strict.  So the
+cache is saved before anything is printed, and no refusal follows printed
+data.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from . import characters as ch
 from . import extmult as em
@@ -78,25 +92,6 @@ def emit(data: dict, fmt: str, out) -> None:
                 out.write(f"{key}\t{value}\n")
 
 
-def emit_table(entries: dict, fmt: str, out) -> None:
-    """Multiplicity maps: weight-coordinate string -> integer."""
-    if fmt == "tsv":
-        out.write("omega\tmultiplicity\n")
-    emit({fmt_weight(w): m for w, m in entries.items()}, fmt, out)
-
-
-def report_advisories(lines, failed: bool, strict: bool, err) -> int:
-    """Print advisory lines; under --strict, ``failed`` (a checked condition
-    on the inputs failed) makes the command fail.  A standing hypothesis
-    is printed but never fails a run."""
-    for line in lines:
-        err.write(f"advisory: {line}\n")
-    if strict and failed:
-        err.write("error: advisories present and --strict given\n")
-        return EXIT_CONFIG
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goodfilt",
@@ -127,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_kl, need_p=False)
     p_kl.add_argument("--x", required=True, type=word_arg, help="word, e.g. 0,1,2")
     p_kl.add_argument("--y", required=True, type=word_arg)
-    p_kl.add_argument("--cache", help="JSON-lines KL table to load and update")
 
     p_t = sub.add_parser("tensor", help="dual Weyl tensor decomposition")
     common(p_t, need_p=False)
@@ -140,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_e.add_argument("--mu", required=True, type=weight_arg)
     p_e.add_argument("--n", required=True, type=int)
     p_e.add_argument("--omega", type=weight_arg, action="append", default=None)
-    p_e.add_argument("--cache", help="JSON-lines KL table to load and update")
 
     p_c = sub.add_parser(
         "check-identity",
@@ -153,32 +146,26 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="bound on <mu+rho, alpha_0^vee> for the mu box",
     )
-    p_c.add_argument("--cache", help="JSON-lines KL table to load and update")
 
+    for p in (p_kl, p_e, p_c):  # the commands with a KL table
+        p.add_argument("--cache", help="JSON-lines KL table to load and update")
     for p in (p_rs, p_e):  # the commands whose output carries advisories
         p.add_argument("--strict", action="store_true", help="fail on advisories")
     return parser
 
 
-def _workspace(args):
-    """A fresh workspace for the command, kept on ``args`` for ``--stats``."""
-    args.workspace = em.make_workspace(args.series, args.rank)
-    return args.workspace
+class Outcome(NamedTuple):
+    """What a command computed.  ``failed`` marks a checked condition on the
+    inputs that failed, which --strict turns into exit 2; only the commands
+    that take --strict set it."""
+
+    data: dict
+    code: int = EXIT_OK
+    advisories: tuple[str, ...] = ()
+    failed: bool = False
 
 
-def _load_cache(ws, path, err):
-    if path and os.path.exists(path):
-        n = ws.table.load(path)
-        err.write(f"cache: loaded {n} entries from {path}\n")
-
-
-def _save_cache(ws, path, err):
-    if path:
-        ws.table.save(path)
-        err.write(f"cache: saved {len(ws.table.memo)} entries to {path}\n")
-
-
-def cmd_rootsystem(args, out, err) -> int:
+def cmd_rootsystem(args, ws) -> Outcome:
     rs = _r.build_root_system(args.series, args.rank)
     p = _r.check_prime(args.p)
     report = _r.validate_p(rs, p)
@@ -196,74 +183,56 @@ def cmd_rootsystem(args, out, err) -> int:
             for i, root in enumerate(rs.positive_roots)
         },
     }
-    emit(data, args.format, out)
-    return report_advisories(report.warnings, not report.ok, args.strict, err)
+    return Outcome(data, advisories=report.warnings, failed=not report.ok)
 
 
-def cmd_locate(args, out, err) -> int:
+def cmd_locate(args, ws) -> Outcome:
     from .affine import get_group
 
     group = get_group(args.series, args.rank)
     try:
         loc = group.locate(args.weight, args.p)
     except SingularWeightError as exc:
-        emit(
+        return Outcome(
             {
                 "regular": False,
                 "weight": fmt_weight(exc.weight),
                 "vanishing_pairing": exc.pairing,
                 "coroot": fmt_weight(exc.coroot),
             },
-            args.format,
-            out,
+            EXIT_SINGULAR,
         )
-        return EXIT_SINGULAR
-    emit(
+    return Outcome(
         {
             "regular": True,
             "length": loc.length,
             "word": list(group.canonical_word(loc.element)),
             "antidominant": fmt_weight(loc.antidominant_rep),
-        },
-        args.format,
-        out,
+        }
     )
-    return EXIT_OK
 
 
-def cmd_kl(args, out, err) -> int:
-    ws = _workspace(args)
-    _load_cache(ws, args.cache, err)
+def cmd_kl(args, ws) -> Outcome:
     x = ws.group.from_word(args.x)
     y = ws.group.from_word(args.y)
     poly = ws.table.kl(x, y)
-    _save_cache(ws, args.cache, err)
-    emit(
+    return Outcome(
         {
             "x": list(ws.group.canonical_word(x)),
             "y": list(ws.group.canonical_word(y)),
             "p_of_q": list(poly),
-        },
-        args.format,
-        out,
+        }
     )
-    return EXIT_OK
 
 
-def cmd_tensor(args, out, err) -> int:
+def cmd_tensor(args, ws) -> Outcome:
     rs = _r.build_root_system(args.series, args.rank)
-    entries = ch.multi_tensor_nabla_multiplicities(rs, *args.weights)
-    emit_table(entries, args.format, out)
-    return EXIT_OK
+    return Outcome(ch.multi_tensor_nabla_multiplicities(rs, *args.weights))
 
 
-def cmd_extmult(args, out, err) -> int:
-    ws = _workspace(args)
-    _load_cache(ws, args.cache, err)
+def cmd_extmult(args, ws) -> Outcome:
     query = em.MultiplicityQuery(args.variant, args.lam, args.mu, args.n, args.p)
     table = em.multiplicity_table(ws, query, omegas=args.omega)
-    _save_cache(ws, args.cache, err)
-    emit_table(table.as_dict(), args.format, out)
     rs, p = ws.rs, args.p
     prime = [f"warning: {w}" for w in _r.validate_p(rs, p).warnings]
     outside = [
@@ -272,20 +241,17 @@ def cmd_extmult(args, out, err) -> int:
         for name, w in (("lambda", args.lam), ("mu", args.mu))
         if not _r.in_jantzen_region(rs, w, p)
     ]
-    lines = prime + [CHARACTER_FORMULA_NOTE] + outside
-    return report_advisories(lines, bool(prime or outside), args.strict, err)
+    lines = (*prime, CHARACTER_FORMULA_NOTE, *outside)
+    return Outcome(table.as_dict(), advisories=lines, failed=bool(prime or outside))
 
 
-def cmd_check_identity(args, out, err) -> int:
-    ws = _workspace(args)
-    _load_cache(ws, args.cache, err)
+def cmd_check_identity(args, ws) -> Outcome:
     result = em.run_identity_box(ws, args.p, args.max_pairing)
-    _save_cache(ws, args.cache, err)
     failures = [
         {"mu": fmt_weight(f.mu), "tau": fmt_weight(f.tau), "lhs": f.lhs, "rhs": f.rhs}
         for f in result["failures"]
     ]
-    emit(
+    return Outcome(
         {
             "cases": result["cases"],
             "tau_checks": result["tau_checks"],
@@ -296,10 +262,8 @@ def cmd_check_identity(args, out, err) -> int:
                 else f"{len(failures)} failures"
             ),
         },
-        args.format,
-        out,
+        EXIT_OK if not failures else EXIT_INVARIANT,
     )
-    return EXIT_OK if not failures else EXIT_INVARIANT
 
 
 COMMANDS = {
@@ -310,6 +274,7 @@ COMMANDS = {
     "extmult": cmd_extmult,
     "check-identity": cmd_check_identity,
 }
+TABLES = ("tensor", "extmult")  # their data maps weights to multiplicities
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -317,7 +282,8 @@ def main(argv=None, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     args.workspace = None
@@ -334,9 +300,31 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def _run(args, out, err) -> int:
-    """The command's exit code, with each library error mapped to its code."""
+    """Run the command and do all of its I/O, in the order the module
+    docstring gives; each library error maps to its exit code."""
     try:
-        return COMMANDS[args.command](args, out, err)
+        ws = None
+        if "cache" in args:  # a command with a KL table
+            ws = args.workspace = em.make_workspace(args.series, args.rank)
+            if args.cache and os.path.exists(args.cache):
+                n = ws.table.load(args.cache)
+                err.write(f"cache: loaded {n} entries from {args.cache}\n")
+        result = COMMANDS[args.command](args, ws)
+        if ws is not None and args.cache:
+            ws.table.save(args.cache)
+            err.write(f"cache: saved {len(ws.table.memo)} entries to {args.cache}\n")
+        data = result.data
+        if args.command in TABLES:
+            if args.format == "tsv":
+                out.write("omega\tmultiplicity\n")
+            data = {fmt_weight(w): m for w, m in data.items()}
+        emit(data, args.format, out)
+        for line in result.advisories:
+            err.write(f"advisory: {line}\n")
+        if result.failed and args.strict:
+            err.write("error: advisories present and --strict given\n")
+            return EXIT_CONFIG
+        return result.code
     except SingularWeightError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_SINGULAR

@@ -458,7 +458,9 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
     For each mu the constituents tau are the dominant weights within two
     alcove layers above mu: <p*tau + rho, alpha_0^vee> <= <mu + rho, alpha_0^vee> + 2ph.
     Returns the counts of mus ("cases") and of checks ("tau_checks"), and the
-    failing ``IdentityCheckResult``s ("failures").
+    failing ``IdentityCheckResult``s ("failures").  A box that holds no
+    decomposable p-regular mu raises ``ConfigurationError`` naming
+    ``max_pairing``, so that a mistyped bound is not read as a passing check.
     """
     _r.check_prime(p)
     _r._check_int(max_pairing, "max_pairing")
@@ -478,6 +480,11 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
         cases += 1
         tau_checks += len(results)
         failures += [r for r in results if not r.ok]
+    if not cases:
+        raise ConfigurationError(
+            f"max_pairing={max_pairing} leaves no decomposable p-regular mu in the box "
+            f"<mu+rho, alpha_0^vee> < max_pairing at p={p}"
+        )
     return {"cases": cases, "tau_checks": tau_checks, "failures": failures}
 
 

@@ -248,8 +248,10 @@ class KLTable:
         The whole file is rejected (CacheFormatError naming file and line)
         on the first record that is not three arrays of integers, uses a
         generator beyond the rank, breaks the KL invariants, or repeats a
-        pair (x, y) of an earlier record.  Trailing zero coefficients are
-        dropped.
+        pair (x, y) of an earlier record; and (naming the pair) when a
+        record conflicts with a computed entry.  Every record is checked
+        before any is merged, so a rejected file leaves the table unchanged.
+        Trailing zero coefficients are dropped.
         """
         g = self.group
         staged = {}
@@ -299,11 +301,10 @@ class KLTable:
                 if x != y:
                     staged[(x, y)] = poly, where
         for key, (poly, _) in staged.items():
-            existing = self.memo.get(key)
-            if existing is not None and existing != poly:
+            if self.memo.get(key, poly) != poly:
                 x, y = (list(g.canonical_word(z)) for z in key)
                 raise CacheFormatError(
                     f"{path}: record for x={x}, y={y} conflicts with computed value"
                 )
-            self.memo[key] = poly
+        self.memo.update((key, poly) for key, (poly, _) in staged.items())
         return len(staged)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import goodfilt
+from goodfilt import cli
 from goodfilt.cli import main
 
 
@@ -421,6 +423,41 @@ def test_check_identity_reports_failures(monkeypatch):
     first = data["failures"][0]
     assert sorted(first) == ["lhs", "mu", "rhs", "tau"]
     assert first["lhs"] == first["rhs"] + 1 and isinstance(first["mu"], str)
+
+
+def test_check_identity_over_an_empty_box_exits_2_with_empty_stdout():
+    code, out, err = run(
+        ["check-identity", "--series", "A", "--rank", "2", "--p", "7", "--max-pairing", "-5"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: max_pairing=-5 leaves no decomposable p-regular mu")
+
+
+def test_only_the_runner_does_the_io():
+    # a command only computes; the workspace, the cache, the output and the
+    # advisory lines are the business of _run alone
+    io_calls = {"make_workspace", "load", "save", "emit"}
+    doers = set()
+    for fn in ast.parse(Path(cli.__file__).read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        calls = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                 for n in nodes if isinstance(n, ast.Call)}
+        texts = [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        if calls & io_calls or any("advisory:" in t for t in texts):
+            doers.add(fn.name)
+    assert doers == {"_run"}
+
+
+def test_usage_errors_and_help_go_to_the_given_streams(capsys):
+    code, out, err = run(["kl", "--series", "A", "--rank", "2", "--x", "-1", "--y", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: goodfilt kl") and "negative generator index" in err
+    code, out, err = run(["rootsystem", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: goodfilt rootsystem")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_usage_error_exits_2():

@@ -443,6 +443,13 @@ def test_identity_box_window(series, rank, p, max_pairing, counts):
     assert (result["cases"], result["tau_checks"]) == counts
     assert result["failures"] == []
 
+@pytest.mark.parametrize("max_pairing", [-5, 0, 2])
+def test_identity_box_without_a_decomposable_regular_mu_is_refused(max_pairing):
+    # <0 + rho, alpha_0^vee> = 2 on A2, so no dominant mu lies below 2
+    with pytest.raises(ConfigurationError, match=rf"^max_pairing={max_pairing} leaves no "):
+        em.run_identity_box(em.make_workspace("A", 2), 7, max_pairing)
+
+
 def test_small_c_star_equivariance(a2):
     p = 7
     pool = sorted(

@@ -278,6 +278,31 @@ def test_cache_rejects_repeated_pair(tmp_path, a2_table):
     assert KLTable(g).kl(g.identity, g.from_word((1, 0, 2, 1))) == (1, 1)
 
 
+def test_a_conflicting_record_leaves_the_memo_unchanged(tmp_path, a1_table):
+    # every record passes its own checks, and the last one conflicts with a
+    # computed entry: the whole file is refused, the records before it too
+    g = a1_table.group
+    a1_table.kl(g.identity, g.from_word((0, 1, 0)))
+    before = dict(a1_table.memo)
+    other = KLTable(g)
+    other.kl(g.identity, g.from_word((0, 1) * 4))
+    other.save(tmp_path / "other.klcache")
+    lines = (tmp_path / "other.klcache").read_text().splitlines()
+    words = g.canonical_words({z for pair in before for z in pair})
+    known = {(words[x], words[y]) for x, y in before}
+    new = [
+        line for line in lines[1:]
+        if (tuple(json.loads(line)["x"]), tuple(json.loads(line)["y"])) not in known
+    ]
+    assert len(new) >= 20
+    path = tmp_path / "conflict.klcache"
+    conflict = '{"x": [], "y": [0, 1, 0], "p_of_q": [1, 1]}'
+    path.write_text("\n".join([lines[0], *new, conflict]) + "\n")
+    with pytest.raises(CacheFormatError, match=r"x=\[\], y=\[0, 1, 0\] conflicts"):
+        a1_table.load(path)
+    assert a1_table.memo == before
+
+
 def test_cache_loads_trailing_zero_trimmed(tmp_path, a2_table):
     g = a2_table.group
     path = tmp_path / "trailing.klcache"
