@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Data goes to stdout (JSON by default, TSV with --format tsv); advisories and
-diagnostics go to stderr.  The advisories are built here, from
+Data goes to stdout (JSON by default, TSV with --format tsv, whose cells are
+written as JSON writes them, a string bare); advisories and diagnostics go
+to stderr.  The advisories are built here, from
 ``roots.validate_p`` and ``roots.in_jantzen_region``: a multiplicity table
 holds only its entries.  Exit codes: 0 success, 2 usage or configuration
 problems (including --strict advisory promotion, which ``rootsystem`` and
@@ -80,16 +81,19 @@ def fmt_weight(w) -> str:
 
 
 def emit(data: dict, fmt: str, out) -> None:
+    """Write ``data`` as one JSON line, or as TSV rows of key and cell, a
+    nested dict one row per inner key.  A TSV cell is JSON-encoded as in
+    the JSON line, except that a string stays bare."""
+    dumps = lambda v: json.dumps(v, sort_keys=True, separators=(", ", ": "))
     if fmt == "json":
-        out.write(json.dumps(data, sort_keys=True, separators=(", ", ": ")) + "\n")
-    else:
-        for key in sorted(data):
-            value = data[key]
-            if isinstance(value, dict):
-                for k2 in sorted(value):
-                    out.write(f"{key}.{k2}\t{value[k2]}\n")
-            else:
-                out.write(f"{key}\t{value}\n")
+        out.write(dumps(data) + "\n")
+        return
+    for key in sorted(data):
+        value = data[key]
+        nested = isinstance(value, dict)
+        rows = [(f"{key}.{k}", value[k]) for k in sorted(value)] if nested else [(key, value)]
+        for name, cell in rows:
+            out.write(f"{name}\t{cell if isinstance(cell, str) else dumps(cell)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +246,7 @@ def cmd_extmult(args, ws) -> Outcome:
         if not _r.in_jantzen_region(rs, w, p)
     ]
     lines = (*prime, CHARACTER_FORMULA_NOTE, *outside)
-    return Outcome(table.as_dict(), advisories=lines, failed=bool(prime or outside))
+    return Outcome(table, advisories=lines, failed=bool(prime or outside))
 
 
 def cmd_check_identity(args, ws) -> Outcome:
@@ -338,7 +342,7 @@ def _run(args, out, err) -> int:
             + "\n"
         )
         return EXIT_INVARIANT
-    except (InternalInvariantError, AssertionError) as exc:
+    except InternalInvariantError as exc:
         err.write(f"internal error: {exc}\n")
         return EXIT_INVARIANT
     except (GoodfiltError, OSError) as exc:

@@ -36,8 +36,10 @@ On top of c:
   Steinberg tensor-product multiplicities of dual Weyl characters,
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
-  over all degrees equals dim Delta(tau)_xi; ``run_identity_box`` checks
-  it with one red_nabla table per (mu, degree some tau of mu occupies).
+  over all degrees equals dim Delta(tau)_xi.  It checks mu as the tables
+  do and so refuses a p-singular mu, hence every mu below the Coxeter
+  number h, where no weight is p-regular; ``run_identity_box`` checks it
+  with one red_nabla table per (mu, degree some tau of mu occupies).
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
@@ -110,10 +112,11 @@ have a nonzero factor against the partner's element y:
   factors need z' = z and z' = y.  So a degree-0 table walks only up to
   l(y) and reads one factor, at y.
 
-A table holds only its entries and refuses no query for its hypotheses:
-the formulas are exact combinatorics regardless, and they compute the
-intended Ext dimensions under the hypotheses of point 1 above (p >= 2h - 2,
-the character formula, the Jantzen region).  The CLI reports those
+A table (``MultiplicityTable``) is a dict from omega to multiplicity, zero
+entries omitted, and refuses no query for its hypotheses: the formulas are
+exact combinatorics regardless, and they compute the intended Ext
+dimensions under the hypotheses of point 1 above (p >= 2h - 2, the
+character formula, the Jantzen region).  The CLI reports those
 hypotheses as advisories; a Python caller asks ``roots.validate_p`` and
 ``roots.in_jantzen_region`` directly.
 """
@@ -281,14 +284,14 @@ class MultiplicityQuery(NamedTuple):
         return MultiplicityQuery(self.variant, lam, mu, self.n, self.p)
 
 
-class MultiplicityTable(NamedTuple):
-    entries: tuple[tuple[Weight, int], ...]
+class MultiplicityTable(dict):
+    """Constituent multiplicities of one Ext group: omega -> multiplicity,
+    zero entries omitted."""
 
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.entries)
+    as_dict = dict.copy  # a plain dict, not the table itself
 
     def get(self, omega, default=0) -> int:
-        return self.as_dict().get(tuple(omega), default)
+        return dict.get(self, tuple(omega), default)
 
 
 def _variant_parts(ws, query):
@@ -365,8 +368,7 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
                     if omegas is None or omega in omegas:
                         acc[omega] = acc.get(omega, 0) + k * m
 
-    entries = tuple(sorted((w, m) for w, m in acc.items() if m))
-    return MultiplicityTable(entries)
+    return MultiplicityTable((w, m) for w, m in acc.items() if m)
 
 
 class IdentityCheckResult(NamedTuple):
@@ -413,34 +415,41 @@ def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
 def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheckResult:
     """Two-path check on H^*(G_1, nabla(mu)): lhs sums the tau entries of the
     lambda = 0 red_nabla tables over all degrees, rhs is the xi-weight-space
-    dimension of the Weyl module Delta(tau), where mu = w . 0 + p*xi."""
+    dimension of the Weyl module Delta(tau), where mu = w . 0 + p*xi.
+
+    Raises SingularWeightError for a p-singular mu, as every table does, and
+    DecompositionError when mu has no unique decomposition."""
     return _identity_checks(ws, mu, [tau], p)[0]
 
 
 def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
-    """``weight_space_identity_check`` of mu against each tau in ``taus``: one
-    decomposition of mu, and one red_nabla table per degree n whose omegas
-    are the taus that occupy it: n <= top and n = top (mod 2), as tau's KL
-    factor is the coefficient of t^(top - n) in a polynomial in t^2 = q, with
-    top = l(p*tau) - l(mu) = l(0) - l(mu) + <tau, 2 rho^vee> by the length law."""
+    """``weight_space_identity_check`` of mu against each tau in ``taus``.
+
+    mu is checked first, in the order: its weight, its p-regularity by the
+    tables' own rule (a ``SingularWeightError`` naming mu), its
+    decomposition; only then the taus.  No weight is p-regular below the
+    Coxeter number h, so a p-regular mu forces p >= h, and then 0 and every
+    p*tau are p-regular: <p*tau + rho, beta^vee> = p<tau, beta^vee> +
+    ht(beta^vee), with coroot heights in 1..h-1.  The left sides come from
+    one red_nabla table per degree n whose omegas are the taus that occupy
+    it: n <= top and n = top (mod 2), as tau's KL factor is the coefficient
+    of t^(top - n) in a polynomial in t^2 = q, with top = l(p*tau) - l(mu) =
+    l(0) - l(mu) + <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
     mu = _r.check_weight(rs, mu)
-    taus = [_r.check_weight(rs, tau) for tau in taus]
+    g.assert_p_regular(mu, p)
     xi = finite_weyl_shift_decompose(ws, mu, p)
+    taus = [_r.check_weight(rs, tau) for tau in taus]
     rhs = [ch.dim_weight_space(rs, tau, xi) for tau in taus]
     zero = tuple([0] * rs.rank)
     lhs = dict.fromkeys(taus, 0)
-    # <p*tau + rho, beta^vee> = p<tau, beta^vee> + ht(beta^vee) and coroot
-    # heights run over 1..h-1, so p*tau is p-regular exactly when 0 is
-    if g.is_p_regular(zero, p):
-        gap = g._dominant_length(zero, p) - g.dominant_length(mu, p)
-        tops = {tau: gap + sum(map(mul, tau, rs.two_rho_check)) for tau in lhs}
-        for n in sorted({n for top in tops.values() for n in range(top % 2, top + 1, 2)}):
-            omegas = [tau for tau, top in tops.items() if top >= n and (top - n) % 2 == 0]
-            q = MultiplicityQuery("red_nabla", zero, mu, n, p)
-            table = multiplicity_table(ws, q, omegas=omegas).as_dict()
-            for tau in omegas:
-                lhs[tau] += table.get(tau, 0)
+    gap = g._dominant_length(zero, p) - g.dominant_length(mu, p)
+    tops = {tau: gap + sum(map(mul, tau, rs.two_rho_check)) for tau in lhs}
+    for n in sorted({n for top in tops.values() for n in range(top % 2, top + 1, 2)}):
+        omegas = [tau for tau, top in tops.items() if top >= n and (top - n) % 2 == 0]
+        table = multiplicity_table(ws, MultiplicityQuery("red_nabla", zero, mu, n, p), omegas)
+        for tau in omegas:
+            lhs[tau] += table.get(tau)
     return [IdentityCheckResult(lhs[tau], r, xi, mu, tau) for tau, r in zip(taus, rhs)]
 
 
@@ -492,8 +501,8 @@ class DualityReport(NamedTuple):
     """The red_nabla table against the delta_red table it is dual to."""
 
     matched: bool
-    red_nabla: tuple
-    dual_delta_red: tuple
+    red_nabla: MultiplicityTable
+    dual_delta_red: MultiplicityTable
 
 
 def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
@@ -506,8 +515,8 @@ def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
     rs = ws.rs
     lam = _r.check_weight(rs, lam)
     mu = _r.check_weight(rs, mu)
-    direct = multiplicity_table(ws, MultiplicityQuery("red_nabla", lam, mu, n, p)).entries
+    direct = multiplicity_table(ws, MultiplicityQuery("red_nabla", lam, mu, n, p))
     dual = multiplicity_table(
         ws, MultiplicityQuery("delta_red", _r._star(rs, mu), _r._star(rs, lam), n, p)
-    ).entries
+    )
     return DualityReport(direct == dual, direct, dual)

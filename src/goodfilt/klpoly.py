@@ -243,15 +243,19 @@ class KLTable:
             raise
 
     def load(self, path) -> int:
-        """Merge a persisted table; returns the number of records loaded.
+        """Merge a persisted table; returns the number of entries merged.
 
         The whole file is rejected (CacheFormatError naming file and line)
         on the first record that is not three arrays of integers, uses a
         generator beyond the rank, breaks the KL invariants, or repeats a
         pair (x, y) of an earlier record; and (naming the pair) when a
-        record conflicts with a computed entry.  Every record is checked
-        before any is merged, so a rejected file leaves the table unchanged.
-        Trailing zero coefficients are dropped.
+        record conflicts with a computed entry.  One rule covers every
+        pair, the diagonal x = y too: its only valid record is P_{x,x} = 1,
+        which is merged like any other.  ``kl`` answers x = y before the
+        memo and never stores it, so ``save`` writes a diagonal record only
+        after loading one.  Every record is checked before any is merged,
+        so a rejected file leaves the table unchanged.  Trailing zero
+        coefficients are dropped.
         """
         g = self.group
         staged = {}
@@ -298,8 +302,7 @@ class KLTable:
                     raise CacheFormatError(
                         f"{where}: second record for x={xw}, y={yw}, first at {staged[x, y][1]}"
                     )
-                if x != y:
-                    staged[(x, y)] = poly, where
+                staged[(x, y)] = poly, where
         for key, (poly, _) in staged.items():
             if self.memo.get(key, poly) != poly:
                 x, y = (list(g.canonical_word(z)) for z in key)

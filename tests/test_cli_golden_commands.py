@@ -45,7 +45,7 @@ GOLDEN = {
     "locate-tsv": (
         "locate --series A --rank 2 --p 5 --weight 3,7 --format tsv",
         0,
-        "antidominant\t-3,-2\nlength\t6\nregular\tTrue\nword\t[2, 1, 0, 2, 0, 1]\n",
+        "antidominant\t-3,-2\nlength\t6\nregular\ttrue\nword\t[2, 1, 0, 2, 0, 1]\n",
         "",
     ),
     "tensor-tsv": (

@@ -221,24 +221,24 @@ def test_advisories_at_the_jantzen_bound():
             em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, inside, 0, p), [])
         # a weight outside the region is answered all the same
         query = MultiplicityQuery("red_red", zero, outside, 0, p)
-        assert em.multiplicity_table(ws, query, []).entries == ()
+        assert em.multiplicity_table(ws, query, []) == {}
         # a prime below 2h-2 is flagged by roots.validate_p, and its table answered
         h = ws.rs.coxeter_number
         assert r.validate_p(ws.rs, small).warnings == (f"p={small} < 2h-2 = {2 * h - 2} for {series}2",)
         assert r.validate_p(ws.rs, p).ok
-        assert em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, zero, 0, small)).entries
+        assert em.multiplicity_table(ws, MultiplicityQuery("red_red", zero, zero, 0, small))
 
 
 def test_advisories(a2):
     # a table holds only its entries, at a prime below 2h-2 as at any other;
     # the hypotheses are asked of roots, and the CLI reports them
-    assert em.MultiplicityTable._fields == ("entries",)
+    assert issubclass(em.MultiplicityTable, dict)
     assert em.DualityReport._fields == ("matched", "red_nabla", "dual_delta_red")
     t = em.multiplicity_table(a2, MultiplicityQuery("red_red", (1, 1), (1, 1), 0, 3))
-    assert t.entries == (((0, 0), 1),)
+    assert t == {(0, 0): 1}
     assert any("2h-2" in w for w in r.validate_p(a2.rs, 3).warnings)
     t2 = em.multiplicity_table(a2, MultiplicityQuery("red_red", (1, 1), (1, 1), 0, 7))
-    assert t2.entries == (((0, 0), 1),)
+    assert t2 == {(0, 0): 1}
     assert r.validate_p(a2.rs, 7).ok and r.in_jantzen_region(a2.rs, (1, 1), 7)
 
 
@@ -376,6 +376,29 @@ def test_weight_space_identity_g2():
                 hits += 1
     assert hits > 0
 
+
+
+def test_identity_check_refuses_a_p_singular_mu_below_h():
+    # no weight is p-regular below h (G2: h = 6), so every table refuses; the
+    # check refuses mu by the tables' own rule, naming it, not answering lhs = 0
+    ws = em.make_workspace("G", 2)
+    with pytest.raises(SingularWeightError, match=r"^weight \(0, 1\) is p-singular for p=3"):
+        em.weight_space_identity_check(ws, (0, 1), (0, 2), 3)
+
+
+def test_identity_check_decomposes_mu_before_checking_its_taus(a2):
+    # mu = (1, 0) is 7-regular but not w . 0 + 7*xi: refused before any tau is read
+    assert a2.group.is_p_regular((1, 0), 7)
+    with pytest.raises(DecompositionError, match=r"^mu=\[1, 0\] has no decomposition"):
+        em.weight_space_identity_check(a2, (1, 0), "bad", 7)
+
+
+def test_a_table_is_a_dict_read_in_place(a2):
+    t = em.multiplicity_table(a2, MultiplicityQuery("delta_red", (1, 1), (1, 1), 0, 7))
+    assert isinstance(t, dict) and t == {(0, 0): 1}
+    assert t.get([0, 0]) == 1 and t.get((5, 5)) == 0 and t.get([5, 5], None) is None
+    plain = t.as_dict()
+    assert type(plain) is dict and plain is not t and plain == t
 
 
 @pytest.mark.parametrize("series, p, mu_pairing, tau_pairing", [("A", 7, 20, 12), ("G", 13, 26, 20)])
@@ -787,14 +810,14 @@ def test_tables_on_elements_match_the_weight_route(series, rank, p):
         for variant in em.VARIANTS:
             for n in range(3):
                 q = MultiplicityQuery(variant, lam, mu, n, p)
-                assert em.multiplicity_table(ws, q).entries == reference_multiplicity_table(ws, q)
-                entries = reference_multiplicity_table(ws, q, omegas=box)
-                assert em.multiplicity_table(ws, q, omegas=box).entries == entries
+                assert em.multiplicity_table(ws, q) == dict(reference_multiplicity_table(ws, q))
+                entries = dict(reference_multiplicity_table(ws, q, omegas=box))
+                assert em.multiplicity_table(ws, q, omegas=box) == entries
                 nonempty += bool(entries)
         for n in range(3):  # the duality self-test reads delta_red(mu*, lam*) unstarred
             report = em.duality_self_test(ws, lam, mu, n, p)
             dual = MultiplicityQuery("delta_red", r.star(ws.rs, mu), r.star(ws.rs, lam), n, p)
-            assert report.dual_delta_red == reference_multiplicity_table(ws, dual)
+            assert report.dual_delta_red == dict(reference_multiplicity_table(ws, dual))
     assert nonempty
 
 
@@ -901,7 +924,7 @@ def test_duality_reports_star_reading(a2):
             repn = em.duality_self_test(a2, lam, mu, n, p)
             assert repn.matched and repn.red_nabla == repn.dual_delta_red, (lam, mu, n, repn)
             saw_entries |= bool(repn.red_nabla)
-            starred = tuple(sorted((r.star(a2.rs, w), m) for w, m in repn.dual_delta_red))
+            starred = {r.star(a2.rs, w): m for w, m in repn.dual_delta_red.items()}
             saw_star_sensitive |= starred != repn.red_nabla
     assert saw_entries
     assert saw_star_sensitive

@@ -278,6 +278,23 @@ def test_cache_rejects_repeated_pair(tmp_path, a2_table):
     assert KLTable(g).kl(g.identity, g.from_word((1, 0, 2, 1))) == (1, 1)
 
 
+def test_cache_rejects_a_repeated_diagonal_pair(tmp_path, a2_table):
+    # the duplicate rule covers every pair, x = y included
+    path = tmp_path / "diag.klcache"
+    diagonal = '{"p_of_q": [1], "x": [0], "y": [0]}\n'
+    path.write_text(A2_HEADER + diagonal + diagonal)
+    with pytest.raises(
+        CacheFormatError, match=r"diag\.klcache:3: second record for x=\[0\], y=\[0\], first at "
+    ):
+        a2_table.load(path)
+    assert not a2_table.memo
+    # one diagonal record is an entry like any other, and kl still answers 1
+    path.write_text(A2_HEADER + diagonal)
+    assert a2_table.load(path) == len(a2_table.memo) == 1
+    g = a2_table.group
+    assert a2_table.kl(g.from_word((0,)), g.from_word((0,))) == (1,)
+
+
 def test_a_conflicting_record_leaves_the_memo_unchanged(tmp_path, a1_table):
     # every record passes its own checks, and the last one conflicts with a
     # computed entry: the whole file is refused, the records before it too
