@@ -37,8 +37,8 @@ On top of c:
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
   over all degrees equals dim Delta(tau)_xi.  It checks mu as the tables
-  do and so refuses a p-singular mu, hence every mu below the Coxeter
-  number h, where no weight is p-regular; ``run_identity_box`` checks it
+  do and so refuses a non-dominant mu and a p-singular one, hence every mu
+  below the Coxeter number h, where no weight is p-regular; ``run_identity_box`` checks it
   with one red_nabla table per (mu, degree some tau of mu occupies).
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
@@ -260,6 +260,12 @@ def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     return total
 
 
+def _require_dominant(w: Weight) -> None:
+    """The tables' rule for a checked weight of a query: refused unless dominant."""
+    if any(c < 0 for c in w):
+        raise ConfigurationError(f"query weights must be dominant, got {w}")
+
+
 class MultiplicityQuery(NamedTuple):
     variant: str
     lam: Weight
@@ -276,9 +282,8 @@ class MultiplicityQuery(NamedTuple):
         _r._check_int(self.n, "n", nonnegative=True)
         lam = _r.check_weight(ws.rs, self.lam)
         mu = _r.check_weight(ws.rs, self.mu)
-        for w in (lam, mu):
-            if any(c < 0 for c in w):
-                raise ConfigurationError(f"query weights must be dominant, got {w}")
+        _require_dominant(lam)
+        _require_dominant(mu)
         ws.group._assert_p_regular(lam, self.p)
         ws.group._assert_p_regular(mu, self.p)
         return MultiplicityQuery(self.variant, lam, mu, self.n, self.p)
@@ -417,7 +422,8 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
     lambda = 0 red_nabla tables over all degrees, rhs is the xi-weight-space
     dimension of the Weyl module Delta(tau), where mu = w . 0 + p*xi.
 
-    Raises SingularWeightError for a p-singular mu, as every table does, and
+    Refuses mu as every table does: ConfigurationError when it is not
+    dominant, SingularWeightError when it is p-singular; and raises
     DecompositionError when mu has no unique decomposition."""
     return _identity_checks(ws, mu, [tau], p)[0]
 
@@ -425,9 +431,10 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
 def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
     """``weight_space_identity_check`` of mu against each tau in ``taus``.
 
-    mu is checked first, in the order: its weight, its p-regularity by the
-    tables' own rule (a ``SingularWeightError`` naming mu), its
-    decomposition; only then the taus.  No weight is p-regular below the
+    mu is checked first, by the tables' own rules, in the order: its
+    weight, its dominance (a ``ConfigurationError``), its p-regularity (a
+    ``SingularWeightError`` naming mu), its decomposition; only then the
+    taus.  No weight is p-regular below the
     Coxeter number h, so a p-regular mu forces p >= h, and then 0 and every
     p*tau are p-regular: <p*tau + rho, beta^vee> = p<tau, beta^vee> +
     ht(beta^vee), with coroot heights in 1..h-1.  The left sides come from
@@ -437,6 +444,7 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     l(0) - l(mu) + <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
     mu = _r.check_weight(rs, mu)
+    _require_dominant(mu)
     g.assert_p_regular(mu, p)
     xi = finite_weyl_shift_decompose(ws, mu, p)
     taus = [_r.check_weight(rs, tau) for tau in taus]

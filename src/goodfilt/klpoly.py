@@ -60,8 +60,9 @@ are benign under CPython's atomic dict assignment.
 The memo is keyed on pairs of the group's integer element ids.
 Persistence is JSON lines: a header record followed by one record per
 entry keyed by canonical reduced words, so caches are independent of the
-prime and of id numbering, and stable across runs.  A save replaces its
-target atomically.
+prime and of id numbering, and stable across runs.  Records are ordered by
+y's (length, word), then x's, and written from one string per id and per
+polynomial, each encoded once.  A save replaces its target atomically.
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ def _invariant_violation(poly: tuple[int, ...], gap: int) -> str | None:
     """The first KL invariant that ``poly`` breaks as P_{x,y}, or None.
 
     ``gap`` is l(y) - l(x) for x <= y; gap 0 means x = y, where P = 1.
+    A valid polynomial passes three tests before any message is built.
     """
+    if poly[:1] == (1,) and min(poly) >= 0 and 2 * (len(poly) - 1) <= max(gap - 1, 0):
+        return None
     if _coeff(poly, 0) != 1:
         return f"constant term {_coeff(poly, 0)} != 1"
     if any(c < 0 for c in poly):
         return f"negative coefficient in {list(poly)}"
-    if 2 * (len(poly) - 1) > max(gap - 1, 0):
-        return f"degree {len(poly) - 1} exceeds the bound for gap {gap}"
-    return None
+    return f"degree {len(poly) - 1} exceeds the bound for gap {gap}"
 
 
 class KLTable:
@@ -219,10 +221,20 @@ class KLTable:
         replaces ``path`` only once complete, so an interrupted save leaves
         the previous cache intact.
         """
-        words = self.group.canonical_words({z for pair in self.memo for z in pair})
-        records = sorted(
-            ((words[x], words[y], p) for (x, y), p in self.memo.items()),
-            key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
+        memo = self.memo
+        ids = {z for pair in memo for z in pair}
+        words = self.group.canonical_words(ids)
+        # records in (l(y), y, l(x), x) order: one rank per id by (length, word)
+        n = len(ids)
+        rank = {z: r for r, z in enumerate(sorted(ids, key=lambda z: (len(words[z]), words[z])))}
+        # what json.dumps writes for an array of ints is str() of the list,
+        # so each word and each polynomial is encoded once
+        word_text = {z: str(list(words[z])) for z in ids}
+        poly_text = {p: str(list(p)) for p in set(memo.values())}
+        lines = sorted(
+            (rank[y] * n + rank[x],
+             f'{{"p_of_q": {poly_text[p]}, "x": {word_text[x]}, "y": {word_text[y]}}}\n')
+            for (x, y), p in memo.items()
         )
         path = os.fspath(path)
         fd, tmp = tempfile.mkstemp(
@@ -231,10 +243,7 @@ class KLTable:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
-                # keys in sorted order, as in the header, through json's default encoder
-                for xw, yw, poly in records:
-                    rec = {"p_of_q": list(poly), "x": list(xw), "y": list(yw)}
-                    fh.write(json.dumps(rec) + "\n")
+                fh.writelines(line for _, line in lines)
             if os.path.exists(path):
                 shutil.copymode(path, tmp)  # mkstemp makes it owner-only
             os.replace(tmp, path)

@@ -386,6 +386,17 @@ def test_identity_check_refuses_a_p_singular_mu_below_h():
         em.weight_space_identity_check(ws, (0, 1), (0, 2), 3)
 
 
+@pytest.mark.parametrize("mu", [(-2, 1), (5, -1)])
+def test_identity_check_refuses_a_non_dominant_mu_as_a_table_does(a2, mu):
+    # (-2, 1) = s_1 . 0 is 7-regular and decomposes; (5, -1) is 7-singular
+    query = MultiplicityQuery("red_nabla", (0, 0), mu, 0, 7)
+    message = rf"^query weights must be dominant, got \({mu[0]}, {mu[1]}\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        em.multiplicity_table(a2, query)
+    with pytest.raises(ConfigurationError, match=message):
+        em.weight_space_identity_check(a2, mu, (0, 0), 7)
+
+
 def test_identity_check_decomposes_mu_before_checking_its_taus(a2):
     # mu = (1, 0) is 7-regular but not w . 0 + 7*xi: refused before any tau is read
     assert a2.group.is_p_regular((1, 0), 7)

@@ -1,6 +1,7 @@
+import errno
+import io
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
@@ -115,20 +116,28 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, a2_table, monkeypatch):
     before = path.read_bytes()
     a2_table.kl(g.identity, g.from_word((0, 1, 2, 1, 0, 2)))
 
-    written = []
-    real_dumps = klpoly.json.dumps
+    taken = []  # the bytes the temporary file holds when the disk fills
 
-    def dumps(obj, **kwargs):  # fails on the fourth line: header and two records
-        if len(written) == 3:
-            raise OSError("disk full")
-        written.append(obj)
-        return real_dumps(obj, **kwargs)
+    class FullDisk(io.FileIO):
+        room = 100
 
-    monkeypatch.setattr(klpoly, "json", SimpleNamespace(dumps=dumps))
+        def write(self, b):
+            fits = bytes(b)[: self.room - self.tell()]
+            taken.append(fits)
+            super().write(fits)
+            if len(fits) < len(b):
+                raise OSError(errno.ENOSPC, "disk full")
+            return len(b)
+
+    def fdopen(fd, mode, encoding):
+        assert mode == "w"
+        return io.TextIOWrapper(io.BufferedWriter(FullDisk(fd, mode)), encoding=encoding)
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
     with pytest.raises(OSError, match="disk full"):
         a2_table.save(path)
     monkeypatch.undo()
-    assert len(written) == 3
+    assert len(b"".join(taken)) == FullDisk.room
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["a2.klcache"]
     assert KLTable(g).load(path) == before.count(b"\n") - 1
@@ -136,6 +145,7 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, a2_table, monkeypatch):
     path.chmod(0o644)
     a2_table.save(path)
     assert path.stat().st_mode & 0o777 == 0o644
+    assert path.read_bytes().startswith(b"".join(taken))
     assert KLTable(g).load(path) == len(a2_table.memo)
 
 
@@ -183,6 +193,50 @@ def test_save_matches_the_one_word_at_a_time_encoder(tmp_path):
     loaded = KLTable(fresh)
     assert loaded.load(path) == len(ws.table.memo) == 1392
     assert reference_cache_bytes(loaded) == path.read_bytes()
+
+
+def g2_ideal_table(tmp_path):
+    g = get_group("G", 2)
+    table = KLTable(g)
+    y = g.from_word((0, 2, 1) * 4)
+    for x in g.lower_ideal(y):
+        table.kl(x, y)
+    assert (1, 3, 5, 4) in table.memo.values()
+    return table
+
+
+def a1_long_word_table(tmp_path):
+    # what `goodfilt kl --cache` keeps after one pair: the whole recursion
+    g = get_group("A", 1)
+    table = KLTable(g)
+    table.kl(g.identity, g.from_word((0, 1) * 30))
+    assert len(table.memo) > 2000
+    return table
+
+
+def a2_table_with_a_diagonal_record(tmp_path):
+    # save writes a diagonal record only after loading one
+    g = get_group("A", 2)
+    source = KLTable(g)
+    y = g.from_word((0, 1, 2, 1, 0))
+    for x in g.lower_ideal(y):
+        source.kl(x, y)
+    path = tmp_path / "source.klcache"
+    source.save(path)
+    path.write_text(path.read_text() + '{"p_of_q": [1], "x": [1, 0], "y": [1, 0]}\n')
+    table = KLTable(g)
+    assert table.load(path) == len(source.memo) + 1
+    x = g.from_word((1, 0))
+    assert table.memo[x, x] == (1,)
+    return table
+
+
+@pytest.mark.parametrize("build", [g2_ideal_table, a1_long_word_table, a2_table_with_a_diagonal_record])
+def test_save_writes_the_reference_encoder_bytes(tmp_path, build):
+    table = build(tmp_path)
+    path = tmp_path / "saved.klcache"
+    table.save(path)
+    assert path.read_bytes() == reference_cache_bytes(table)
 
 
 def test_cache_rejects_bad_header(tmp_path, a2_table):
