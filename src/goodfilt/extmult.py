@@ -37,9 +37,10 @@ On top of c:
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
   over all degrees equals dim Delta(tau)_xi.  It checks mu as the tables
-  do and so refuses a non-dominant mu and a p-singular one, hence every mu
-  below the Coxeter number h, where no weight is p-regular; ``run_identity_box`` checks it
-  with one red_nabla table per (mu, degree some tau of mu occupies).
+  do and so refuses a non-dominant mu and a p-singular one, hence every
+  mu below the Coxeter number h, where no weight is p-regular;
+  ``run_identity_box`` checks it with one red_nabla table per (mu, degree
+  some tau of mu occupies).
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
@@ -434,14 +435,14 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     mu is checked first, by the tables' own rules, in the order: its
     weight, its dominance (a ``ConfigurationError``), its p-regularity (a
     ``SingularWeightError`` naming mu), its decomposition; only then the
-    taus.  No weight is p-regular below the
-    Coxeter number h, so a p-regular mu forces p >= h, and then 0 and every
-    p*tau are p-regular: <p*tau + rho, beta^vee> = p<tau, beta^vee> +
-    ht(beta^vee), with coroot heights in 1..h-1.  The left sides come from
-    one red_nabla table per degree n whose omegas are the taus that occupy
-    it: n <= top and n = top (mod 2), as tau's KL factor is the coefficient
-    of t^(top - n) in a polynomial in t^2 = q, with top = l(p*tau) - l(mu) =
-    l(0) - l(mu) + <tau, 2 rho^vee> by the length law."""
+    taus.  No weight is p-regular below the Coxeter number h, so a
+    p-regular mu forces p >= h, and then 0 and every p*tau are p-regular:
+    <p*tau + rho, beta^vee> = p<tau, beta^vee> + ht(beta^vee), with coroot
+    heights in 1..h-1.  The left sides come from one red_nabla table per
+    degree n whose omegas are the taus that occupy it: n <= top and n = top
+    (mod 2), as tau's KL factor is the coefficient of t^(top - n) in a
+    polynomial in t^2 = q, with top = l(p*tau) - l(mu) = l(0) - l(mu) +
+    <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
     mu = _r.check_weight(rs, mu)
     _require_dominant(mu)

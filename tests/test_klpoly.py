@@ -6,7 +6,6 @@ import os
 import pytest
 
 from goodfilt import extmult as em
-from goodfilt import klpoly
 from goodfilt.affine import AffineWeylGroup, get_group
 from goodfilt.errors import CacheFormatError
 from goodfilt.klpoly import KLTable
