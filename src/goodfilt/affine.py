@@ -313,15 +313,11 @@ class AffineWeylGroup:
         """Strip the lowest right descent from x until an id in ``known`` or
         the identity is reached: that id, and the (id, letter) steps taken,
         shortest id first, so each step extends the value of the one before."""
-        lengths, rmul = self._length, self._rmul
         chain = []
-        while x not in known and lengths[x]:
-            lx = lengths[x]
-            for i, y in enumerate(rmul[x] or self._fill_row(x)):
-                if lengths[y] < lx:
-                    break
+        while x not in known and self._length[x]:
+            i = self.right_descents(x)[0]
             chain.append((x, i))
-            x = y
+            x = self._rmul[x][i]
         return x, chain[::-1]
 
     # -- Bruhat order ------------------------------------------------------

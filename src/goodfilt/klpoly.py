@@ -100,15 +100,14 @@ def _invariant_violation(poly: tuple[int, ...], gap: int) -> str | None:
     """The first KL invariant that ``poly`` breaks as P_{x,y}, or None.
 
     ``gap`` is l(y) - l(x) for x <= y; gap 0 means x = y, where P = 1.
-    A valid polynomial passes three tests before any message is built.
     """
-    if poly[:1] == (1,) and min(poly) >= 0 and 2 * (len(poly) - 1) <= max(gap - 1, 0):
-        return None
     if _coeff(poly, 0) != 1:
         return f"constant term {_coeff(poly, 0)} != 1"
-    if any(c < 0 for c in poly):
+    if min(poly) < 0:  # poly is not empty: its constant term is 1
         return f"negative coefficient in {list(poly)}"
-    return f"degree {len(poly) - 1} exceeds the bound for gap {gap}"
+    if 2 * (len(poly) - 1) > max(gap - 1, 0):
+        return f"degree {len(poly) - 1} exceeds the bound for gap {gap}"
+    return None
 
 
 class KLTable:
@@ -224,11 +223,12 @@ class KLTable:
         memo = self.memo
         ids = {z for pair in memo for z in pair}
         words = self.group.canonical_words(ids)
-        # records in (l(y), y, l(x), x) order: one rank per id by (length, word)
+        # records in (l(y), y, l(x), x) order: one rank per id by (length, word),
+        # packed into one int per record, as a large memo sorts ints faster than pairs
         n = len(ids)
         rank = {z: r for r, z in enumerate(sorted(ids, key=lambda z: (len(words[z]), words[z])))}
-        # what json.dumps writes for an array of ints is str() of the list,
-        # so each word and each polynomial is encoded once
+        # what json.dumps writes for an array of ints is str() of the list;
+        # a memo holds few distinct polynomials, so each is encoded once, as is each word
         word_text = {z: str(list(words[z])) for z in ids}
         poly_text = {p: str(list(p)) for p in set(memo.values())}
         lines = sorted(
