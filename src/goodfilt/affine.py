@@ -251,7 +251,9 @@ class AffineWeylGroup:
             if type(i) is not int:  # nothing is rounded, and True is no letter
                 raise ConfigurationError(f"word {word!r} has a letter that is not an int")
             if not 0 <= i <= self.rs.rank:
-                raise ConfigurationError(f"generator index {i} out of range 0..{self.rs.rank}")
+                raise ConfigurationError(
+                    f"word {word!r} has letter {i} out of range 0..{self.rs.rank}"
+                )
             x = self.row(x)[i]
         return x
 
@@ -482,7 +484,7 @@ class AffineWeylGroup:
         for k in range(1, _r._check_int(bound, "bound") + 1):
             out += level
             level = self._next_level(level, k)
-        return out + level
+        return out + level if bound >= 0 else []
 
     def _next_level(self, level: list[int], k: int) -> list[int]:
         """The neighbours of length k of the ids in ``level``, by matrix form."""
@@ -564,7 +566,7 @@ class AffineWeylGroup:
         rep must lie in the open alcove C_p^- (as ``locate`` returns it).
         """
         rep = check_weight(self.rs, rep)
-        if not (isinstance(p, int) and self.in_antidominant_alcove(rep, check_prime(p))):
+        if not self.in_antidominant_alcove(rep, check_prime(p)):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
         _r._check_int(max_length, "max_length")
         image = self._finite_images(rep, max_length)

@@ -68,12 +68,9 @@ def word_arg(text: str) -> tuple[int, ...]:
     if text.strip() in ("", "e"):
         return ()
     try:
-        word = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad word {text!r}: {exc}") from exc
-    if any(i < 0 for i in word):
-        raise argparse.ArgumentTypeError(f"bad word {text!r}: negative generator index")
-    return word
 
 
 def fmt_weight(w) -> str:

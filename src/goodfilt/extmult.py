@@ -36,11 +36,17 @@ On top of c:
   Steinberg tensor-product multiplicities of dual Weyl characters,
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
-  over all degrees equals dim Delta(tau)_xi.  It checks mu as the tables
-  do and so refuses a non-dominant mu and a p-singular one, hence every
-  mu below the Coxeter number h, where no weight is p-regular;
-  ``run_identity_box`` checks it with one red_nabla table per (mu, degree
-  some tau of mu occupies).
+  over all degrees equals dim Delta(tau)_xi.  It refuses a non-dominant
+  mu or tau and a p-singular mu, hence every mu below the Coxeter number
+  h, where no weight is p-regular; ``run_identity_box`` checks it with one
+  red_nabla table per (mu, degree some tau of mu occupies).
+
+Every input is refused by the one rule of its kind, with a message naming
+it: a prime by ``roots.check_prime``, a degree by ``roots._check_int``, a
+weight by ``roots.check_weight``, and, as L, Delta and nabla exist only at
+dominant weights, a weight that is not dominant by ``roots.check_dominant``
+(``PreconditionError``), in the tables, the identity checks and the Ext
+dictionary (``small_c``, ``big_C``, ``ext_dim_G_red_red``) alike.
 
 A query is checked once, in ``MultiplicityQuery.validated``; tables then
 work on the checked tuples and on group elements.  Both table modes take
@@ -176,12 +182,17 @@ def make_workspace(series: str, rank: int) -> Workspace:
     return Workspace(rs=group.rs, group=group, table=KLTable(group))
 
 
-def _linked_elements(ws: Workspace, a, b, p: int):
-    """The elements that locate weights a and b, or None when the two lie
-    in different linkage classes; ``locate`` refuses a p that is not prime."""
-    loc_a, loc_b = ws.group.locate(a, p), ws.group.locate(b, p)
+def _linked_elements(ws: Workspace, a, b, n: int, p: int):
+    """The one check of an Ext dictionary query: p, then n, then the
+    dominance of a and b.  Returns the elements that locate a and b and
+    their antidominant representative, or None when the two lie in
+    different linkage classes."""
+    _r.check_prime(p)
+    _r._check_int(n, "n", nonnegative=True)
+    a, b = (_r.check_dominant(ws.rs, w, "Ext dimension") for w in (a, b))
+    loc_a, loc_b = ws.group._locate_checked(a, p), ws.group._locate_checked(b, p)
     if loc_a.antidominant_rep == loc_b.antidominant_rep:
-        return loc_a.element, loc_b.element
+        return loc_a.element, loc_b.element, loc_a.antidominant_rep
 
 
 def _c_of_elements(ws: Workspace, z: int, x: int, n: int) -> int:
@@ -198,9 +209,8 @@ def small_c(ws: Workspace, delta_weight, red_weight, n: int, p: int) -> int:
 
     Zero when the weights lie in different linkage classes.
     """
-    n = _r._check_int(n, "n", nonnegative=True)
-    pair = _linked_elements(ws, delta_weight, red_weight, p)
-    return _c_of_elements(ws, *pair, n) if pair else 0
+    linked = _linked_elements(ws, delta_weight, red_weight, n, p)
+    return _c_of_elements(ws, *linked[:2], n) if linked else 0
 
 
 def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
@@ -235,21 +245,19 @@ def _big_C_of_elements(ws: Workspace, x: int, y: int, n: int) -> int:
 
 def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
     """The n-th graded dimension of the reduced-reduced Ext pairing."""
-    n = _r._check_int(n, "n", nonnegative=True)
-    pair = _linked_elements(ws, lam, mu, p)
-    return _big_C_of_elements(ws, *pair, n) if pair else 0
+    linked = _linked_elements(ws, lam, mu, n, p)
+    return _big_C_of_elements(ws, *linked[:2], n) if linked else 0
 
 
 def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
     """Same sum as big_C, organized as a degree-split double sum over the
     dominant weights nu of the shared linkage class."""
-    g, n = ws.group, _r._check_int(n, "n", nonnegative=True)
-    pair = _linked_elements(ws, lam, mu, p)
-    if not pair:
+    linked = _linked_elements(ws, lam, mu, n, p)
+    if not linked:
         return 0
-    rep = g.locate(lam, p).antidominant_rep
+    g, (x, y, rep) = ws.group, linked
     # distinct z give distinct weights: C_p^- points have trivial stabilizers
-    nus = [wt for _, wt in g.dominant_orbit(rep, p, max(map(g.length, pair)))]
+    nus = [wt for _, wt in g.dominant_orbit(rep, p, max(g.length(x), g.length(y)))]
     total = 0
     for m in range(n + 1):
         for nu in nus:
@@ -259,12 +267,6 @@ def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
                 if b:
                     total += a * b
     return total
-
-
-def _require_dominant(w: Weight) -> None:
-    """The tables' rule for a checked weight of a query: refused unless dominant."""
-    if any(c < 0 for c in w):
-        raise ConfigurationError(f"query weights must be dominant, got {w}")
 
 
 class MultiplicityQuery(NamedTuple):
@@ -281,10 +283,8 @@ class MultiplicityQuery(NamedTuple):
             )
         _r.check_prime(self.p)
         _r._check_int(self.n, "n", nonnegative=True)
-        lam = _r.check_weight(ws.rs, self.lam)
-        mu = _r.check_weight(ws.rs, self.mu)
-        _require_dominant(lam)
-        _require_dominant(mu)
+        lam = _r.check_dominant(ws.rs, self.lam, "multiplicity table")
+        mu = _r.check_dominant(ws.rs, self.mu, "multiplicity table")
         ws.group._assert_p_regular(lam, self.p)
         ws.group._assert_p_regular(mu, self.p)
         return MultiplicityQuery(self.variant, lam, mu, self.n, self.p)
@@ -423,8 +423,8 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
     lambda = 0 red_nabla tables over all degrees, rhs is the xi-weight-space
     dimension of the Weyl module Delta(tau), where mu = w . 0 + p*xi.
 
-    Refuses mu as every table does: ConfigurationError when it is not
-    dominant, SingularWeightError when it is p-singular; and raises
+    Refuses a mu or tau that is not dominant (PreconditionError) and a
+    p-singular mu (SingularWeightError), as a table does; and raises
     DecompositionError when mu has no unique decomposition."""
     return _identity_checks(ws, mu, [tau], p)[0]
 
@@ -433,10 +433,11 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     """``weight_space_identity_check`` of mu against each tau in ``taus``.
 
     mu is checked first, by the tables' own rules, in the order: its
-    weight, its dominance (a ``ConfigurationError``), its p-regularity (a
+    weight and dominance (``roots.check_dominant``), its p-regularity (a
     ``SingularWeightError`` naming mu), its decomposition; only then the
-    taus.  No weight is p-regular below the Coxeter number h, so a
-    p-regular mu forces p >= h, and then 0 and every p*tau are p-regular:
+    taus, each by ``check_dominant``.  No weight is p-regular below the
+    Coxeter number h, so a p-regular mu forces p >= h, and then 0 and
+    every p*tau are p-regular:
     <p*tau + rho, beta^vee> = p<tau, beta^vee> + ht(beta^vee), with coroot
     heights in 1..h-1.  The left sides come from one red_nabla table per
     degree n whose omegas are the taus that occupy it: n <= top and n = top
@@ -444,11 +445,10 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     polynomial in t^2 = q, with top = l(p*tau) - l(mu) = l(0) - l(mu) +
     <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
-    mu = _r.check_weight(rs, mu)
-    _require_dominant(mu)
+    mu = _r.check_dominant(rs, mu, "identity check")
     g.assert_p_regular(mu, p)
     xi = finite_weyl_shift_decompose(ws, mu, p)
-    taus = [_r.check_weight(rs, tau) for tau in taus]
+    taus = [_r.check_dominant(rs, tau, "identity check") for tau in taus]
     rhs = [ch.dim_weight_space(rs, tau, xi) for tau in taus]
     zero = tuple([0] * rs.rank)
     lhs = dict.fromkeys(taus, 0)

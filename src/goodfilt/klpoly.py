@@ -73,7 +73,7 @@ import shutil
 import tempfile
 
 from .affine import AffineWeylGroup
-from .errors import CacheFormatError, InternalInvariantError
+from .errors import CacheFormatError, ConfigurationError, InternalInvariantError
 
 __all__ = ["KLTable"]
 
@@ -255,16 +255,16 @@ class KLTable:
         """Merge a persisted table; returns the number of entries merged.
 
         The whole file is rejected (CacheFormatError naming file and line)
-        on the first record that is not three arrays of integers, uses a
-        generator beyond the rank, breaks the KL invariants, or repeats a
-        pair (x, y) of an earlier record; and (naming the pair) when a
-        record conflicts with a computed entry.  One rule covers every
-        pair, the diagonal x = y too: its only valid record is P_{x,x} = 1,
-        which is merged like any other.  ``kl`` answers x = y before the
-        memo and never stores it, so ``save`` writes a diagonal record only
-        after loading one.  Every record is checked before any is merged,
-        so a rejected file leaves the table unchanged.  Trailing zero
-        coefficients are dropped.
+        on the first record that is not three arrays of integers, has a
+        letter outside 0..rank (the group's walk names it), breaks the KL
+        invariants, or repeats a pair (x, y) of an earlier record; and
+        (naming the pair) when a record conflicts with a computed entry.
+        One rule covers every pair, the diagonal x = y too: its only valid
+        record is P_{x,x} = 1, which is merged like any other.  ``kl``
+        answers x = y before the memo and never stores it, so ``save``
+        writes a diagonal record only after loading one.  Every record is
+        checked before any is merged, so a rejected file leaves the table
+        unchanged.  Trailing zero coefficients are dropped.
         """
         g = self.group
         staged = {}
@@ -291,12 +291,13 @@ class KLTable:
                     xw, yw, coeffs = (_int_array(rec[k]) for k in ("x", "y", "p_of_q"))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise CacheFormatError(f"{where}: bad record: {exc}") from exc
-                if any(not 0 <= i <= g.rs.rank for i in xw + yw):
-                    raise CacheFormatError(f"{where}: generator index out of range")
-                x, y = (
-                    word_ids[w] if w in word_ids else word_ids.setdefault(w, g.from_word(w))
-                    for w in (tuple(xw), tuple(yw))
-                )
+                try:
+                    x, y = (
+                        word_ids[w] if w in word_ids else word_ids.setdefault(w, g.from_word(w))
+                        for w in (tuple(xw), tuple(yw))
+                    )
+                except ConfigurationError as exc:  # a letter outside 0..rank
+                    raise CacheFormatError(f"{where}: {exc}") from exc
                 poly = _trimmed(coeffs)
                 if g.bruhat_leq(x, y):
                     problem = _invariant_violation(poly, g.length(y) - g.length(x))

@@ -114,7 +114,7 @@ def test_words_take_int_letters_only(a2, word):
         a2.from_word(word)
     with pytest.raises(ConfigurationError, match=pattern):
         a2.from_word((2, 0, word[-1]))
-    with pytest.raises(ConfigurationError, match="out of range"):
+    with pytest.raises(ConfigurationError, match=r"^word \(0, 3\) has letter 3 out of range 0..2$"):
         a2.from_word([0, 3])
     assert a2.from_word([]) == a2.identity
 

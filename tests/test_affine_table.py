@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfilt.affine import AffineWeylGroup, get_group
-from goodfilt.errors import PreconditionError, SingularWeightError
+from goodfilt.errors import ConfigurationError, PreconditionError, SingularWeightError
 from goodfilt.roots import build_root_system
 from reference_linalg import fraction_inverse  # tests/ is on the path
 
@@ -197,14 +197,15 @@ def test_elements_up_to_length_keeps_its_levels(series, rank):
         fresh = AffineWeylGroup(rs)
         got = [g.canonical_word(z) for z in g.elements_up_to_length(k)]
         assert got == [fresh.canonical_word(z) for z in fresh.elements_up_to_length(k)]
-    # every element of length <= k is the product of some word of length <= k
-    k = 5
-    model = {
-        model_form(rs, w)
-        for n in range(k + 1)
-        for w in itertools.product(range(rank + 1), repeat=n)
-    }
-    assert {g._form[z] for z in g.elements_up_to_length(k)} == model
+    # every element of length <= k is the product of some word of length <= k,
+    # so a negative bound holds none, not even the identity
+    for k in (5, -1):
+        model = {
+            model_form(rs, w)
+            for n in range(k + 1)
+            for w in itertools.product(range(rank + 1), repeat=n)
+        }
+        assert {g._form[z] for z in g.elements_up_to_length(k)} == model
 
 
 def test_concurrent_fills_agree_with_sequential():
@@ -303,7 +304,7 @@ def test_flag_is_dominance_of_the_dot_image(case):
         ("A", 1, (-1,), 5),  # on the wall <m, alpha^vee> = 0
         ("A", 1, (-6,), 5),  # on the affine wall
         ("A", 1, (-7,), 5),
-        ("A", 1, (-3,), 5.0),
+        ("A", 1, (-3,), 2),  # on the affine wall at p = 2
         ("A", 2, (-2, 0), 7),
         ("A", 2, (-8, -2), 7),
         ("B", 2, (-2, -2), 3),  # C_3^- holds no weight when p < h
@@ -395,5 +396,5 @@ def test_precondition_holds_after_a_served_query():
     rep = (-3,)
     (_, (top,)), *_ = g.dominant_orbit(rep, 5, 4)
     assert g._orbit_congruent(rep, 5, 4, (top % 5,))  # the tables' walk
-    with pytest.raises(PreconditionError, match=r"rep=\(-3,\) .* p=5.0$"):
+    with pytest.raises(ConfigurationError, match=r"^p=5.0 is not prime$"):
         g.dominant_orbit(rep, 5.0, 4)

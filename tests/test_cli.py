@@ -451,9 +451,12 @@ def test_only_the_runner_does_the_io():
 
 
 def test_usage_errors_and_help_go_to_the_given_streams(capsys):
-    code, out, err = run(["kl", "--series", "A", "--rank", "2", "--x", "-1", "--y", "1"])
+    code, out, err = run(["kl", "--series", "A", "--rank", "2", "--x", "1,a", "--y", "1"])
     assert (code, out) == (2, "")
-    assert err.startswith("usage: goodfilt kl") and "negative generator index" in err
+    assert err.startswith("usage: goodfilt kl") and "bad word '1,a'" in err
+    # a negative letter is no usage error: the group's walk refuses it, as any letter
+    code, out, err = run(["kl", "--series", "A", "--rank", "2", "--x", "-1", "--y", "1"])
+    assert (code, out, err) == (2, "", "error: word (-1,) has letter -1 out of range 0..2\n")
     code, out, err = run(["rootsystem", "--help"])
     assert (code, err) == (0, "")
     assert out.startswith("usage: goodfilt rootsystem")

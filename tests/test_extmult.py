@@ -14,6 +14,7 @@ from goodfilt.errors import (
     ConfigurationError,
     DecompositionError,
     DimensionMismatchError,
+    PreconditionError,
     SingularWeightError,
 )
 from goodfilt.extmult import MultiplicityQuery
@@ -168,8 +169,8 @@ MALFORMED_QUERIES = [
      "weight (True, 0) has a coordinate that is not an int"),
     ("a2", "red_red", (1, 0), (1,), 0, 7, None, DimensionMismatchError,
      "weight (1,) has 1 coordinates, expected 2 for RootSystem(A2)"),
-    ("a2", "red_red", (1, -1), (1, 0), 0, 7, None, ConfigurationError,
-     "query weights must be dominant, got (1, -1)"),
+    ("a2", "red_red", (1, -1), (1, 0), 0, 7, None, PreconditionError,
+     "multiplicity table requires a dominant weight, got (1, -1)"),
     ("a2", "red_red", (5, 0), (1, 0), 0, 7, None, SingularWeightError,
      "weight (5, 0) is p-singular for p=7: pairing 7 with coroot (1, 1) is divisible by 7"),
     ("a2", "red_red", (1, 0), (0, 6), 0, 7, None, SingularWeightError,
@@ -390,10 +391,10 @@ def test_identity_check_refuses_a_p_singular_mu_below_h():
 def test_identity_check_refuses_a_non_dominant_mu_as_a_table_does(a2, mu):
     # (-2, 1) = s_1 . 0 is 7-regular and decomposes; (5, -1) is 7-singular
     query = MultiplicityQuery("red_nabla", (0, 0), mu, 0, 7)
-    message = rf"^query weights must be dominant, got \({mu[0]}, {mu[1]}\)$"
-    with pytest.raises(ConfigurationError, match=message):
+    got = rf" requires a dominant weight, got \({mu[0]}, {mu[1]}\)$"
+    with pytest.raises(PreconditionError, match="^multiplicity table" + got):
         em.multiplicity_table(a2, query)
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(PreconditionError, match="^identity check" + got):
         em.weight_space_identity_check(a2, mu, (0, 0), 7)
 
 
