@@ -250,20 +250,22 @@ def big_C(ws: Workspace, lam, mu, n: int, p: int) -> int:
 
 
 def ext_dim_G_red_red(ws: Workspace, lam, mu, n: int, p: int) -> int:
-    """Same sum as big_C, organized as a degree-split double sum over the
-    dominant weights nu of the shared linkage class."""
+    """Same sum as big_C, organized as a degree-split double sum of
+    ``small_c`` factors over the dominant weights nu of the shared linkage
+    class, each located once."""
     linked = _linked_elements(ws, lam, mu, n, p)
     if not linked:
         return 0
     g, (x, y, rep) = ws.group, linked
     # distinct z give distinct weights: C_p^- points have trivial stabilizers
     nus = [wt for _, wt in g.dominant_orbit(rep, p, max(g.length(x), g.length(y)))]
+    zs = [g._locate_checked(nu, p).element for nu in nus]
     total = 0
     for m in range(n + 1):
-        for nu in nus:
-            a = small_c(ws, nu, lam, m, p)
+        for z in zs:
+            a = _c_of_elements(ws, z, x, m)
             if a:
-                b = small_c(ws, nu, mu, n - m, p)
+                b = _c_of_elements(ws, z, y, n - m)
                 if b:
                     total += a * b
     return total
