@@ -14,7 +14,7 @@ _EXPORTS = {  # module: the names re-exported from it
     "tensor_nabla_multiplicities weight_multiplicities",
     "errors": "CacheFormatError ConfigurationError DecompositionError DimensionMismatchError "
     "GoodfiltError InternalInvariantError PreconditionError SingularWeightError",
-    "extmult": "MultiplicityQuery MultiplicityTable Workspace big_C duality_self_test "
+    "extmult": "MultiplicityQuery MultiplicityTable Workspace big_C "
     "ext_dim_G_red_red make_workspace multiplicity_table "
     "weight_space_identity_check small_c",
     "klpoly": "KLTable",

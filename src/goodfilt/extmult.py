@@ -31,9 +31,14 @@ On top of c:
   ``ext_dim_G_red_red`` is the same sum as a degree-split double sum of
   ``small_c`` values over the dominant weights of the linkage class, a
   second organisation that checks it,
-* ``multiplicity_table``: the three filtration-multiplicity formulas
-  (variants red_red, delta_red, red_nabla), combining the KL factors with
-  Steinberg tensor-product multiplicities of dual Weyl characters,
+* ``multiplicity_table``: the filtration-multiplicity formulas of the
+  variants red_red and red_nabla, combining the KL factors with Steinberg
+  tensor-product multiplicities of dual Weyl characters.  Dualizing both
+  arguments gives Ext^n_{G_1}(Delta(lambda), L(mu)) =
+  Ext^n_{G_1}(L(mu*), nabla(lambda*)) as G-modules, since Delta(lambda)* =
+  nabla(lambda*) and L(mu)* = L(mu*) (Jantzen, RAGS II.2.13), so the
+  variant delta_red is answered as the red_nabla table of (mu*, lambda*),
+  omega not starred, and all that follows concerns red_red and red_nabla,
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
   over all degrees equals dim Delta(tau)_xi.  It refuses a non-dominant
@@ -55,45 +60,43 @@ orbit, so a table locates only its partner weight.  The KL factors take
 elements; the public ones locate their two weights and call the same cores.
 
 Which taus a table sums over.  Each variant reads its KL factor at the
-element z with z . lambda^- = base + p*t (t the raw tau of
-``_orbit_congruent``), files it under tau = twist(t) and tensors nabla(tau)
-with the nabla(e) of its weights e (see ``_variant_parts``).  Every table
-keeps tau only when p*tau <= twist(X) in dominance, with theta the highest
-root and
+element z with z . lambda^- = base + p*tau (tau as ``_orbit_congruent``
+files it) and tensors nabla(tau) with the nabla(e) of its weights e (see
+``_variant_parts``).  Every table keeps tau only when p*tau <= X in
+dominance, with theta the highest root and
 
     X = base* + partner + 2 rho + p * floor(n/2) * theta,
 
-because every t with a nonzero factor has p*t <= X (proof below).  Target
+because every tau with a nonzero factor has p*tau <= X (proof below).  Target
 constituents omega narrow that to the taus with also tau <= omega + shift
 for one omega, shift the sum of the e*: with E the product of the nabla(e),
 [nabla(tau) (x) E : nabla(omega)] = [nabla(omega) (x) E* : nabla(tau)], and
 every constituent of nabla(omega) (x) E* lies below omega + shift.  A full
-table has no such tops.  The length law l(base + p*t) = l(base) +
-<t, 2 rho^vee>, with <twist(t), 2 rho^vee> = <t, 2 rho^vee> and <w, 2 rho^vee>
-one dot product with ``RootSystem.two_rho_check``, bounds the walk: it goes
-to length l(base) + min(floor(<twist(X), 2 rho^vee> / p), max over the omega
-tops of <top, 2 rho^vee>), which reaches every kept tau, as <alpha, rho^vee>
-> 0 for every positive root alpha.  The bound:
+table has no such tops.  The length law l(base + p*tau) = l(base) +
+<tau, 2 rho^vee>, with <w, 2 rho^vee> one dot product with
+``RootSystem.two_rho_check``, bounds the walk: it goes to length
+l(base) + min(floor(<X, 2 rho^vee> / p), max over the omega tops of
+<top, 2 rho^vee>), which reaches every kept tau, as <alpha, rho^vee> > 0
+for every positive root alpha.  The bound:
 
 1. The factor is a good-filtration multiplicity.  Take p >= 2h - 2, the
    Lusztig character formula (LCF) and weights in the Jantzen region.
-   Then the factor of t is [Ext^n_{G_1}(M_1, M_2)^[-1] : nabla(twist(t))]
-   for (M_1, M_2) = (L(lambda_0), L(mu_0)), (L(lambda_0), nabla(mu)) and
-   (Delta(lambda), L(mu_0)) (red_red, red_nabla and delta_red), by the
-   paper's good-filtration theorem and the Lyndon-Hochschild-Serre
-   spectral sequence (LHS).  M_1* (x) M_2 has highest weight
-   twist(base* + partner).
-2. Weight bound.  So p*twist(t) is a weight of H^n(G_1, M) with
+   Then the factor of tau is [Ext^n_{G_1}(M_1, M_2)^[-1] : nabla(tau)]
+   for (M_1, M_2) = (L(lambda_0), L(mu_0)) and (L(lambda_0), nabla(mu))
+   (red_red and red_nabla), by the paper's good-filtration theorem and the
+   Lyndon-Hochschild-Serre spectral sequence (LHS).  M_1* (x) M_2 has
+   highest weight base* + partner.
+2. Weight bound.  So p*tau is a weight of H^n(G_1, M) with
    M = M_1* (x) M_2.  The Friedlander-Parshall spectral sequence (Amer. J.
    Math. 108, 1986), E_2 = S^i(g*)^[1] (x) H^j(g, M) with 2i + j = n,
    bounds those weights: H^j(g, M) is a subquotient of Lambda^j(g*) (x) M,
    and Lambda^j adds at most 2 rho to a weight of M; S^i adds at most
-   p*i*theta.  twist fixes rho and theta, so p*t <= X.
+   p*i*theta.  So p*tau <= X.
 3. Every p.  The factor depends only on the two elements.  With
    m = lambda^- + rho, z . lambda^- = w_z(m) + p*nu_z - rho and
-   base + rho = w_z(m) + p*nu, nu and t = nu_z - nu stay fixed while m/p
-   moves in the open alcove.  The 2 rho of X cancels the -rho shifts of
-   base* and partner, so X - p*t is linear and homogeneous in (m, p).  The
+   base + rho = w_z(m) + p*nu, nu and tau = nu_z - nu stay fixed while
+   m/p moves in the open alcove.  The 2 rho of X cancels the -rho shifts of
+   base* and partner, so X - p*tau is linear and homogeneous in (m, p).  The
    bound holds at every large prime, where the LCF holds
    (Andersen-Jantzen-Soergel) and the Jantzen region, quadratic in p,
    holds the weights; the m/p of those primes are dense in the alcove, so
@@ -105,19 +108,28 @@ Which elements a table pays for.  P_{u,v} is a polynomial in q = t^2 with
 Math. 53, 1979), so two laws decide, before any KL work, which walked z can
 have a nonzero factor against the partner's element y:
 
-* Parity: only z with l(z) = l(y) + n (mod 2).  For delta_red and
-  red_nabla the factor is the coefficient of t^(l(z) - l(y) - n) in
-  P_{y,z}, which is 0 at odd exponents.  For red_red every nonzero term of
-  ``big_C`` is a product of coefficients of t^(l(z) - l(z') - m) and
-  t^(l(y) - l(z') - n + m), both even, so l(z) + l(y) - n is even.
+* Parity: only z with l(z) = l(y) + n (mod 2).  For red_nabla the factor
+  is the coefficient of t^(l(z) - l(y) - n) in P_{y,z}, which is 0 at odd
+  exponents.  For red_red every nonzero term of ``big_C`` is a product of
+  coefficients of t^(l(z) - l(z') - m) and t^(l(y) - l(z') - n + m), both
+  even, so l(z) + l(y) - n is even.
   Translations in pZR have even length (the length law adds
   <tau, 2 rho^vee>), so the parity is constant on each finite part, and a
   table touches exactly one parity class of the orbit: the groundwork for
   reading all degrees of one class from one walk.
 * Degree 0: only z = y.  At n = 0 the exponent l(z) - l(y) is at or above
   the degree bound of P_{y,z} unless z = y; for red_red at m = 0 the two
-  factors need z' = z and z' = y.  So a degree-0 table walks only up to
-  l(y) and reads one factor, at y.
+  factors need z' = z and z' = y.  The factor at y is 1, and y is walked
+  only when base + p*tau is the partner: tau = 0 and lambda_0 = mu_0 for
+  red_red, tau = mu_1 and lambda_0 = mu_0 for red_nabla.  That tau is
+  kept, as X - p*tau = lambda_0* + lambda_0 + 2 rho >= 0.  So a degree-0
+  table is, with no locate, walk or KL read,
+
+      [Ext^0 : nabla(omega)] = delta(lambda_0, mu_0)
+                               [nabla(lambda_1*) (x) nabla(mu_1) : nabla(omega)],
+
+  restricted to the omegas.  An omega top cannot change it: a tau below
+  no top has no constituent among the omegas.
 
 A table (``MultiplicityTable``) is a dict from omega to multiplicity, zero
 entries omitted, and refuses no query for its hypotheses: the formulas are
@@ -155,8 +167,6 @@ __all__ = [
     "IdentityCheckResult",
     "weight_space_identity_check",
     "run_identity_box",
-    "DualityReport",
-    "duality_self_test",
 ]
 
 VARIANTS = ("red_red", "delta_red", "red_nabla")
@@ -303,54 +313,59 @@ class MultiplicityTable(dict):
 
 
 def _variant_parts(ws, query):
-    """Per-variant plumbing: partner weight, shifted base, twist, KL factor and
-    the weights whose dual Weyl modules are tensored with nabla(tau).
+    """Per-variant plumbing of a validated red_red or red_nabla query:
+    partner weight, shifted base, KL factor and the weights whose dual Weyl
+    modules are tensored with nabla(tau).
 
     The KL factor of tau is read between the element x that locates the
-    shifted weight base + p * twist(tau) and the partner's element y.  The
-    twist is tau-star for delta_red and the identity otherwise; both are
-    involutions.  A Frobenius factor of the first slot enters dualized, as
+    shifted weight base + p * tau and the partner's element y.  A Frobenius
+    factor of the first slot enters dualized, as
     Hom_{G_1}(L(lambda_0) (x) L(lambda_1)^[1], M) = L(lambda_1)^{*[1]} (x)
-    Hom_{G_1}(L(lambda_0), M), so red_red and red_nabla tensor with lambda_1*.
+    Hom_{G_1}(L(lambda_0), M), so both variants tensor with lambda_1*.
     """
     lam0, lam1 = _r._restricted_split(query.lam, query.p)
     mu0, mu1 = _r._restricted_split(query.mu, query.p)
-    star = lambda w: _r._star(ws.rs, w)
-    same = lambda w: w
-    n = query.n
+    lam1_star, n = _r._star(ws.rs, lam1), query.n
     if query.variant == "red_red":
-        partner, base, twist, weights = mu0, lam0, same, (star(lam1), mu1)
         kl = lambda x, y: _big_C_of_elements(ws, x, y, n)
-    elif query.variant == "delta_red":
-        partner, base, twist, weights = query.lam, mu0, star, (mu1,)
-        kl = lambda x, y: _c_of_elements(ws, y, x, n)
-    else:  # red_nabla, since the query is validated
-        partner, base, twist, weights = query.mu, lam0, same, (star(lam1),)
-        kl = lambda x, y: _c_of_elements(ws, y, x, n)
-    return partner, base, twist, kl, weights
+        return mu0, lam0, kl, (lam1_star, mu1)
+    kl = lambda x, y: _c_of_elements(ws, y, x, n)
+    return query.mu, lam0, kl, (lam1_star,)
 
 
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
     """Constituent multiplicities of one Frobenius-kernel Ext group.
 
-    Walks the partner's dot orbit once, locates only the partner and keeps
-    the taus below the weight bound X and, with ``omegas`` given, below one
-    of their tops (see the module docstring).  It reads a KL factor only
-    where the parity and degree-0 laws allow one (same docstring).  The
-    entries are those omegas, or without them every constituent; zero
-    entries are omitted.
+    A delta_red query is answered as the red_nabla table of its dual pair,
+    and a degree-0 query by the degree-0 law (see the module docstring).
+    Otherwise the table walks the partner's dot orbit once, locates only
+    the partner and keeps the taus below the weight bound X and, with
+    ``omegas`` given, below one of their tops (same docstring).  It reads
+    a KL factor only where the parity law allows one.  The entries are
+    those omegas, or without them every constituent; zero entries are
+    omitted.
     """
     query = query.validated(ws)
-    partner, base, twist, kl_factor, weights = _variant_parts(ws, query)
-    rs, g, p = ws.rs, ws.group, query.p
+    rs, g, p, n = ws.rs, ws.group, query.p, query.n
+    if omegas is not None:
+        omegas = {_r.check_weight(rs, omega) for omega in omegas}
+    if query.variant == "delta_red":
+        dual = _r._star(rs, query.mu), _r._star(rs, query.lam)
+        query = MultiplicityQuery("red_nabla", *dual, n, p)
+    if not n:
+        (lam0, lam1), (mu0, mu1) = (_r._restricted_split(w, p) for w in (query.lam, query.mu))
+        entries = ch.tensor_nabla_multiplicities(rs, _r._star(rs, lam1), mu1) if lam0 == mu0 else {}
+        return MultiplicityTable(
+            (w, m) for w, m in entries.items() if omegas is None or w in omegas
+        )
+    partner, base, kl_factor, weights = _variant_parts(ws, query)
     reach = lambda w: sum(map(mul, w, rs.two_rho_check))  # <w, 2 rho^vee>
     # X of the module docstring, theta the highest root
     theta = rs.positive_roots[-1].fund_coords
-    x = twist(tuple(b + a + 2 * r + p * (query.n // 2) * t
-                    for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta)))
+    x = tuple(b + a + 2 * r + p * (n // 2) * t
+              for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta))
     walk = reach(x) // p
     if omegas is not None:
-        omegas = {_r.check_weight(rs, omega) for omega in omegas}
         shift = _r._star(rs, tuple(map(sum, zip(*weights))))  # the sum of the e*
         # a negative omega is never a constituent
         tops = [tuple(map(add, omega, shift)) for omega in omegas if min(omega) >= 0]
@@ -358,15 +373,11 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
     y, rep, ly = g._locate_checked(partner, p)  # the query is validated
-    lengths, n = g._length, query.n
-    if not n:
-        max_len = min(max_len, ly)
+    lengths = g._length
     acc: dict[Weight, int] = {}
-    for t, z in g._orbit_congruent(rep, p, max_len, base).items():
-        # the factor is 0 off the parity class of l(y) + n, and at z != y in degree 0
-        if (lengths[z] - ly - n) % 2 or not (n or z == y):
+    for tau, z in g._orbit_congruent(rep, p, max_len, base).items():
+        if (lengths[z] - ly - n) % 2:  # the factor is 0 off the parity class of l(y) + n
             continue
-        tau = twist(t)
         if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
             omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
         ):
@@ -394,7 +405,10 @@ class IdentityCheckResult(NamedTuple):
 def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
     """Write mu = w . 0 + p*xi with w finite and xi dominant; returns xi.
 
-    Raises DecompositionError when no (or no unique) such xi exists.
+    Raises DecompositionError when no (or no unique) such xi exists.  The
+    box below holds one xi per coordinate once p > 2h - 2, as each interval
+    has length (2h - 2)/p < 1, and at most 2^rank for h <= p <= 2h - 2,
+    where a scan of the orbit W . rho would visit |W| points (51,840 on E6).
     """
     _r.check_prime(p)
     mu = _r.check_weight(ws.rs, mu)
@@ -506,28 +520,3 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
             f"<mu+rho, alpha_0^vee> < max_pairing at p={p}"
         )
     return {"cases": cases, "tau_checks": tau_checks, "failures": failures}
-
-
-class DualityReport(NamedTuple):
-    """The red_nabla table against the delta_red table it is dual to."""
-
-    matched: bool
-    red_nabla: MultiplicityTable
-    dual_delta_red: MultiplicityTable
-
-
-def duality_self_test(ws: Workspace, lam, mu, n: int, p: int) -> DualityReport:
-    """Compare red_nabla(lam, mu, n) with delta_red(mu*, lam*, n) entry for entry.
-
-    Ext^n_{G_1}(L(lam), nabla(mu)) and Ext^n_{G_1}(Delta(mu*), L(lam*)) are
-    isomorphic G-modules (dualize both arguments), so the two tables agree
-    with omega not starred.
-    """
-    rs = ws.rs
-    lam = _r.check_weight(rs, lam)
-    mu = _r.check_weight(rs, mu)
-    direct = multiplicity_table(ws, MultiplicityQuery("red_nabla", lam, mu, n, p))
-    dual = multiplicity_table(
-        ws, MultiplicityQuery("delta_red", _r._star(rs, mu), _r._star(rs, lam), n, p)
-    )
-    return DualityReport(direct == dual, direct, dual)

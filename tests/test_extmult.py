@@ -20,6 +20,11 @@ from goodfilt.errors import (
 from goodfilt.extmult import MultiplicityQuery
 from goodfilt.klpoly import KLTable
 
+from reference_tables import (  # tests/ is on the path
+    friedlander_parshall_top,
+    reference_multiplicity_table,
+)
+
 
 @pytest.fixture(scope="module")
 def a1():
@@ -34,6 +39,14 @@ def a2():
 def table_dict(ws, variant, lam, mu, n, p, omegas=None):
     t = em.multiplicity_table(ws, MultiplicityQuery(variant, tuple(lam), tuple(mu), n, p), omegas)
     return t.as_dict()
+
+
+def as_tables_read(ws, q):
+    """q, or for delta_red the red_nabla query of the dual pair (mu*, lam*),
+    which is how ``multiplicity_table`` answers it."""
+    if q.variant != "delta_red":
+        return q
+    return MultiplicityQuery("red_nabla", r.star(ws.rs, q.mu), r.star(ws.rs, q.lam), q.n, q.p)
 
 
 # ---- small_c / big_C fixtures -----------------------------------------------
@@ -234,7 +247,6 @@ def test_advisories(a2):
     # a table holds only its entries, at a prime below 2h-2 as at any other;
     # the hypotheses are asked of roots, and the CLI reports them
     assert issubclass(em.MultiplicityTable, dict)
-    assert em.DualityReport._fields == ("matched", "red_nabla", "dual_delta_red")
     t = em.multiplicity_table(a2, MultiplicityQuery("red_red", (1, 1), (1, 1), 0, 3))
     assert t == {(0, 0): 1}
     assert any("2h-2" in w for w in r.validate_p(a2.rs, 3).warnings)
@@ -585,21 +597,6 @@ def test_omega_mode_is_capped_by_the_weight_bound(omega, answer):
     assert len(ws.table.memo) <= len(full_ws.table.memo)
 
 
-def friedlander_parshall_top(ws, query):
-    """X = base* + partner + 2 rho + p*floor(n/2)*theta of the module
-    docstring, in raw-tau form, computed from the public root data."""
-    rs, p = ws.rs, query.p
-    (lam0, _), (mu0, _) = (restricted_decompose(rs, w, p) for w in (query.lam, query.mu))
-    partner, base = {
-        "red_red": (mu0, lam0), "delta_red": (query.lam, mu0), "red_nabla": (query.mu, lam0)
-    }[query.variant]
-    theta = max(rs.positive_roots, key=lambda b: b.height).fund_coords
-    return tuple(
-        b + a + 2 * h + p * (query.n // 2) * t
-        for b, a, h, t in zip(r.star(rs, base), partner, rs.rho, theta)
-    )
-
-
 @pytest.mark.parametrize(
     "series, rank, p, queries, max_n, orbit_bound",
     [("A", 2, 7, 40, 6, 8), ("B", 2, 7, 30, 6, 10), ("G", 2, 13, 12, 6, 14), ("A", 3, 5, 8, 4, 7)],
@@ -619,7 +616,8 @@ def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queri
         pool = sorted({wt for _, wt in g.dominant_orbit(rng.choice(reps), p, orbit_bound)})
         lam, mu = rng.choice(pool), rng.choice(pool)
         q = MultiplicityQuery(rng.choice(em.VARIANTS), lam, mu, rng.randrange(max_n + 1), p)
-        partner, base, _, kl_factor, _ = em._variant_parts(ws, q)
+        q = as_tables_read(ws, q)
+        partner, base, kl_factor, _ = em._variant_parts(ws, q)
         top = friedlander_parshall_top(ws, q)
         den = rs.inverse_cartan_den * p
         reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
@@ -651,8 +649,8 @@ def test_the_walk_skips_only_elements_whose_factor_is_zero(series, rank, p, quer
         lam, mu = rng.choice(pool), rng.choice(pool)
         for variant in em.VARIANTS:
             for n in range(5):
-                q = MultiplicityQuery(variant, lam, mu, n, p)
-                partner, base, _, _, _ = em._variant_parts(ws, q)
+                q = as_tables_read(ws, MultiplicityQuery(variant, lam, mu, n, p))
+                partner, base, _, _ = em._variant_parts(ws, q)
                 top = friedlander_parshall_top(ws, q)
                 den = rs.inverse_cartan_den * p
                 reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
@@ -663,7 +661,7 @@ def test_the_walk_skips_only_elements_whose_factor_is_zero(series, rank, p, quer
                     if (lz - ly - n) % 2 == 0 and (n or z == y):
                         continue
                     excluded += 1
-                    if variant == "red_red":
+                    if q.variant == "red_red":
                         assert em._big_C_of_elements(ws, z, y, n) == 0, (q, z)
                     else:
                         assert em._c_of_elements(ws, y, z, n) == 0, (q, z)
@@ -672,7 +670,7 @@ def test_the_walk_skips_only_elements_whose_factor_is_zero(series, rank, p, quer
 
 def test_tables_ask_factors_only_where_the_laws_allow(a2, monkeypatch):
     # a table asks the KL factor of z against the partner's element y only
-    # when l(z) = l(y) + n (mod 2), and in degree 0 only for z = y
+    # when l(z) = l(y) + n (mod 2), and in degree 0 none at all
     g, p = a2.group, 7
     asked = []  # (walked element z, partner's element y, n)
     c_core, big_C_core = em._c_of_elements, em._big_C_of_elements
@@ -695,7 +693,7 @@ def test_tables_ask_factors_only_where_the_laws_allow(a2, monkeypatch):
     assert asked
     for z, y, n in asked:
         assert (g.length(z) - g.length(y) - n) % 2 == 0
-        assert n or z == y
+        assert n
 
 
 def reference_tau_candidates_windowed(images, base, p, max_len):
@@ -742,63 +740,6 @@ def test_windowed_taus_match_the_dot_filter_scan(series, rank, p):
     assert found
 
 
-def reference_multiplicity_table(ws, query, omegas=None):
-    """The weight route of ``multiplicity_table``: each KL factor goes
-    through public ``small_c`` / ``big_C`` at the shifted weight
-    base + p*twist(tau), which they locate.
-
-    Full tables scan ``dominant_orbit`` two lengths past the reach of the
-    weight bound X and keep the weights whose raw tau has p*tau <= X by
-    public ``dominance_leq``; omega mode locates every shifted weight below
-    omega + shift.
-    """
-    q = query.validated(ws)
-    rs, g, n, p = ws.rs, ws.group, q.n, q.p
-    (lam0, lam1), (mu0, mu1) = (restricted_decompose(rs, w, p) for w in (q.lam, q.mu))
-    star = lambda w: r.star(rs, w)
-    same = lambda w: w
-    if q.variant == "red_red":
-        partner, base, twist = mu0, lam0, same
-        shift = tuple(a + b for a, b in zip(lam1, star(mu1)))
-        kl = lambda wt: em.big_C(ws, wt, mu0, n, p)
-        tensor = lambda tau: ch.multi_tensor_nabla_multiplicities(rs, star(lam1), mu1, tau)
-    elif q.variant == "delta_red":
-        partner, base, twist, shift = q.lam, mu0, star, star(mu1)
-        kl = lambda wt: em.small_c(ws, q.lam, wt, n, p)
-        tensor = lambda tau: ch.tensor_nabla_multiplicities(rs, tau, mu1)
-    else:  # L(lam1)^[1] of the first slot enters dualized, as in red_red
-        partner, base, twist, shift = q.mu, lam0, same, lam1
-        kl = lambda wt: em.small_c(ws, q.mu, wt, n, p)
-        tensor = lambda tau: ch.tensor_nabla_multiplicities(rs, star(lam1), tau)
-    loc = g.locate(partner, p)
-    shifted = {}  # tau -> base + p*twist(tau)
-    if omegas is None:
-        top = friedlander_parshall_top(ws, q)
-        den = rs.inverse_cartan_den * p
-        max_len = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den + 2
-        for _, wt in g.dominant_orbit(loc.antidominant_rep, p, max_len):
-            diff = [w - b for w, b in zip(wt, base)]
-            if all(d >= 0 and d % p == 0 for d in diff) and r.dominance_leq(rs, diff, top):
-                shifted[twist(tuple(d // p for d in diff))] = wt
-    else:
-        for omega in omegas:
-            if min(omega) >= 0:
-                top = tuple(o + s for o, s in zip(omega, shift))
-                for tau, _ in ch.dominant_below(rs, top):
-                    wt = tuple(b + p * t for b, t in zip(base, twist(tau)))
-                    if g.is_p_regular(wt, p) and g.linked(wt, partner, p):
-                        shifted[tau] = wt
-    acc = {}
-    for tau, wt in shifted.items():
-        k = kl(wt)
-        if k:
-            for omega, m in tensor(tau).items():
-                acc[omega] = acc.get(omega, 0) + k * m
-    if omegas is not None:
-        acc = {w: m for w, m in acc.items() if w in omegas}
-    return tuple(sorted((w, m) for w, m in acc.items() if m))
-
-
 @pytest.mark.parametrize(
     "series, rank, p",
     [("A", 1, 5), ("A", 1, 7), ("A", 2, 3), ("A", 2, 5), ("A", 2, 7), ("B", 2, 5),
@@ -826,10 +767,10 @@ def test_tables_on_elements_match_the_weight_route(series, rank, p):
                 entries = dict(reference_multiplicity_table(ws, q, omegas=box))
                 assert em.multiplicity_table(ws, q, omegas=box) == entries
                 nonempty += bool(entries)
-        for n in range(3):  # the duality self-test reads delta_red(mu*, lam*) unstarred
-            report = em.duality_self_test(ws, lam, mu, n, p)
+        for n in range(3):  # red_nabla(lam, mu) is delta_red(mu*, lam*), omega not starred
             dual = MultiplicityQuery("delta_red", r.star(ws.rs, mu), r.star(ws.rs, lam), n, p)
-            assert report.dual_delta_red == dict(reference_multiplicity_table(ws, dual))
+            direct = table_dict(ws, "red_nabla", lam, mu, n, p)
+            assert direct == dict(reference_multiplicity_table(ws, dual)), (lam, mu, n)
     assert nonempty
 
 
@@ -914,18 +855,26 @@ def test_red_red_is_symmetric_under_duality(a2):
     assert nonempty >= 10
 
 
-# ---- duality self test -------------------------------------------------------
+# ---- duality against the weight route ----------------------------------------
+
+
+def reference_dual(ws, lam, mu, n, p):
+    """The weight route's delta_red(mu*, lam*, n), which red_nabla(lam, mu, n)
+    equals with omega not starred: Ext^n_{G_1}(L(lam), nabla(mu)) and
+    Ext^n_{G_1}(Delta(mu*), L(lam*)) are isomorphic G-modules."""
+    dual = MultiplicityQuery("delta_red", r.star(ws.rs, mu), r.star(ws.rs, lam), n, p)
+    return dict(reference_multiplicity_table(ws, dual))
 
 
 def test_duality_self_dual_type(a1):
-    rep = em.duality_self_test(a1, (0,), (8,), 1, 5)
-    assert rep.matched and rep.red_nabla
+    # star is the identity on A1
+    assert table_dict(a1, "red_nabla", (0,), (8,), 1, 5) == reference_dual(a1, (0,), (8,), 1, 5)
+    assert table_dict(a1, "red_nabla", (0,), (8,), 1, 5)
 
 
 def test_duality_reports_star_reading(a2):
-    # Ext^n_{G_1}(L(lam), nabla(mu)) = Ext^n_{G_1}(Delta(mu*), L(lam*)) as
-    # G-modules, so red_nabla(lam, mu) equals delta_red(mu*, lam*) with omega
-    # not starred; on some sample starring omega would break the match
+    # red_nabla(lam, mu) equals the weight route's delta_red(mu*, lam*) with
+    # omega not starred; on some sample starring omega would break the match
     p = 7
     rep0 = a2.group.locate((1, 0), p).antidominant_rep
     samples = sorted({wt for _, wt in a2.group.dominant_orbit(rep0, p, 5)})
@@ -933,11 +882,11 @@ def test_duality_reports_star_reading(a2):
     saw_entries = saw_star_sensitive = False
     for lam, mu in itertools.product(samples[:4], repeat=2):
         for n in range(0, 4):
-            repn = em.duality_self_test(a2, lam, mu, n, p)
-            assert repn.matched and repn.red_nabla == repn.dual_delta_red, (lam, mu, n, repn)
-            saw_entries |= bool(repn.red_nabla)
-            starred = {r.star(a2.rs, w): m for w, m in repn.dual_delta_red.items()}
-            saw_star_sensitive |= starred != repn.red_nabla
+            direct = table_dict(a2, "red_nabla", lam, mu, n, p)
+            dual = reference_dual(a2, lam, mu, n, p)
+            assert direct == dual, (lam, mu, n)
+            saw_entries |= bool(direct)
+            saw_star_sensitive |= {r.star(a2.rs, w): m for w, m in dual.items()} != direct
     assert saw_entries
     assert saw_star_sensitive
 
@@ -947,8 +896,8 @@ def test_duality_reports_star_reading(a2):
 # per type at a prime p >= h: the highest degree asked, how far past l(0)
 # the pool of restricted weights reaches, and whether a table's partner
 # weight may have a Frobenius part at degree n > 0 (on D5 and E6 that makes
-# a walk of seconds to minutes; at degree 0 the walk stops at the partner's
-# length); the partner is mu for red_nabla and lam for delta_red
+# a walk of seconds to minutes; a degree-0 table walks nothing); the partner
+# is mu for red_nabla, and lam* for delta_red, read through its dual pair
 STAR_TYPES = {
     ("A", 3, 5): (2, 3, True),
     ("A", 4, 5): (1, 2, True),
@@ -1002,28 +951,48 @@ def test_degree_zero_tensors_the_dual_of_the_first_frobenius_factor(case):
 
 def test_a_degree_zero_table_computes_no_kl_entry():
     # at n = 0 a factor reads t^(l(z) - l(y)) in P_{y,z}, which is 0 for z != y
-    # by the degree bound, so the delta_red walk stops at the partner lam's
-    # length and computes no KL entry; a fresh group counts the ids it creates
-    for series, rank, p, lam, mu, omega in [
-        ("D", 5, 11, (2, 3, 0, 1, 12), (2, 3, 0, 1, 1), (0, 0, 0, 1, 0)),
-        ("E", 6, 13, (13, 1, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)),
+    # by the degree bound, so a degree-0 table is one tensor product: it
+    # creates no group id and computes no KL entry.  Walking the orbit up to
+    # the partner's length took seconds and 165,391 ids for E6 mu = 7 rho
+    for series, rank, p, variant, lam, mu, expected in [
+        ("D", 5, 11, "delta_red", (2, 3, 0, 1, 12), (2, 3, 0, 1, 1), {(0, 0, 0, 1, 0): 1}),
+        ("E", 6, 13, "delta_red", (13, 1, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0), {(0, 0, 0, 0, 0, 1): 1}),
+        ("E", 6, 13, "red_nabla", (0,) * 6, (7,) * 6, {}),
     ]:
         rs = r.build_root_system(series, rank)
         g = AffineWeylGroup(rs)
         ws = em.Workspace(rs, g, KLTable(g))
-        (lam0, lam1), (mu0, mu1) = (restricted_decompose(rs, w, p) for w in (lam, mu))
-        assert lam0 == mu0 and r.star(rs, lam1) != lam1
-        expected = ch.tensor_nabla_multiplicities(rs, r.star(rs, lam1), mu1)
-        assert table_dict(ws, "delta_red", lam, mu, 0, p) == expected == {omega: 1}
-        assert ws.stats()["kl_entries"] == 0
-        assert ws.stats()["ids"] < 2000, series
+        assert table_dict(ws, variant, lam, mu, 0, p) == expected
+        assert ws.stats()["kl_entries"] == ws.stats()["ids"] == 0, series
+
+
+@pytest.mark.parametrize("variant", em.VARIANTS)
+def test_degree_zero_tables_match_the_weight_route_where_star_moves_lam1(variant):
+    # the degree-0 law against tables that walk, locate and read KL factors,
+    # on A3 p = 5 with lam1* != lam1, full and in omega mode
+    ws, pool, small = star_type("A", 3, 5)
+    p, zero = 5, (0, 0, 0)
+    box = list(itertools.product(range(3), repeat=3))
+    lam1s = [w for w in small if r.star(ws.rs, w) != w]
+    nonempty = 0
+    for lam0, mu0 in [(pool[0], pool[0]), (pool[1], pool[1]), (pool[0], pool[2])]:
+        for lam1, mu1 in itertools.product(lam1s, [zero] + small):
+            lam = tuple(a + p * b for a, b in zip(lam0, lam1))
+            mu = tuple(a + p * b for a, b in zip(mu0, mu1))
+            q = MultiplicityQuery(variant, lam, mu, 0, p)
+            full = table_dict(ws, variant, lam, mu, 0, p)
+            assert full == dict(reference_multiplicity_table(ws, q)), (lam, mu)
+            assert table_dict(ws, variant, lam, mu, 0, p, box) == dict(
+                reference_multiplicity_table(ws, q, omegas=box)
+            ), (lam, mu)
+            nonempty += bool(full)
+    assert nonempty
 
 
 @settings(max_examples=30, deadline=None)
 @given(star_queries())
 def test_red_nabla_is_dual_to_delta_red(case):
-    # Ext^n_{G_1}(L(lam), nabla(mu)) = Ext^n_{G_1}(Delta(mu*), L(lam*)) as
-    # G-modules, so the tables agree entry for entry with omega not starred
+    # the library's red_nabla table against the weight route's delta_red of
+    # the dual pair, which keeps its own twist
     ws, lam, mu, n, p = case
-    dual = (r.star(ws.rs, mu), r.star(ws.rs, lam))
-    assert table_dict(ws, "red_nabla", lam, mu, n, p) == table_dict(ws, "delta_red", *dual, n, p)
+    assert table_dict(ws, "red_nabla", lam, mu, n, p) == reference_dual(ws, lam, mu, n, p)

@@ -41,7 +41,6 @@ def extmult_calls(ws, p):
         "multiplicity_table": lambda: em.multiplicity_table(
             ws, em.MultiplicityQuery("red_nabla", (0,), (8,), 1, p)
         ),
-        "duality_self_test": lambda: em.duality_self_test(ws, (0,), (8,), 1, p),
         "finite_weyl_shift_decompose": lambda: em.finite_weyl_shift_decompose(ws, (8,), p),
         "weight_space_identity_check": lambda: em.weight_space_identity_check(ws, (8,), (2,), p),
         "run_identity_box": lambda: em.run_identity_box(ws, p, 12),
