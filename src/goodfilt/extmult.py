@@ -148,7 +148,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import characters as ch
 from . import roots as _r
-from .errors import ConfigurationError, DecompositionError
+from .errors import ConfigurationError, DecompositionError, SingularWeightError
 from .roots import RootSystem, Weight
 
 if TYPE_CHECKING:  # loaded by make_workspace, so a tensor-only process never imports them
@@ -346,9 +346,14 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
     omitted.
     """
     query = query.validated(ws)
-    rs, g, p, n = ws.rs, ws.group, query.p, query.n
     if omegas is not None:
-        omegas = {_r.check_weight(rs, omega) for omega in omegas}
+        omegas = {_r.check_weight(ws.rs, omega) for omega in omegas}
+    return _multiplicity_table(ws, query, omegas)
+
+
+def _multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas) -> MultiplicityTable:
+    """``multiplicity_table`` of a validated query and a set of checked omegas, or None."""
+    rs, g, p, n = ws.rs, ws.group, query.p, query.n
     if query.variant == "delta_red":
         dual = _r._star(rs, query.mu), _r._star(rs, query.lam)
         query = MultiplicityQuery("red_nabla", *dual, n, p)
@@ -411,8 +416,11 @@ def finite_weyl_shift_decompose(ws: Workspace, mu, p: int) -> Weight:
     where a scan of the orbit W . rho would visit |W| points (51,840 on E6).
     """
     _r.check_prime(p)
-    mu = _r.check_weight(ws.rs, mu)
-    rs = ws.rs
+    return _finite_weyl_shift_decompose(ws.rs, _r.check_weight(ws.rs, mu), p)
+
+
+def _finite_weyl_shift_decompose(rs: RootSystem, mu: Weight, p: int) -> Weight:
+    """``finite_weyl_shift_decompose`` of a checked weight at a checked prime."""
     # xi dominant with mu + rho - p*xi = w(rho), whose coordinates lie in
     # [1 - h, h - 1] (<rho, beta^vee> <= h - 1), so p*xi_i is in [mu_i + 2 - h, mu_i + h]
     h = rs.coxeter_number
@@ -442,13 +450,15 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
     Refuses a mu or tau that is not dominant (PreconditionError) and a
     p-singular mu (SingularWeightError), as a table does; and raises
     DecompositionError when mu has no unique decomposition."""
-    return _identity_checks(ws, mu, [tau], p)[0]
+    return _identity_checks(ws, mu, [tau], _r.check_prime(p))[0]
 
 
 def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
-    """``weight_space_identity_check`` of mu against each tau in ``taus``.
+    """``weight_space_identity_check`` of mu against each tau in ``taus``, at
+    a prime p that the caller checked: every step below calls an unchecked
+    core, so p is trial-divided once per check or box.
 
-    mu is checked first, by the tables' own rules, in the order: its
+    mu is checked next, by the tables' own rules, in the order: its
     weight and dominance (``roots.check_dominant``), its p-regularity (a
     ``SingularWeightError`` naming mu), its decomposition; only then the
     taus, each by ``check_dominant``.  No weight is p-regular below the
@@ -462,17 +472,19 @@ def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResul
     <tau, 2 rho^vee> by the length law."""
     rs, g = ws.rs, ws.group
     mu = _r.check_dominant(rs, mu, "identity check")
-    g.assert_p_regular(mu, p)
-    xi = finite_weyl_shift_decompose(ws, mu, p)
+    g._assert_p_regular(mu, p)
+    xi = _finite_weyl_shift_decompose(rs, mu, p)
     taus = [_r.check_dominant(rs, tau, "identity check") for tau in taus]
     rhs = [ch.dim_weight_space(rs, tau, xi) for tau in taus]
     zero = tuple([0] * rs.rank)
     lhs = dict.fromkeys(taus, 0)
-    gap = g._dominant_length(zero, p) - g.dominant_length(mu, p)
+    gap = g._dominant_length(zero, p) - g._dominant_length(mu, p)
     tops = {tau: gap + sum(map(mul, tau, rs.two_rho_check)) for tau in lhs}
     for n in sorted({n for top in tops.values() for n in range(top % 2, top + 1, 2)}):
         omegas = [tau for tau, top in tops.items() if top >= n and (top - n) % 2 == 0]
-        table = multiplicity_table(ws, MultiplicityQuery("red_nabla", zero, mu, n, p), omegas)
+        # valid: mu was checked above, and zero is p-regular as p >= h
+        query = MultiplicityQuery("red_nabla", zero, mu, n, p)
+        table = _multiplicity_table(ws, query, set(omegas))
         for tau in omegas:
             lhs[tau] += table.get(tau)
     return [IdentityCheckResult(lhs[tau], r, xi, mu, tau) for tau, r in zip(taus, rhs)]
@@ -502,14 +514,12 @@ def run_identity_box(ws: Workspace, p: int, max_pairing: int) -> dict:
     cases = tau_checks = 0
     failures = []
     for mu in _box_weights(rs, max_pairing):
-        if not ws.group.is_p_regular(mu, p):
-            continue
         depth = sum(map(mul, rs.highest_short_root.coroot, _r._vec_add(mu, rs.rho)))
         # <p*tau + rho, alpha_0^vee> = p<tau, alpha_0^vee> + h - 1
         taus = _box_weights(rs, (depth + 2 * p * h - h + 1) // p + h)
-        try:
+        try:  # mu is the only weight a check finds p-singular
             results = _identity_checks(ws, mu, taus, p)
-        except DecompositionError:
+        except (SingularWeightError, DecompositionError):
             continue
         cases += 1
         tau_checks += len(results)

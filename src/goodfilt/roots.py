@@ -114,7 +114,10 @@ class Root(NamedTuple):
     simple coroots, so ``<w, beta^vee> = sum(coroot[j] * w[j])`` for a
     weight ``w`` in fundamental coordinates; ``fund_positive``: the pairs
     (j, fund_coords[j]) with fund_coords[j] > 0, so a dominant ``mu`` has
-    ``mu - beta`` dominant exactly when ``mu[j] >= b`` for each (j, b).
+    ``mu - beta`` dominant exactly when ``mu[j] >= b`` for each (j, b);
+    ``form_coords``: simple coordinates times the symmetrizer, so
+    ``(w, beta) = sum(form_coords[j] * w[j])`` for ``w`` in fundamental
+    coordinates, as (omega_i, alpha_j) = d_j when i = j and 0 otherwise.
     """
 
     simple_coords: tuple[int, ...]
@@ -122,6 +125,7 @@ class Root(NamedTuple):
     coroot: tuple[int, ...]
     length_half: int  # (beta, beta) / 2 with short roots at 1
     fund_positive: tuple[tuple[int, int], ...]
+    form_coords: tuple[int, ...]
 
     @property
     def height(self) -> int:
@@ -136,6 +140,7 @@ class RootSystem(NamedTuple):
     positive_roots: tuple[Root, ...]
     rho: Weight
     two_rho_check: tuple[int, ...]  # 2 rho^vee over the simple coroots: <w, 2 rho^vee> = w . it
+    weyl_denominator: int  # the product of <rho, beta^vee> over beta > 0
     coxeter_number: int
     highest_short_root: Root
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
@@ -237,6 +242,7 @@ def _generate_positive_roots(cartan, symmetrizer):
                 coroot=tuple(coroot),
                 length_half=half,
                 fund_positive=tuple((j, c) for j, c in enumerate(fund) if c > 0),
+                form_coords=tuple(map(mul, b, symmetrizer)),
             )
         )
     return tuple(roots)
@@ -297,6 +303,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         positive_roots=roots,
         rho=rho,
         two_rho_check=tuple(map(sum, zip(*(b.coroot for b in roots)))),
+        weyl_denominator=math.prod(sum(b.coroot) for b in roots),
         coxeter_number=coxeter,
         highest_short_root=top_short,
         longest_element_action=(),  # set below, from the chamber walk
@@ -438,7 +445,7 @@ def dominance_leq(rs: RootSystem, a, b) -> bool:
 def _dominance_leq(rs: RootSystem, a: Weight, b: Weight) -> bool:
     """``dominance_leq`` of checked weights; stops at the first simple-root
     coordinate of b - a that is negative or not an integer."""
-    diff, den = _vec_sub(b, a), rs.inverse_cartan_den
+    diff, den = tuple(map(sub, b, a)), rs.inverse_cartan_den
     for row in rs.inverse_cartan:
         c = sum(map(mul, row, diff))
         if c < 0 or c % den:

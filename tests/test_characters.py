@@ -345,6 +345,15 @@ def test_freudenthal_matches_reference_property(typ, data):
 ORBIT_CAP = 3000  # largest orbit a test expands by breadth-first search
 
 
+def assert_column_form_holds(rs, mu, reference):
+    """The orbit memo of dominant mu: one column per coordinate, whose rows
+    are each weight of the reference orbit exactly once."""
+    columns = ch._orbit(rs, mu)
+    assert len(columns) == rs.rank, (rs, mu)
+    rows = list(zip(*columns))
+    assert len(rows) == len(reference) and set(rows) == reference, (rs, mu)
+
+
 def test_weyl_orbit_matches_reference_on_every_type():
     for rs in all_types():
         weights = [(0,) * rs.rank] + [
@@ -360,6 +369,7 @@ def test_weyl_orbit_matches_reference_on_every_type():
                 orbit = r.weyl_orbit(rs, v)
                 assert orbit == reference_weyl_orbit(rs, v), (rs, v)
                 assert len(orbit) == size, (rs, v)
+            assert_column_form_holds(rs, lam, reference_weyl_orbit(rs, lam))
 
 
 @settings(max_examples=150, deadline=None)
@@ -372,6 +382,7 @@ def test_weyl_orbit_matches_reference_property(typ, data):
     orbit = r.weyl_orbit(rs, v)
     assert orbit == reference_weyl_orbit(rs, v)
     assert len(orbit) == size
+    assert_column_form_holds(rs, r.dominant_conjugate(rs, v), reference_weyl_orbit(rs, v))
 
 
 KLIMYK_TYPES = [("A", 4), ("A", 6), ("B", 3), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4),
@@ -400,6 +411,50 @@ def test_klimyk_matches_reference_property(typ, data):
     a, b = draw(), draw()
     assume(min(ch.dim_nabla(rs, a), ch.dim_nabla(rs, b)) <= 2000)
     assert ch.tensor_nabla_multiplicities(rs, a, b) == reference_brauer_klimyk(rs, a, b)
+
+
+WALK_PAIRS = [
+    (("E", 6), (0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0)),
+    (("A", 6), (1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1)),
+    (("F", 4), (1, 0, 0, 0), (0, 0, 1, 0)),
+    (("G", 2), (1, 1), (2, 0)),
+    (("A", 2), (5, 5), (1, 1)),  # every term regular dominant: nothing is walked
+]
+
+
+@pytest.mark.parametrize("typ, a, b", WALK_PAIRS)
+def test_tensor_walks_only_the_terms_off_the_walls_and_the_chamber(typ, a, b, monkeypatch):
+    rs = build_root_system(*typ)
+    for f in vars(ch).values():
+        if hasattr(f, "cache_info"):
+            f.cache_clear()
+    small, big = (a, b) if ch.dim_nabla(rs, a) <= ch.dim_nabla(rs, b) else (b, a)
+    # a plain loop classifies the terms v = big + rho + nu; it also fills the
+    # character and orbit memos, so the walks counted below are the tensor's
+    counts, walking = {"wall": 0, "dominant": 0}, []
+    for nu in ch.weight_multiplicities(rs, small):
+        v = tuple(x + y + 1 for x, y in zip(big, nu))  # rho = (1, ..., 1)
+        if 0 in v:
+            counts["wall"] += 1
+        elif min(v) > 0:
+            counts["dominant"] += 1
+        else:
+            walking.append(v)
+    real, walked = r.to_dominant_chamber, []
+
+    def counted(rs, v):
+        walked.append(v)
+        return real(rs, v)
+
+    monkeypatch.setattr(r, "to_dominant_chamber", counted)
+    got = ch.tensor_nabla_multiplicities(rs, a, b)
+    monkeypatch.undo()
+    assert got == reference_brauer_klimyk(rs, a, b)
+    assert sorted(walked) == sorted(walking), (rs, a, b)
+    if (typ, a, b) == WALK_PAIRS[-1]:
+        assert not walking and counts["wall"] == 0
+    else:
+        assert walking and counts["wall"] and counts["dominant"]
 
 
 def test_returned_dicts_do_not_alias_the_caches(a2):

@@ -447,13 +447,14 @@ def test_identity_checks_of_a_mu_equal_its_one_tau_checks(series, p, mu_pairing,
 
 
 def test_identity_box_builds_one_table_per_mu_and_degree(monkeypatch):
-    real, queries = em.multiplicity_table, []
+    # the box calls the table's unchecked core, its prime checked once
+    real, queries = em._multiplicity_table, []
 
-    def counted(ws, query, omegas=None):
+    def counted(ws, query, omegas):
         queries.append((query.mu, query.n))
         return real(ws, query, omegas)
 
-    monkeypatch.setattr(em, "multiplicity_table", counted)
+    monkeypatch.setattr(em, "_multiplicity_table", counted)
     result = em.run_identity_box(em.make_workspace("A", 2), 7, 40)
     assert len(queries) == len(set(queries))
     assert len({mu for mu, _ in queries}) == result["cases"] == 91
@@ -462,13 +463,13 @@ def test_identity_box_builds_one_table_per_mu_and_degree(monkeypatch):
 def test_identity_box_builds_tables_only_for_degrees_of_its_taus_parity(monkeypatch):
     # tau's factor in degree n is the coefficient of t^(top - n) in a polynomial
     # in t^2, top = l(p*tau) - l(mu), so tau is asked only at n <= top, n = top mod 2
-    real, tables = em.multiplicity_table, []
+    real, tables = em._multiplicity_table, []
 
-    def counted(ws, query, omegas=None):
+    def counted(ws, query, omegas):
         tables.append((query, omegas))
         return real(ws, query, omegas)
 
-    monkeypatch.setattr(em, "multiplicity_table", counted)
+    monkeypatch.setattr(em, "_multiplicity_table", counted)
     ws = em.make_workspace("A", 2)
     g = ws.group
     em.run_identity_box(ws, 7, 40)

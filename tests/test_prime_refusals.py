@@ -123,3 +123,23 @@ def test_a_fresh_query_trial_divides_its_prime_once(monkeypatch):
     ws = em.Workspace(g.rs, g, KLTable(g))
     em.multiplicity_table(ws, em.MultiplicityQuery("red_nabla", (0, 0), (8, 3), 2, 7))
     assert calls == [7]
+
+
+def test_an_identity_check_trial_divides_its_prime_once(monkeypatch):
+    # in weight_space_identity_check; its regularity test, decomposition,
+    # lengths and the table of each degree (here n = 0 and 2) call unchecked cores
+    real, calls = roots.check_prime, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(affine, "check_prime", counted)
+    monkeypatch.setattr(roots, "check_prime", counted)
+    g = AffineWeylGroup(build_root_system("A", 1))
+    ws = em.Workspace(g.rs, g, KLTable(g))
+    assert em.weight_space_identity_check(ws, (0,), (1,), 5).ok
+    assert calls == [5]
+    calls.clear()
+    assert em.run_identity_box(ws, 5, 12)["cases"] == 5
+    assert calls == [5]
