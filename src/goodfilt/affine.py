@@ -60,13 +60,15 @@ id, and ``bruhat_leq`` and ``KLTable.kl`` strip from a flagged y a descent
 s with ys flagged (``descent``), so between flagged ids they stay flagged.
 That descent is fixed when y's row is filled, and read as a list entry.
 
-The walk also files each flagged id under its finite part w, a
-p-independent index.  Since z = (w, nu) sends m to w(m) + p*nu, the image
-z . lambda^- mod p depends only on w, so ``dominant_orbit`` computes
-w(lambda^- + rho) once per finite part, and ``_orbit_congruent`` walks only
-the ids of the finite parts whose image is congruent to a restricted base
-mod p, mapping each z to the dominant tau with z . lambda^- = base + p*tau.
-A point of C_p^- has a trivial stabilizer, so z is the element ``locate``
+The kept levels of flagged ids are the group's one index of the dominant
+part of an orbit: ``dominant_orbit`` and ``_orbit_congruent`` slice them as
+``big_C`` and the mu-sum of ``klpoly`` do.  Since z = (w, nu) sends m to
+w(m) + p*nu, the image z . lambda^- mod p depends only on the finite part w,
+so ``_orbit_congruent`` decides once per finite part met whether its image
+is congruent to a restricted base mod p, and maps each congruent z to the
+dominant tau with z . lambda^- = base + p*tau.  It reads the levels of
+one parity, the class on which a table's KL factor can be nonzero
+(``extmult``).  A point of C_p^- has a trivial stabilizer, so z is the element ``locate``
 finds for that weight.  Lengths of dominant weights follow the length law
 (Jantzen, RAGS, II.6; ``dominant_length``): for a dominant p-regular
 lambda = x . lambda^-, l(x) = sum over positive beta of
@@ -74,10 +76,10 @@ lambda = x . lambda^-, l(x) = sum over positive beta of
 (-p, 0) on C_p^- to <lambda + rho, beta^vee> > 0 across exactly the walls
 kp with 0 <= k <= that floor.  So l(base + p*tau) = l(base) + <tau, 2 rho^vee>.
 
-Concurrency: ids and rows are created under one lock, and a row is
-published by one assignment once its neighbours exist.  Table hits and the
-idempotent memos (Bruhat order, lower ideals, locate, finite images) take
-no lock, so a group is safe to share across threads.
+Concurrency: ids, rows and kept levels are created under one lock, and a
+row or level is published by one assignment once the ids it holds exist.
+Table hits and the idempotent memos (Bruhat order, lower ideals, locate)
+take no lock, so a group is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -148,10 +150,6 @@ class AffineWeylGroup:
         self._dominant: list[bool] = []  # x(C_p^-) in the dominant chamber
         self._descent: list[int | None] = []  # the stripping descent, set with the row
         self._dominant_levels: list[list[int]] = []  # flagged ids of length k
-        # the same ids by finite part, each list by length then matrix form
-        self._dominant_by_finite: dict[Matrix, list[int]] = {}
-        # rep -> {w: image} over a prefix of the finite parts, see _finite_images
-        self._finite_images_memo: dict[Weight, dict[Matrix, Weight]] = {}
         self._leq: dict[tuple[int, int], bool] = {}
         self._ideal: dict[int, frozenset] = {}
         self._locate: dict[tuple[Weight, int], AlcoveLocation] = {}
@@ -514,50 +512,23 @@ class AffineWeylGroup:
         and every flagged id above w_0 has a shorter flagged one, so it
         reaches every flagged id and fills no row of an unflagged one.  Each
         level is built as in ``elements_up_to_length`` and kept, so it is
-        built once.  A level's ids are appended to the finite-part index
-        before the level is published, so a reader that sees a level finds
-        its ids there.
+        built once.
         """
         levels = self._dominant_levels
         if len(levels) > bound:
             return levels
-
-        def publish(level):  # under the lock
-            for z in level:
-                self._dominant_by_finite.setdefault(self._form[z][0], []).append(z)
-            levels.append(level)
-
         if not levels:
             first = self._longest_finite()  # may fill rows, so outside the lock
             with self._lock:
                 if not levels:
-                    for k in range(self._length[first] + 1):
-                        publish([first] if k == self._length[first] else [])
+                    levels += [[] for _ in range(self._length[first])] + [[first]]
         while len(levels) <= bound:
             k = len(levels)
             level = self._next_level(levels[k - 1], k)
             with self._lock:
                 if len(levels) == k:
-                    publish(level)
+                    levels.append(level)
         return levels
-
-    def _finite_images(self, rep: Weight, max_length: int) -> dict[Matrix, Weight]:
-        """z . rep - p*nu for each finite part w in the finite-part index,
-        which holds those of the flagged z = (w, nu) up to max_length.
-
-        The index only grows, in insertion order, so the images are kept per
-        rep and extended by the finite parts added since.  An extension is a
-        new dict, never a change to one a caller may be iterating.
-        """
-        self._levels(max_length)
-        image = self._finite_images_memo.get(rep, {})
-        if len(image) < len(self._dominant_by_finite):
-            m, rho = _r._vec_add(rep, self.rs.rho), self.rs.rho
-            image = self._finite_images_memo[rep] = image | {
-                w: tuple(sum(map(mul, row, m)) - r for row, r in zip(w, rho))
-                for w in list(self._dominant_by_finite)[len(image):]
-            }
-        return image
 
     def dominant_orbit(self, rep: Weight, p: int, max_length: int):
         """Pairs (z, z . rep) with z . rep dominant and l(z) <= max_length,
@@ -569,47 +540,43 @@ class AffineWeylGroup:
         if not self.in_antidominant_alcove(rep, check_prime(p)):
             raise PreconditionError(f"dominant_orbit needs rep={rep} in C_p^- at p={p!r}")
         _r._check_int(max_length, "max_length")
-        image = self._finite_images(rep, max_length)
-        out = []
-        for z in self.dominant_up_to_length(max_length):
-            w, nu = self._form[z]
-            out.append((z, tuple(a + p * t for a, t in zip(image[w], nu))))
-        return out
+        return [(z, self._dot(z, rep, p)) for z in self.dominant_up_to_length(max_length)]
 
-    def _orbit_congruent(self, rep: Weight, p: int, max_length: int, base: Weight):
+    def _orbit_congruent(self, rep: Weight, p: int, max_length: int, base: Weight, parity: int):
         """{tau: z} over the flagged z with l(z) <= max_length and
-        z . rep = base + p*tau, by finite part, then length and matrix form.
+        l(z) = parity (mod 2) and z . rep = base + p*tau, by length then
+        matrix form.
 
         Arguments are unchecked: rep in C_p^-, base restricted.  z . rep mod p
         depends only on the finite part w of z = (w, nu), so one product per
-        finite part picks the ids to walk, and tau = (z . rep - p*nu - base)/p + nu.
-        Each z is the element ``locate`` finds for base + p*tau.
+        finite part decides whether its ids are congruent to base, and then
+        tau = (z . rep - p*nu - base)/p + nu.  Each z is the element
+        ``locate`` finds for base + p*tau.
         """
-        image = self._finite_images(rep, max_length)
-        lengths, forms = self._length, self._form
-        out = {}
-        for w, v in image.items():
-            if any((a - b) % p for a, b in zip(v, base)):
-                continue
-            offset = tuple((a - b) // p for a, b in zip(v, base))
-            for z in self._dominant_by_finite[w]:  # by length
-                if lengths[z] > max_length:
-                    break
-                out[_r._vec_add(offset, forms[z][1])] = z
+        m, rho, forms = _r._vec_add(rep, self.rs.rho), self.rs.rho, self._form
+        # offsets: finite part w -> (w(m) - rho - base)/p, or None where p does not divide it
+        offsets, out = {}, {}
+        for level in self._levels(max_length)[parity : max(max_length + 1, 0) : 2]:
+            for z in level:
+                w, nu = forms[z]
+                offset = offsets.get(w, False)  # False: w not met yet in this call
+                if offset is False:
+                    v = [sum(map(mul, row, m)) - r - b for row, r, b in zip(w, rho, base)]
+                    offset = None if any(c % p for c in v) else tuple(c // p for c in v)
+                    offsets[w] = offset
+                if offset is not None:
+                    out[_r._vec_add(offset, nu)] = z
         return out
 
     def stats(self) -> dict[str, int]:
-        """Sizes of the group's tables: ids, flagged ids, the flagged ids
-        indexed by finite part, and the Bruhat, lower-ideal, locate and
-        finite-image memos."""
+        """Sizes of the group's tables: ids, flagged ids, and the Bruhat,
+        lower-ideal and locate memos."""
         return {
             "ids": len(self._length),
             "flagged_ids": sum(self._dominant),
-            "finite_part_index": sum(map(len, self._dominant_by_finite.values())),
             "bruhat_memo": len(self._leq),
             "ideal_memo": len(self._ideal),
             "locate_memo": len(self._locate),
-            "finite_image_memo": len(self._finite_images_memo),
         }
 
 

@@ -6,8 +6,9 @@ to stderr.  The advisories are built here, from
 ``roots.validate_p`` and ``roots.in_jantzen_region``: a multiplicity table
 holds only its entries.  Exit codes: 0 success, 2 usage or configuration
 problems (including --strict advisory promotion, which ``rootsystem`` and
-``extmult`` offer, rejected cache files and a --cache path that cannot be
-read, decoded or written), 3 singular-weight
+``extmult`` offer, rejected cache files, a --cache path that cannot be
+read, decoded or written, and a --p at or above psi_13, where
+``roots.check_prime`` is no longer exact), 3 singular-weight
 rejection, 4 internal invariant violation, including inputs too deep for the
 recursion limit.  Output is byte-stable for identical inputs and
 cache state: keys are emitted in sorted order everywhere.  With ``--stats`` a

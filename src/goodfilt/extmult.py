@@ -113,10 +113,8 @@ have a nonzero factor against the partner's element y:
   exponents.  For red_red every nonzero term of ``big_C`` is a product of
   coefficients of t^(l(z) - l(z') - m) and t^(l(y) - l(z') - n + m), both
   even, so l(z) + l(y) - n is even.
-  Translations in pZR have even length (the length law adds
-  <tau, 2 rho^vee>), so the parity is constant on each finite part, and a
-  table touches exactly one parity class of the orbit: the groundwork for
-  reading all degrees of one class from one walk.
+  So the walk reads one parity class: ``_orbit_congruent`` slices every
+  other kept level of flagged ids, those of the parity of l(y) + n.
 * Degree 0: only z = y.  At n = 0 the exponent l(z) - l(y) is at or above
   the degree bound of P_{y,z} unless z = y; for red_red at m = 0 the two
   factors need z' = z and z' = y.  The factor at y is 1, and y is walked
@@ -338,10 +336,10 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
 
     A delta_red query is answered as the red_nabla table of its dual pair,
     and a degree-0 query by the degree-0 law (see the module docstring).
-    Otherwise the table walks the partner's dot orbit once, locates only
-    the partner and keeps the taus below the weight bound X and, with
-    ``omegas`` given, below one of their tops (same docstring).  It reads
-    a KL factor only where the parity law allows one.  The entries are
+    Otherwise the table walks the parity class of the partner's dot orbit
+    that the parity law allows, once, locates only the partner and keeps
+    the taus below the weight bound X and, with ``omegas`` given, below one
+    of their tops (same docstring).  The entries are
     those omegas, or without them every constituent; zero entries are
     omitted.
     """
@@ -378,11 +376,8 @@ def _multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas) -> Mult
     max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
     y, rep, ly = g._locate_checked(partner, p)  # the query is validated
-    lengths = g._length
     acc: dict[Weight, int] = {}
-    for tau, z in g._orbit_congruent(rep, p, max_len, base).items():
-        if (lengths[z] - ly - n) % 2:  # the factor is 0 off the parity class of l(y) + n
-            continue
+    for tau, z in g._orbit_congruent(rep, p, max_len, base, (ly + n) % 2).items():
         if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
             omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
         ):

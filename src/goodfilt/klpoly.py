@@ -46,8 +46,8 @@ descent computed them, so one memo serves every pair.
 
 ``c_coeff`` reads the coefficient of t^s, t = sqrt(q).  As 2 deg_q P_{u,v}
 <= l(v) - l(u) - 1 for u != v, any s >= l(v) - l(u) gives 0 with no
-recursion; a degree-0 Ext table, which reads s = l(v) - l(u), asks only
-u = v (``extmult``'s walk stops at l(v)).  ``c_coeff`` and the
+recursion; so a degree-0 ``small_c``, which reads s = l(v) - l(u), is 0
+unless u = v.  ``c_coeff`` and the
 mu-sum read memo hits without calling ``kl``, so a wrapper of ``kl`` sees
 only the lookups that go through it.
 

@@ -365,11 +365,35 @@ def check_dominant(rs: RootSystem, weight, what: str) -> Weight:
     return w
 
 
+# Miller-Rabin to the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
 def check_prime(p) -> int:
-    """p when it is a prime int; True, 5.0 and 1 are refused."""
-    if type(p) is not int or p < 2 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+    """p when it is a prime int; True, 5.0 and 1 are refused, and so is
+    every p >= psi_13, where the primality test is no longer exact."""
+    if type(p) is int and p >= _PSI_13:
+        raise ConfigurationError(f"p={p} is too large: primality is exact below {_PSI_13}")
+    if type(p) is not int or p < 2 or not _is_prime(p):
         raise ConfigurationError(f"p={p!r} is not prime")
     return p
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n >= 2 is prime, exactly when n < psi_13: each base up to
+    sqrt(n) must not divide n, and n must be a strong probable prime to it."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        if a * a > n:  # no prime factor up to sqrt(n)
+            return True
+        if n % a == 0:
+            return False
+        powers = [pow(a, (n - 1) >> s << i, n) for i in range(s)]  # a^(d 2^i)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def _check_int(value, name: str, nonnegative: bool = False) -> int:

@@ -216,7 +216,9 @@ def test_concurrent_fills_agree_with_sequential():
 
     def orbits(g):
         return [(g.canonical_word(z), wt) for z, wt in g.dominant_orbit(rep, 7, 9)] + [
-            (g.canonical_word(z), tau) for tau, z in g._orbit_congruent(rep, 7, 9, base).items()
+            (g.canonical_word(z), tau)
+            for parity in (0, 1)
+            for tau, z in g._orbit_congruent(rep, 7, 9, base, parity).items()
         ]
 
     def work(_):
@@ -239,10 +241,16 @@ def test_concurrent_fills_agree_with_sequential():
     )
     assert len(expected[2]) > len(alone.dominant_up_to_length(9))  # base is reached
     assert all(r == expected for r in results)
-    # a lost update would give one matrix form two ids, or index an id twice
+    # a lost update would give one matrix form two ids, or drop a kept level
+    # or keep it twice: every flagged id up to the kept depth is in exactly one
     assert len(shared._index) == len(shared._form) == len(shared._dominant)
-    indexed = [z for ids in shared._dominant_by_finite.values() for z in ids]
-    assert sorted(indexed) == sorted(z for level in shared._dominant_levels for z in level)
+    levels = shared._dominant_levels
+    kept = [z for level in levels for z in level]
+    assert all(shared.length(z) == k for k, level in enumerate(levels) for z in level)
+    assert sorted(kept) == [
+        z for z in range(len(shared._form))
+        if shared.is_dominant(z) and shared.length(z) < len(levels)
+    ]
 
 
 # -- the dominance flag -------------------------------------------------------
@@ -316,35 +324,34 @@ def test_dominant_orbit_requires_rep_in_the_alcove(series, rank, rep, p):
         g.dominant_orbit(rep, p, 4)
 
 
-# -- the flagged ids by finite part ------------------------------------------
+# -- the kept levels as the orbit index ----------------------------------------
 
 
 @pytest.mark.parametrize("series,rank", TYPES)
-def test_finite_part_index_groups_the_flagged_ids(series, rank):
-    g = AffineWeylGroup(build_root_system(series, rank))
-    for k in (3, 8):
-        g.dominant_up_to_length(k)
-        flagged = [z for level in g._dominant_levels for z in level]  # past k below w_0
-        by_finite = {}
-        for z in flagged:  # already by length, then matrix form
-            by_finite.setdefault(g._form[z][0], []).append(z)
-        assert g._dominant_by_finite == by_finite
-        assert g.stats()["finite_part_index"] == len(flagged)
-
-
-@pytest.mark.parametrize("series,rank", TYPES)
-def test_finite_images_grow_with_the_index_one_entry_per_rep(series, rank):
+def test_deeper_walks_leave_the_orbit_answers_unchanged(series, rank):
+    # both walks slice the kept levels; a group that has kept levels past a
+    # bound answers it exactly as a fresh group, which keeps only that far
     rs = build_root_system(series, rank)
-    g, fresh = AffineWeylGroup(rs), AffineWeylGroup(rs)
+    g = AffineWeylGroup(rs)
     p = PRIMES[series, rank][0]
     reps = alcove_reps(get_group(series, rank), p)[:2]
-    for k in (2, 5, 8):  # each walk adds finite parts to the index
+    bases = list(itertools.product(range(p), repeat=rank))
+
+    def answers(group, rep, k):
+        word = group.canonical_word
+        return [(word(z), wt) for z, wt in group.dominant_orbit(rep, p, k)], [
+            [(tau, word(z)) for tau, z in group._orbit_congruent(rep, p, k, base, parity).items()]
+            for base in bases
+            for parity in (0, 1)
+        ]
+
+    for k in (8, 2, 5):  # the first walk keeps the levels every later one reads
         for rep in reps:
-            assert g.dominant_orbit(rep, p, k) == reference_dominant_orbit(g, rep, p, k)
-    assert g.stats()["finite_image_memo"] == len(g._finite_images_memo) == len(reps)
-    for rep in reps:
-        assert g._finite_images(rep, 8) == fresh._finite_images(rep, 8)
-        assert list(g._finite_images(rep, 8)) == list(g._dominant_by_finite)
+            got = answers(g, rep, k)
+            assert got == answers(AffineWeylGroup(rs), rep, k), (rep, k)
+            assert got[0] == [(g.canonical_word(z), wt)
+                              for z, wt in reference_dominant_orbit(g, rep, p, k)]
+    assert len(g._dominant_levels) == 9
 
 
 @pytest.mark.parametrize(
@@ -379,10 +386,13 @@ def test_congruent_orbit_yields_the_elements_locate_finds(series, rank):
     checked = 0
     for p in PRIMES[series, rank]:
         for rep in alcove_reps(get_group(series, rank), p):
-            for base in itertools.product(range(p), repeat=rank):
-                for tau, z in g._orbit_congruent(rep, p, 8, base).items():
+            for base, parity in itertools.product(
+                itertools.product(range(p), repeat=rank), (0, 1)
+            ):
+                for tau, z in g._orbit_congruent(rep, p, 8, base, parity).items():
                     wt = tuple(b + p * t for b, t in zip(base, tau))
                     assert g.dot(z, rep, p) == wt and min(tau) >= 0
+                    assert g.length(z) % 2 == parity
                     want = fresh.locate(wt, p)
                     assert g.canonical_word(z) == fresh.canonical_word(want.element)
                     assert (rep, g.length(z)) == (want.antidominant_rep, want.length)
@@ -394,7 +404,7 @@ def test_precondition_holds_after_a_served_query():
     # (rep, 5.0) hashes like (rep, 5): nothing served for (rep, 5) may answer it
     g = get_group("A", 1)
     rep = (-3,)
-    (_, (top,)), *_ = g.dominant_orbit(rep, 5, 4)
-    assert g._orbit_congruent(rep, 5, 4, (top % 5,))  # the tables' walk
+    (z, (top,)), *_ = g.dominant_orbit(rep, 5, 4)
+    assert g._orbit_congruent(rep, 5, 4, (top % 5,), g.length(z) % 2)  # the tables' walk
     with pytest.raises(ConfigurationError, match=r"^p=5.0 is not prime$"):
         g.dominant_orbit(rep, 5.0, 4)

@@ -515,8 +515,8 @@ def test_extmult_stats_locates_only_the_partner():
     # the whole block: a row fill that creates extra ids or walks differently shows here;
     # the mu-sum Bruhat-tests only the z of odd length gap, so bruhat_memo holds 66
     assert stats == {
-        "ids": 44, "flagged_ids": 26, "finite_part_index": 26, "bruhat_memo": 66,
-        "ideal_memo": 0, "kl_entries": 63, "locate_memo": 1, "finite_image_memo": 1,
+        "ids": 44, "flagged_ids": 26, "bruhat_memo": 66,
+        "ideal_memo": 0, "kl_entries": 63, "locate_memo": 1,
     }
 
 
@@ -533,6 +533,6 @@ def test_extmult_omega_stats_locate_only_the_partner():
     assert json.loads(done.stdout) == {"0,2": 1}
     stats = json.loads(done.stderr.splitlines()[-1])["workspace"]
     assert stats == {
-        "ids": 30, "flagged_ids": 15, "finite_part_index": 15, "bruhat_memo": 7,
-        "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1, "finite_image_memo": 1,
+        "ids": 30, "flagged_ids": 15, "bruhat_memo": 7,
+        "ideal_memo": 0, "kl_entries": 5, "locate_memo": 1,
     }

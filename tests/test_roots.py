@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,34 @@ def test_check_prime_agrees_with_trial_division():
         else:
             with pytest.raises(ConfigurationError, match=rf"^p={p} is not prime$"):
                 roots.check_prime(p)
+
+
+def test_check_prime_agrees_with_a_sieve_below_200000():
+    n = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    for p in range(n):
+        try:
+            accepted = roots.check_prime(p) == p
+        except ConfigurationError:
+            accepted = False
+        assert accepted == sieve[p], p
+
+
+def test_check_prime_is_exact_to_psi_13_and_refuses_from_there():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7
+    with pytest.raises(ConfigurationError, match=r"^p=3215031751 is not prime$"):
+        roots.check_prime(3215031751)
+    start = time.process_time()
+    assert roots.check_prime(10**18 + 3) == 10**18 + 3
+    assert time.process_time() - start < 0.5
+    psi_13 = 1287836182261 * 2575672364521  # strong pseudoprime to every prime base <= 41
+    for p in (psi_13, psi_13 + 2, 2**89 - 1):  # the last is a Mersenne prime
+        refusal = rf"^p={p} is too large: primality is exact below {psi_13}$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            roots.check_prime(p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,8 +40,6 @@ COLD_MEMOS = (
     "_locate",
     "_dominant",
     "_dominant_levels",
-    "_dominant_by_finite",
-    "_finite_images_memo",
 )
 
 

@@ -7,7 +7,11 @@ access ``mod.attr`` starts with one) or is listed in ``__all__``.  The
 package ``__init__`` imports only to re-export, so it is not checked.  A
 private (underscore-prefixed, not dunder) module-level function or method
 counts as used when a ``Name`` or an attribute of that name appears in the
-package outside its own definition.
+package outside its own definition.  A private instance attribute that a
+class assigns (``self._x = ...``) counts as used when the package reads an
+attribute of that name: storing into it (``self._x[k] = v``) or calling a
+method of it as a statement (``self._x.append(v)``) is no read, so a memo
+that nothing looks up any more is found.
 """
 
 import ast
@@ -91,3 +95,56 @@ def test_the_checker_sees_an_unused_private_name():
 def test_every_private_name_is_used():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def write_only_attributes(sources: dict[str, str]) -> list[str]:
+    """The private instance attributes assigned in ``sources`` ({file
+    name: source}) whose name nothing in them reads, each at its first
+    assignment."""
+    assigned, reads = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        written_through = set()  # ids of attribute nodes a statement only writes into
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr.startswith("_") and not node.attr.endswith("__")):
+                key = name, node.attr
+                assigned[key] = min(node.lineno, assigned.get(key, node.lineno))
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                written_through.add(id(node.value))
+            elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)):
+                written_through.add(id(node.value.func.value))
+        reads |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in written_through
+        }
+    return [
+        f"{name} line {line}: {attr}"
+        for line, name, attr in sorted((line, *key) for key, line in assigned.items())
+        if attr not in reads
+    ]
+
+
+def test_the_checker_sees_a_write_only_attribute():
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self._read, self._stored, self._appended = {}, {}, []\n"
+        "        self._elsewhere: int = 0\n"
+        "        self._counted = 0\n"
+        "    def f(self, k):\n"
+        "        self._stored[k] = self._read.get(k)\n"
+        "        self._appended.append(k)\n"
+        "        self._counted += 1\n"
+    )
+    assert write_only_attributes({"a.py": source, "b.py": "print(C()._elsewhere)\n"}) == [
+        "a.py line 3: _appended", "a.py line 3: _stored", "a.py line 5: _counted",
+    ]
+
+
+def test_every_private_attribute_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert write_only_attributes(sources) == []
