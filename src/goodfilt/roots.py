@@ -18,8 +18,9 @@ Conventions, fixed once and used by every other module:
 
 Everything is computed with exact integer arithmetic: the inverse Cartan
 matrix is stored as integers over one common denominator, found by
-fraction-free elimination.  RootSystem instances are immutable and freely
-shareable between threads; every function here is pure.
+fraction-free elimination.  ``build_root_system`` makes one RootSystem per
+type, immutable and freely shareable between threads, and equal only to
+itself; every function here is pure.
 """
 
 from __future__ import annotations
@@ -126,10 +127,7 @@ class Root(NamedTuple):
     length_half: int  # (beta, beta) / 2 with short roots at 1
     fund_positive: tuple[tuple[int, int], ...]
     form_coords: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.simple_coords)
+    height: int  # sum(simple_coords)
 
 
 class RootSystem(NamedTuple):
@@ -141,6 +139,9 @@ class RootSystem(NamedTuple):
     rho: Weight
     two_rho_check: tuple[int, ...]  # 2 rho^vee over the simple coroots: <w, 2 rho^vee> = w . it
     weyl_denominator: int  # the product of <rho, beta^vee> over beta > 0
+    # per simple coroot j, coroot[j] of every positive root in order, so the
+    # pairings <w, beta^vee> of all beta are the sum over j of w[j] * column j
+    coroot_columns: Matrix
     coxeter_number: int
     highest_short_root: Root
     longest_element_action: Matrix  # w0 acting on fundamental coordinates
@@ -150,17 +151,19 @@ class RootSystem(NamedTuple):
     inverse_cartan: Matrix  # inverse Cartan matrix times inverse_cartan_den
     inverse_cartan_den: int
 
-    # Construction is deterministic, so identity on (series, rank) is safe
-    # and keeps hashing cheap for the memo tables built on top.
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootSystem)
-            and self.series == other.series
-            and self.rank == other.rank
-        )
+    # build_root_system makes one instance per type, and a copy or an
+    # unpickled system is that instance again (``__reduce__``), so equality
+    # is identity and the memo tables keyed by a system hash it in C.
+    __hash__ = object.__hash__
 
-    def __hash__(self):
-        return hash((self.series, self.rank))
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    def __reduce__(self):
+        return build_root_system, (self.series, self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.series}{self.rank})"
@@ -243,6 +246,7 @@ def _generate_positive_roots(cartan, symmetrizer):
                 length_half=half,
                 fund_positive=tuple((j, c) for j, c in enumerate(fund) if c > 0),
                 form_coords=tuple(map(mul, b, symmetrizer)),
+                height=sum(b),
             )
         )
     return tuple(roots)
@@ -293,6 +297,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         )
 
     columns = tuple(zip(*cartan))
+    coroot_columns = tuple(zip(*(b.coroot for b in roots)))
     det, adjugate = _inverse_times_det(cartan)
     common = math.gcd(det, *(x for row in adjugate for x in row))
     rs = RootSystem(
@@ -302,8 +307,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         symmetrizer=tuple(d),
         positive_roots=roots,
         rho=rho,
-        two_rho_check=tuple(map(sum, zip(*(b.coroot for b in roots)))),
+        two_rho_check=tuple(map(sum, coroot_columns)),
         weyl_denominator=math.prod(sum(b.coroot) for b in roots),
+        coroot_columns=coroot_columns,
         coxeter_number=coxeter,
         highest_short_root=top_short,
         longest_element_action=(),  # set below, from the chamber walk
@@ -449,7 +455,7 @@ def validate_p(rs: RootSystem, p: int) -> PrimeReport:
 
 def _scaled_root_coords(rs: RootSystem, w: Weight) -> tuple[int, ...]:
     """inverse_cartan_den times the simple-root coordinates of w."""
-    return tuple(sum(a * x for a, x in zip(row, w)) for row in rs.inverse_cartan)
+    return tuple(sum(map(mul, row, w)) for row in rs.inverse_cartan)
 
 
 def root_lattice_coords(rs: RootSystem, weight) -> tuple[int, ...] | None:
@@ -477,26 +483,36 @@ def _dominance_leq(rs: RootSystem, a: Weight, b: Weight) -> bool:
     return True
 
 
-def to_dominant_chamber(rs: RootSystem, v: Weight) -> tuple[Weight, int]:
-    """Reflect v into the dominant chamber, lowest negative coordinate first.
+def to_dominant_chamber(rs: RootSystem, v: Weight, low: int | None = None) -> tuple[Weight, int]:
+    """Reflect v into the dominant chamber, at its lowest coordinate first.
 
     Returns the dominant conjugate and the sign det(w) of the walk, with
     sign 0 when v lies on a wall (its conjugate has a zero coordinate).
-    Each reflection s_i changes only the coordinates in ``simple_moves[i]``.
-    ``v`` is not validated; public callers go through ``dominant_conjugate``.
+    ``low`` is min(v) when the caller has read it already; a dominant v is
+    returned at once.  Each step reflects by s_i at the first index i of
+    the lowest coordinate value, found by C-level ``min`` and ``list.index``.
+    Any negative coordinate would do: s_i with v_i < 0 adds the positive
+    multiple -v_i of alpha_i, so every step climbs in the dominance order
+    inside the finite orbit of v, and the walk ends, at the one dominant
+    conjugate, whichever negative coordinate each step takes.  The sign is
+    path-independent too: a regular v has one w with w(v) dominant, and
+    every word for w has the parity of l(w).  Each reflection s_i changes
+    only the coordinates in ``simple_moves[i]``.  ``v`` is not validated;
+    public callers go through ``dominant_conjugate``.
     """
+    if low is None:
+        low = min(v)
+    if low >= 0:
+        return tuple(v), (1 if low else 0)
     moves = rs.simple_moves
     u = list(v)
     sign = 1
-    while True:
-        for i, ui in enumerate(u):
-            if ui < 0:
-                break
-        else:
-            return tuple(u), (sign if all(u) else 0)
-        for j, c in moves[i]:
-            u[j] -= ui * c
+    while low < 0:
+        for j, c in moves[u.index(low)]:
+            u[j] -= low * c
         sign = -sign
+        low = min(u)
+    return tuple(u), (sign if low else 0)
 
 
 def dominant_conjugate(rs: RootSystem, weight) -> Weight:
@@ -510,21 +526,53 @@ def weyl_orbit(rs: RootSystem, weight) -> frozenset:
     Level k holds the w(mu), mu dominant, whose minimal coset representative
     w in W / W_mu has length k.  Applying s_i to a weight v of level k with
     v_i > 0 gives a weight of level k + 1, and every weight of level k + 1
-    arises so, so each level is the set of such images of the one before and
-    no level meets another.
+    arises so.  A weight's level is a function of the weight, so no level
+    meets another: a weight of level k + 1 was met at no earlier level, and
+    the walk keeps no running union of the orbit.  ``_orbit_rows`` makes
+    each weight once, so the levels are simply concatenated.
     """
-    level = {to_dominant_chamber(rs, check_weight(rs, weight))[0]}
-    orbit = set(level)
+    return frozenset(_orbit_rows(rs, to_dominant_chamber(rs, check_weight(rs, weight))[0]))
+
+
+def _orbit_rows(rs: RootSystem, mu: Weight) -> list[Weight]:
+    """The Weyl orbit of a dominant weight by levels from mu (see
+    ``weyl_orbit``), each weight made once, so no level needs deduplication.
+
+    A weight u of level k + 1 is made only from its parent s_f u, f the
+    first index with u_f < 0: from v of level k with v_i > 0, s_i v is kept
+    exactly when (s_i v)_j >= 0 for every j < i.  s_i moves only v_i and
+    the coordinates of the neighbours of i in the Dynkin diagram, and
+    raises those, the Cartan matrix being <= 0 off its diagonal.  So s_i v
+    is kept while v has no negative coordinate below i; past the first
+    negative v_g, only an s_k with k > g a neighbour of g can lift it, and
+    s_k v is kept when no coordinate below k is left negative.  Every u is
+    reached: below f its parent has the coordinates of u (>= 0) except at
+    the neighbours of f, and when one of those is negative, f is a
+    neighbour of the first negative one.
+    """
     moves = rs.simple_moves
+    rows, level = [mu], [mu]
     while level:
-        nxt = set()
+        nxt = []
         for v in level:
-            for i, vi in enumerate(v):
+            i = 0  # counted by hand: enumerate's pairs cost 11% of the walk
+            for vi in v:
                 if vi > 0:
-                    u = list(v)
+                    u = [*v]
                     for j, c in moves[i]:
                         u[j] -= vi * c
-                    nxt.add(tuple(u))
-        orbit |= nxt
+                    nxt.append(tuple(u))
+                elif vi < 0:
+                    for k, _ in moves[i]:
+                        vk = v[k]
+                        if k > i and vk > 0:
+                            u = [*v]
+                            for j, c in moves[k]:
+                                u[j] -= vk * c
+                            if min(u[:k]) >= 0:
+                                nxt.append(tuple(u))
+                    break
+                i += 1
+        rows += nxt
         level = nxt
-    return frozenset(orbit)
+    return rows

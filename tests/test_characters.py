@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from goodfilt import characters as ch
 from goodfilt import roots as r
-from goodfilt.errors import ConfigurationError, PreconditionError
+from goodfilt.errors import ConfigurationError, InternalInvariantError, PreconditionError
 from goodfilt.roots import _RANK_RANGE, build_root_system
 
 BOX_LIMIT = 3000  # largest root-lattice box of a drawn weight
@@ -442,9 +442,9 @@ def test_tensor_walks_only_the_terms_off_the_walls_and_the_chamber(typ, a, b, mo
             walking.append(v)
     real, walked = r.to_dominant_chamber, []
 
-    def counted(rs, v):
+    def counted(rs, v, *low):
         walked.append(v)
-        return real(rs, v)
+        return real(rs, v, *low)
 
     monkeypatch.setattr(r, "to_dominant_chamber", counted)
     got = ch.tensor_nabla_multiplicities(rs, a, b)
@@ -493,6 +493,43 @@ def test_stats_after_a_tensor_query():
     }
     # every memo table of the module is reported
     assert sum(ch.stats().values()) == sum(f.cache_info().currsize for f in caches)
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty character memos before and after the test, so that an entry made
+    while a guard test corrupts a memo or a field answers no other test."""
+    caches = [f for f in vars(ch).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_a_negative_tensor_multiplicity_is_refused(a1, cold_memos, monkeypatch):
+    # the character of (1,) with -1 at its highest weight: both terms of
+    # (1,) x (2,) are regular dominant and sum to -1 at (3,) and at (1,)
+    monkeypatch.setitem(ch._dominant_multiplicities(a1, (1,)), (1,), -1)
+    with pytest.raises(InternalInvariantError, match=r"negative tensor multiplicity at \(3,\)"):
+        ch.tensor_nabla_multiplicities(a1, (1,), (2,))
+
+
+def test_a_constituent_above_the_top_is_refused(a1, cold_memos, monkeypatch):
+    # a weight (3,) slipped into the character of (1,) gives (2,) + (3,) = (5,),
+    # above the top (3,) of (1,) x (2,); its other term (-3,) meets the wall
+    monkeypatch.setitem(ch._dominant_multiplicities(a1, (1,)), (3,), 1)
+    with pytest.raises(InternalInvariantError, match=r"constituent \(5,\) not below \(3,\)"):
+        ch.tensor_nabla_multiplicities(a1, (1,), (2,))
+
+
+def test_a_non_integral_weyl_dimension_is_refused(a2, cold_memos, monkeypatch):
+    # every RootSystem reads the class attribute while it is patched; for (1, 0)
+    # the pairings <lam + rho, beta^vee> are 2, 1 and 3, whose product 6 is not
+    # a multiple of 4
+    monkeypatch.setattr(r.RootSystem, "weyl_denominator", 4)
+    with pytest.raises(InternalInvariantError, match=r"Weyl dimension not integral for \(1, 0\)"):
+        ch.dim_nabla(a2, (1, 0))
 
 
 def test_character_is_weyl_invariant(a2, b2):

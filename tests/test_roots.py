@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import time
@@ -119,6 +121,11 @@ def test_one_root_system_and_one_group_per_series():
         assert build_root_system(series, 2) is build_root_system("A", 2)
         assert get_group(series, 2) is get_group("A", 2)
     assert get_group("a", 2).rs is build_root_system("A", 2)
+    # equality is identity, so a copy or an unpickled system is that instance
+    a2 = build_root_system("A", 2)
+    for copied in (pickle.loads(pickle.dumps(a2)), copy.copy(a2), copy.deepcopy(a2)):
+        assert copied is a2
+    assert a2 != build_root_system("A", 3) and a2 != tuple(a2)
 
 
 def test_invalid_types_rejected():
@@ -423,6 +430,22 @@ def test_chamber_walk_matches_reference_property(typ, data):
     v = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
     got = roots.to_dominant_chamber(rs, v)
     assert got == reference_to_dominant_chamber(rs, v)
+    assert roots.to_dominant_chamber(rs, v, min(v)) == got  # the caller's minimum
     dom, sign = got
     assert min(dom) >= 0 and dom == roots.dominant_conjugate(rs, v)
     assert (sign == 0) == (0 in dom)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([t for t in ALL_TYPES if t[1] >= 2]), st.data())
+def test_chamber_walk_from_tied_minima_matches_reference(typ, data):
+    # the walk reflects at the first of several equal lowest coordinates,
+    # where the reference takes the first negative one
+    rs = build_root_system(*typ)
+    low = data.draw(st.integers(-6, -1))
+    v = list(data.draw(st.lists(st.integers(low, 6), min_size=rs.rank, max_size=rs.rank)))
+    for i in data.draw(st.sets(st.integers(0, rs.rank - 1), min_size=2, max_size=rs.rank)):
+        v[i] = low
+    v = tuple(v)
+    got = roots.to_dominant_chamber(rs, v, low)
+    assert got == reference_to_dominant_chamber(rs, v) == roots.to_dominant_chamber(rs, v)
