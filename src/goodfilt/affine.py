@@ -27,6 +27,11 @@ alcove C_p^- (the alcove whose shifted points m satisfy
   where alpha_0 is the highest short root (its coroot is the highest
   coroot).
 
+Each wall is kept once, in ``_gens``, as f = <., gamma^vee> + k p with
+f > 0 inside C_p^-; it is the one wall list that row fills, ``locate``
+(which reflects m across the lowest-indexed wall with f(m) < 0 until none
+is left) and ``in_antidominant_alcove`` (every f(m) > 0) read.
+
 With this choice the Coxeter length of x equals the number of affine
 hyperplanes ``<m, beta^vee> = kp`` separating the alcove x(C_p^-) from
 C_p^-, which is what makes lengths of dominant weights grow with their
@@ -388,12 +393,12 @@ class AffineWeylGroup:
                 raise SingularWeightError(lam, beta.coroot, val, p)
 
     def in_antidominant_alcove(self, weight, p: int) -> bool:
-        lam = check_weight(self.rs, weight)
-        m = _r._vec_add(lam, self.rs.rho)
-        if any(c >= 0 for c in m):
-            return False
-        a0 = self.rs.highest_short_root
-        return sum(c * v for c, v in zip(a0.coroot, m)) > -p
+        """Whether weight lies in the open alcove C_p^-: every wall of
+        ``_gens`` is positive at m = weight + rho, i.e. <m, alpha_i^vee> < 0
+        for each simple coroot and <m, alpha_0^vee> > -p.  p is only
+        compared against, so any p is taken."""
+        m = _r._vec_add(check_weight(self.rs, weight), self.rs.rho)
+        return all(sum(map(mul, m, c)) + k * p > 0 for _, c, k in self._gens)
 
     def locate(self, weight, p: int) -> AlcoveLocation:
         """Write a p-regular weight as x . (antidominant representative).
@@ -403,13 +408,7 @@ class AffineWeylGroup:
         wall), and x from the identity along its row by each wall's generator.
         Each crossing strips one separating hyperplane, so the steps count l(x).
         """
-        lam = check_weight(self.rs, weight)
-        # only checked primes are stored, so an int p that hits needs no trial
-        # division; any other p is checked first: (lam, 5.0) hashes like (lam, 5)
-        cached = self._locate.get((lam, p)) if type(p) is int else None
-        if cached is not None:
-            return cached
-        return self._locate_checked(lam, check_prime(p))
+        return self._locate_checked(check_weight(self.rs, weight), check_prime(p))
 
     def _locate_checked(self, lam: Weight, p: int) -> AlcoveLocation:
         """``locate`` of a checked weight at a checked prime."""
@@ -418,28 +417,27 @@ class AffineWeylGroup:
         if cached is not None:
             return cached
         self._assert_p_regular(lam, p)
-        a0 = self.rs.highest_short_root
-        a0_coroot, a0_normal, columns = a0.coroot, a0.fund_coords, self.rs.simple_columns
-        m = list(_r._vec_add(lam, self.rs.rho))
-        element, steps = self.identity, 0
+        m = _r._vec_add(lam, self.rs.rho)
+        element, steps, gens = self.identity, 0, self._gens
         while True:
-            a0_val = sum(c * v for c, v in zip(a0_coroot, m))
-            if a0_val < -p:
-                i, shift, normal = 0, a0_val + p, a0_normal
-            else:
-                i = next((i for i, v in enumerate(m, start=1) if v > 0), None)
-                if i is None:
+            # the lowest wall f = <., gamma^vee> + k p negative at m; its
+            # reflection is m -> m - f(m) gamma, as <gamma, gamma^vee> = 2
+            for i, (gamma, c, k) in enumerate(gens):
+                f = sum(map(mul, m, c)) + k * p
+                if f < 0:
                     break
-                shift, normal = m[i - 1], columns[i - 1]
-            m = [v - shift * f for v, f in zip(m, normal)]
+            else:
+                break
+            m = [v - f * g for v, g in zip(m, gamma)]
             element, steps = self.row(element)[i], steps + 1
-        rep = _r._vec_sub(tuple(m), self.rs.rho)
+        rep = _r._vec_sub(m, self.rs.rho)
         if self._dot(element, rep, p) != lam:
             raise InternalInvariantError(f"alcove walk failed to invert for {lam}")
         length = self.length(element)
         if length != steps:
             raise InternalInvariantError(
                 f"walk length {steps} disagrees with Coxeter length {length}"
+                f" for {lam} at p={p}"
             )
         loc = AlcoveLocation(element=element, antidominant_rep=rep, length=length)
         self._locate[key] = loc

@@ -42,8 +42,8 @@ On top of c:
 * ``weight_space_identity_check``: the two-path identity for H^*(G_1,
   nabla(mu)), mu = w . 0 + p*xi with w finite: the multiplicity of nabla(tau)
   over all degrees equals dim Delta(tau)_xi.  It refuses a non-dominant
-  mu or tau and a p-singular mu, hence every mu below the Coxeter number
-  h, where no weight is p-regular; ``run_identity_box`` checks it with one
+  mu or tau and a p-singular mu, hence every mu at p < h, where no weight
+  is p-regular; ``run_identity_box`` checks it with one
   red_nabla table per (mu, degree some tau of mu occupies).
 
 Every input is refused by the one rule of its kind, with a message naming
@@ -451,7 +451,7 @@ def weight_space_identity_check(ws: Workspace, mu, tau, p: int) -> IdentityCheck
 def _identity_checks(ws: Workspace, mu, taus, p: int) -> list[IdentityCheckResult]:
     """``weight_space_identity_check`` of mu against each tau in ``taus``, at
     a prime p that the caller checked: every step below calls an unchecked
-    core, so p is trial-divided once per check or box.
+    core, so p is checked once per check or box.
 
     mu is checked next, by the tables' own rules, in the order: its
     weight and dominance (``roots.check_dominant``), its p-regularity (a

@@ -1,4 +1,6 @@
 import itertools
+import random
+from operator import mul
 
 import pytest
 
@@ -187,6 +189,80 @@ def test_antidominant_rep_is_in_open_alcove(a2):
             for beta in a2.rs.positive_roots:
                 val = sum(c * v for c, v in zip(beta.coroot, m))
                 assert -5 < val < 0
+
+
+def brute_pairings(rs, weight):
+    """<weight + rho, beta^vee> over the positive roots."""
+    m = tuple(a + b for a, b in zip(weight, rs.rho))
+    return [sum(map(mul, beta.coroot, m)) for beta in rs.positive_roots]
+
+
+def brute_inside(rs, weight, p):
+    return all(-p < v < 0 for v in brute_pairings(rs, weight))
+
+
+def wall_points(rs, p):
+    """One weight on each wall of C_p^- that meets every other condition of
+    the alcove: <m, alpha_i^vee> = 0, or <m, alpha_0^vee> = -p, m = weight + rho."""
+    n, c = rs.rank, rs.highest_short_root.coroot
+    points = [tuple(0 if j == i else -1 for j in range(n)) for i in range(n)]
+    # from m = (-1, ..., -1), whose alpha_0 pairing is -sum(c), move it d = p - sum(c)
+    # further down by taking x off m_i and y off m_j, x c_i + y c_j = d
+    d = p - sum(c)
+    i, j, x = next(
+        (i, j, x)
+        for i, j in itertools.product(range(n), repeat=2)
+        for x in range(d // c[i] + 1)
+        if (d - x * c[i]) % c[j] == 0
+    )
+    m = [-1] * n
+    m[i] -= x
+    m[j] -= (d - x * c[i]) // c[j]
+    points.append(tuple(m))
+    return [tuple(a - b for a, b in zip(pt, rs.rho)) for pt in points]
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 8), ("B", 3), ("B", 8), ("C", 3), ("C", 8), ("D", 4), ("D", 8),
+     ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_locate_and_alcove_against_brute_force_every_type(series, rank):
+    """At the two smallest primes p >= h, on seeded random p-regular weights:
+    every positive coroot pairing of locate's representative (+ rho) lies in
+    (-p, 0), its element maps it back, and its length counts the separating
+    hyperplanes; in_antidominant_alcove agrees with the pairing test on
+    weights near the representative and on a point of every wall."""
+    g = get_group(series, rank)
+    rs, rng = g.rs, random.Random(f"{series}{rank}")
+    h = rs.coxeter_number
+    for p in [q for q in range(h, 3 * h + 3) if is_prime(q)][:2]:
+        walls = wall_points(rs, p)
+        for w in walls:
+            pairings = brute_pairings(rs, w)
+            assert all(-p <= v <= 0 for v in pairings) and (0 in pairings or -p in pairings)
+            assert not g.in_antidominant_alcove(w, p), (w, p)
+        located = 0
+        while located < 10:
+            lam = tuple(rng.randint(-p // 2, p // 2) for _ in range(rank))
+            m = tuple(a + b for a, b in zip(lam, rs.rho))
+            if any(sum(map(mul, beta.coroot, m)) % p == 0 for beta in rs.positive_roots):
+                continue
+            assert g.in_antidominant_alcove(lam, p) == brute_inside(rs, lam, p), (lam, p)
+            loc = g.locate(lam, p)
+            assert brute_inside(rs, loc.antidominant_rep, p), (lam, p)
+            assert g.in_antidominant_alcove(loc.antidominant_rep, p)
+            assert g.dot(loc.element, loc.antidominant_rep, p) == lam
+            assert loc.length == separation_count(g, lam, p), (lam, p)
+            for _ in range(4):  # inside, outside and on walls
+                centre = rng.choice(walls + [loc.antidominant_rep])
+                near = tuple(a + rng.randint(-1, 1) for a in centre)
+                assert g.in_antidominant_alcove(near, p) == brute_inside(rs, near, p), (near, p)
+            located += 1
 
 
 def test_bruhat_basics(a1, a2):
