@@ -9,9 +9,9 @@ problems (including --strict advisory promotion, which ``rootsystem`` and
 ``extmult`` offer, rejected cache files, a --cache path that cannot be
 read, decoded or written, and a --p at or above psi_13, where
 ``roots.check_prime`` is no longer exact), 3 singular-weight
-rejection, 4 internal invariant violation, including inputs too deep for the
-recursion limit.  Output is byte-stable for identical inputs and
-cache state: keys are emitted in sorted order everywhere.  With ``--stats`` a
+rejection, 4 internal invariant violation.  Output is byte-stable for
+identical inputs and cache state: keys are emitted in sorted order
+everywhere.  With ``--stats`` a
 command also writes one JSON line to stderr: the wall and CPU seconds the
 command took after argument parsing, the sizes of the character caches
 (``characters.stats``) and, when the command built one, those of its
@@ -330,16 +330,6 @@ def _run(args, out, err) -> int:
     except SingularWeightError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_SINGULAR
-    except RecursionError:
-        words = ", ".join(
-            f"--{k} has {len(getattr(args, k))} letters" for k in ("x", "y") if hasattr(args, k)
-        )
-        err.write(
-            f"internal error: {args.command} exceeded the recursion limit"
-            + (f" ({words})" if words else "")
-            + "\n"
-        )
-        return EXIT_INVARIANT
     except InternalInvariantError as exc:
         err.write(f"internal error: {exc}\n")
         return EXIT_INVARIANT

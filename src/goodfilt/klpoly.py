@@ -47,9 +47,19 @@ descent computed them, so one memo serves every pair.
 ``c_coeff`` reads the coefficient of t^s, t = sqrt(q).  As 2 deg_q P_{u,v}
 <= l(v) - l(u) - 1 for u != v, any s >= l(v) - l(u) gives 0 with no
 recursion; so a degree-0 ``small_c``, which reads s = l(v) - l(u), is 0
-unless u = v.  ``c_coeff`` and the
-mu-sum read memo hits without calling ``kl``, so a wrapper of ``kl`` sees
-only the lookups that go through it.
+unless u = v.
+
+The recursion runs on an explicit stack, so its depth is bounded by memory,
+not by Python's recursion limit.  ``kl`` is a loop; the body for one pair is
+the generator ``_entry``, which yields each pair it needs where the
+recursion would call ``kl`` and is sent back its polynomial.  ``kl``
+resolves a pair the way the recursion did on entry (the diagonal, a memo
+hit, 0 off Bruhat order), and otherwise pushes a new entry and runs it
+before resuming the one below.  So the stack holds exactly the recursion's
+frames and is walked in its order: every entry is computed in the same
+sequence, from the same memo state, with the same Bruhat tests.  Nested
+reads, and the memo hits that ``c_coeff`` and the mu-sum take in place,
+never re-enter ``kl``: a wrapper of ``kl`` sees only its outside calls.
 
 Concurrency: the shared state is two dicts, the memo and the mu-candidate
 lists (``_candidates``).  Both are published idempotently: a key always
@@ -121,17 +131,33 @@ class KLTable:
     # -- core recursion ----------------------------------------------------
 
     def kl(self, x: int, y: int) -> tuple[int, ...]:
-        if x == y:
-            return (1,)
-        key = (x, y)
-        memo = self.memo
-        cached = memo.get(key)
-        if cached is not None:  # stored entries have x <= y
-            return cached
-        g = self.group
-        if not g.bruhat_leq(x, y):
-            return ()
+        """P_{x,y}: 1 on the diagonal, a memo hit, 0 unless x <= y in Bruhat
+        order, and otherwise computed by ``_entry`` and stored.  Each pair an
+        entry asks for is resolved the same way, on a stack of entries rather
+        than by recursion, so depth is bounded by memory alone."""
+        memo, bruhat_leq, stack = self.memo, self.group.bruhat_leq, []
+        while True:
+            result = (1,) if x == y else memo.get((x, y))  # stored entries have x <= y
+            if result is None:
+                if bruhat_leq(x, y):
+                    stack.append(self._entry(x, y))  # sent None to start
+                else:
+                    result = ()
+            while stack:
+                try:
+                    x, y = stack[-1].send(result)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    result = done.value
+            else:
+                return result
 
+    def _entry(self, x: int, y: int):
+        """Compute and store P_{x,y} for x < y with no memo entry: a generator
+        that yields each pair whose polynomial it needs, is sent that
+        polynomial by ``kl``, and returns P_{x,y}."""
+        memo, g = self.memo, self.group
         lengths, flagged, rmul = g._length, g._dominant, g._rmul
         row = rmul[y] or g._fill_row(y)
         s = g._descent[y]
@@ -140,24 +166,24 @@ class KLTable:
         lx, lv = lengths[x], lengths[v]
         gap = lv + 1 - lx
         if lengths[xs] > lx:
-            result = self.kl(xs, y)
+            result = yield xs, y
         else:
             if flagged[x] and flagged[v] and not flagged[xs]:
                 xs = x  # xs = tx with t finite and tv < v, so P_{xs,v} = P_{x,v}
             # each term has degree <= gap // 2, as its stored factors obey the
             # degree bound, though the sum may cancel lower
             acc = [0] * (gap // 2 + 1)
-            for i, c in enumerate(memo.get((xs, v)) or self.kl(xs, v)):
+            for i, c in enumerate(memo.get((xs, v)) or (yield xs, v)):
                 acc[i] += c
-            for i, c in enumerate(memo.get((x, v)) or self.kl(x, v), start=1):
+            for i, c in enumerate(memo.get((x, v)) or (yield x, v), start=1):
                 acc[i] += c
             for z in self._mu_candidates(v, s):
                 lz = lengths[z]
                 if lz < lx or not g.bruhat_leq(x, z):
                     continue
-                m = _coeff(memo.get((z, v)) or self.kl(z, v), (lv - lz - 1) // 2)  # mu(z, v)
+                m = _coeff(memo.get((z, v)) or (yield z, v), (lv - lz - 1) // 2)  # mu(z, v)
                 if m:
-                    poly = memo.get((x, z)) or self.kl(x, z)
+                    poly = memo.get((x, z)) or (yield x, z)
                     for i, c in enumerate(poly, start=(lv + 1 - lz) // 2):
                         acc[i] -= m * c
             result = _trimmed(acc)
@@ -165,7 +191,7 @@ class KLTable:
         problem = _invariant_violation(result, gap)
         if problem:
             raise InternalInvariantError(f"KL polynomial for gap {gap}: {problem}")
-        memo[key] = result
+        memo[x, y] = result
         return result
 
     def _mu_candidates(self, v: int, s: int) -> list[int]:
@@ -255,7 +281,8 @@ class KLTable:
         """Merge a persisted table; returns the number of entries merged.
 
         The whole file is rejected (CacheFormatError naming file and line)
-        on the first record that is not three arrays of integers, has a
+        on a header or record nested too deep for the JSON decoder, and on
+        the first record that is not three arrays of integers, has a
         letter outside 0..rank (the group's walk names it), breaks the KL
         invariants, or repeats a pair (x, y) of an earlier record; and
         (naming the pair) when a record conflicts with a computed entry.
@@ -275,7 +302,7 @@ class KLTable:
                 raise CacheFormatError(f"{path}: empty cache file")
             try:
                 header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CacheFormatError(f"{path}: bad header: {exc}") from exc
             expected = self._header()
             if header != expected:
@@ -289,7 +316,8 @@ class KLTable:
                 try:
                     rec = json.loads(line)
                     xw, yw, coeffs = (_int_array(rec[k]) for k in ("x", "y", "p_of_q"))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                        RecursionError) as exc:
                     raise CacheFormatError(f"{where}: bad record: {exc}") from exc
                 try:
                     x, y = (

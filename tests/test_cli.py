@@ -1,4 +1,5 @@
 import ast
+import inspect
 import io
 import json
 import os
@@ -153,13 +154,20 @@ def test_kl_letter_beyond_the_rank_exits_2_before_any_output():
     assert "out of range" in err
 
 
-def test_kl_deep_word_exits_4():
-    # the KL recursion goes deeper with every length step: 600 is past the limit
-    word = ",".join(str(i % 2) for i in range(600))
-    code, out, err = run(["kl", "--series", "A", "--rank", "1", "--x", "e", "--y", word])
-    assert code == 4
-    assert out == ""
-    assert "kl" in err and "--y has 600 letters" in err
+def test_kl_answers_a_deep_word_under_a_low_recursion_limit():
+    # the KL recursion goes deeper with every letter of y, and runs on a
+    # stack of its own: 120 letters need far more than 60 frames as recursion
+    argv = ["kl", "--series", "A", "--rank", "1", "--x", "e",
+            "--y", ",".join(str(i % 2) for i in range(120))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        low = run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert low == run(argv)
+    code, out, err = low
+    assert (code, err, json.loads(out)["p_of_q"]) == (0, "", [1])
 
 
 def test_kl_word_parse_error():

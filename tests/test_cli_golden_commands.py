@@ -2,8 +2,8 @@
 cover: the exact stdout, stderr and exit code of ``locate``, ``kl`` and
 ``extmult`` with ``--cache`` (a saving run, then a loading one), ``tensor``
 and ``extmult`` as TSV, ``check-identity``, a cache refused on its second
-line, a ``kl`` word too deep for the recursion limit, and an unusable
-``--cache`` path.  Each saved cache is pinned by its SHA-256.
+line, and an unusable ``--cache`` path.  Each saved cache is pinned by its
+SHA-256.
 """
 
 import hashlib
@@ -106,16 +106,6 @@ def test_cache_refused_on_its_second_line(tmp_path):
         "(x=[], y=[1], p=[2])\n",
     )
     assert cache.read_bytes() == before
-
-
-def test_kl_word_of_700_letters_exits_4():
-    word = ",".join(str(i % 2) for i in range(700))
-    assert run(["kl", "--series", "A", "--rank", "1", "--x", "e", "--y", word]) == (
-        4,
-        "",
-        "internal error: kl exceeded the recursion limit "
-        "(--x has 0 letters, --y has 700 letters)\n",
-    )
 
 
 def test_unusable_cache_path_exits_2_with_empty_stdout(tmp_path):

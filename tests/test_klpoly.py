@@ -1,13 +1,16 @@
 import errno
+import inspect
 import io
 import json
 import os
+import sys
 
 import pytest
 
 from goodfilt import extmult as em
+from goodfilt import klpoly
 from goodfilt.affine import AffineWeylGroup, get_group
-from goodfilt.errors import CacheFormatError
+from goodfilt.errors import CacheFormatError, InternalInvariantError
 from goodfilt.klpoly import KLTable
 from goodfilt.roots import build_root_system
 
@@ -83,6 +86,56 @@ def test_cold_recomputation_identical(a2_table):
     fresh = KLTable(g)
     for x, p in values.items():
         assert fresh.kl(x, y) == p
+
+
+def far_delta_red_table():
+    # A2 p = 7, lambda = mu = 7k + 1 at k = 16, on a group with no levels yet
+    g = AffineWeylGroup(build_root_system("A", 2))
+    ws = em.Workspace(g.rs, g, KLTable(g))
+    query = em.MultiplicityQuery("delta_red", (113, 113), (113, 113), 2, 7)
+    return em.multiplicity_table(ws, query), ws.stats()
+
+
+def test_a_far_table_is_the_same_under_a_low_recursion_limit():
+    # its KL entries reach far below their top pairs; they run on a stack of
+    # their own, so 60 frames above the caller's leave the table unchanged
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        low = far_delta_red_table()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert low == far_delta_red_table()
+    assert low[1]["kl_entries"] > 800
+
+
+def test_an_invariant_violation_deep_in_the_stack_stores_nothing_above_it(a2_table, monkeypatch):
+    g = a2_table.group
+    top = (g.identity, g.from_word((0, 1, 2, 0, 1, 0, 2, 1)))
+    live, failed = [], []
+    entry, check = KLTable._entry, klpoly._invariant_violation
+
+    def tracked(self, x, y):
+        live.append((x, y))
+        result = yield from entry(self, x, y)
+        live.pop()
+        return result
+
+    def failing(poly, gap):
+        if not failed and len(live) >= 5:  # the first entry done 4 or more levels below the top
+            failed.append(live[-1])
+            return "planted"
+        return check(poly, gap)
+
+    monkeypatch.setattr(KLTable, "_entry", tracked)
+    monkeypatch.setattr(klpoly, "_invariant_violation", failing)
+    with pytest.raises(InternalInvariantError, match="planted"):
+        a2_table.kl(*top)
+    assert failed[0] != top and not {failed[0], top} & set(a2_table.memo)
+    monkeypatch.undo()
+    fresh = KLTable(g)
+    assert a2_table.kl(*top) == fresh.kl(*top) == (1, 2)
+    assert a2_table.memo == fresh.memo
 
 
 def test_cache_roundtrip(tmp_path, a2_table):

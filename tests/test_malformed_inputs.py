@@ -3,14 +3,18 @@
 A degree ``n`` is a nonnegative ``int`` wherever it is taken (``True`` and
 ``2.0`` refused, as README's "What it computes" says), and a weight or a
 length bound of the wrong type is refused before any arithmetic, never with
-a bare ``TypeError``.
+a bare ``TypeError``.  A ``--cache`` file whose arrays nest too deep for
+the JSON decoder is refused as any other bad cache file, with exit 2.
 """
+
+import io
 
 import pytest
 
 from goodfilt import characters as ch
 from goodfilt import extmult as em
 from goodfilt import roots
+from goodfilt.cli import main
 from goodfilt.errors import ConfigurationError
 
 BAD_DEGREES = [True, 1.0, 2.0, "1", -1]
@@ -67,3 +71,22 @@ def test_malformed_inputs_raise_configuration_error_naming_the_value(call, value
     with pytest.raises(ConfigurationError) as info:
         call()
     assert value in str(info.value)
+
+
+HEADER = '{"format": "kltable", "version": 1, "series": "A", "rank": 1}\n'
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text, message", [
+    (DEEP + "\n", ": bad header"),
+    (HEADER + '{"x": ' + DEEP + ', "y": [1], "p_of_q": [1]}\n', ":2: bad record"),
+], ids=["header", "record"])
+def test_a_cache_nested_too_deep_exits_2_and_stays_unchanged(tmp_path, text, message):
+    cache = tmp_path / "deep.cache"
+    cache.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["kl", "--series", "A", "--rank", "1", "--x", "e", "--y", "1",
+                 "--cache", str(cache)], out=out, err=err)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {cache}{message}: maximum recursion depth")
+    assert cache.read_text() == text
