@@ -189,10 +189,7 @@ class AffineWeylGroup:
 
     def row(self, x: int) -> tuple[int, ...]:
         """The right neighbours (x s_0, ..., x s_r), filled on first use."""
-        row = self._rmul[x]
-        if row is None:
-            row = self._fill_row(x)
-        return row
+        return self._rmul[x] or self._fill_row(x)  # a row is a non-empty tuple
 
     def _steps_of(self, mat: Matrix) -> tuple:
         """The generator steps of the finite part ``mat``, computed once.

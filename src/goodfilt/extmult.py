@@ -61,9 +61,10 @@ elements; the public ones locate their two weights and call the same cores.
 
 Which taus a table sums over.  Each variant reads its KL factor at the
 element z with z . lambda^- = base + p*tau (tau as ``_orbit_congruent``
-files it) and tensors nabla(tau) with the nabla(e) of its weights e (see
-``_variant_parts``).  Every table keeps tau only when p*tau <= X in
-dominance, with theta the highest root and
+files it) and tensors nabla(tau) with the nabla(e) of its weights e: base
+is lambda_0 and the partner mu_0 for red_red, mu for red_nabla, and the e
+are lambda_1* and mu_1 for red_red, lambda_1* for red_nabla.  Every table
+keeps tau only when p*tau <= X in dominance, with theta the highest root and
 
     X = base* + partner + 2 rho + p * floor(n/2) * theta,
 
@@ -118,16 +119,17 @@ have a nonzero factor against the partner's element y:
 * Degree 0: only z = y.  At n = 0 the exponent l(z) - l(y) is at or above
   the degree bound of P_{y,z} unless z = y; for red_red at m = 0 the two
   factors need z' = z and z' = y.  The factor at y is 1, and y is walked
-  only when base + p*tau is the partner: tau = 0 and lambda_0 = mu_0 for
-  red_red, tau = mu_1 and lambda_0 = mu_0 for red_nabla.  That tau is
-  kept, as X - p*tau = lambda_0* + lambda_0 + 2 rho >= 0.  So a degree-0
-  table is, with no locate, walk or KL read,
+  only at the tau with base + p*tau = partner, which exists when the
+  restricted part of the partner is base.  That tau is kept, as
+  X - p*tau = base* + base + 2 rho >= 0, and an omega top cannot drop it:
+  a tau below no top has no constituent among the omegas.  So a degree-0
+  table has the one factor 1 at that tau, with no locate, walk or KL
+  read, and the shared assembly gives
 
       [Ext^0 : nabla(omega)] = delta(lambda_0, mu_0)
                                [nabla(lambda_1*) (x) nabla(mu_1) : nabla(omega)],
 
-  restricted to the omegas.  An omega top cannot change it: a tau below
-  no top has no constituent among the omegas.
+  restricted to the omegas.
 
 A table (``MultiplicityTable``) is a dict from omega to multiplicity, zero
 entries omitted, and refuses no query for its hypotheses: the formulas are
@@ -310,38 +312,19 @@ class MultiplicityTable(dict):
         return dict.get(self, tuple(omega), default)
 
 
-def _variant_parts(ws, query):
-    """Per-variant plumbing of a validated red_red or red_nabla query:
-    partner weight, shifted base, KL factor and the weights whose dual Weyl
-    modules are tensored with nabla(tau).
-
-    The KL factor of tau is read between the element x that locates the
-    shifted weight base + p * tau and the partner's element y.  A Frobenius
-    factor of the first slot enters dualized, as
-    Hom_{G_1}(L(lambda_0) (x) L(lambda_1)^[1], M) = L(lambda_1)^{*[1]} (x)
-    Hom_{G_1}(L(lambda_0), M), so both variants tensor with lambda_1*.
-    """
-    lam0, lam1 = _r._restricted_split(query.lam, query.p)
-    mu0, mu1 = _r._restricted_split(query.mu, query.p)
-    lam1_star, n = _r._star(ws.rs, lam1), query.n
-    if query.variant == "red_red":
-        kl = lambda x, y: _big_C_of_elements(ws, x, y, n)
-        return mu0, lam0, kl, (lam1_star, mu1)
-    kl = lambda x, y: _c_of_elements(ws, y, x, n)
-    return query.mu, lam0, kl, (lam1_star,)
-
-
 def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> MultiplicityTable:
     """Constituent multiplicities of one Frobenius-kernel Ext group.
 
-    A delta_red query is answered as the red_nabla table of its dual pair,
-    and a degree-0 query by the degree-0 law (see the module docstring).
-    Otherwise the table walks the parity class of the partner's dot orbit
-    that the parity law allows, once, locates only the partner and keeps
-    the taus below the weight bound X and, with ``omegas`` given, below one
-    of their tops (same docstring).  The entries are
-    those omegas, or without them every constituent; zero entries are
-    omitted.
+    Every table is the sum over tau of k(tau) [nabla(tau) (x) E : nabla(omega)],
+    with k(tau) the KL factor of tau and E the product of the variant's
+    Frobenius factors (see the module docstring).  A delta_red query is
+    answered as the red_nabla table of its dual pair.  In degree 0 the one
+    factor is 1, at the tau of the degree-0 law; otherwise the table walks
+    the parity class of the partner's dot orbit that the parity law allows,
+    once, locates only the partner and keeps the taus below the weight
+    bound X and, with ``omegas`` given, below one of their tops (same
+    docstring).  The entries are those omegas, or without them every
+    constituent; zero entries are omitted.
     """
     query = query.validated(ws)
     if omegas is not None:
@@ -351,42 +334,52 @@ def multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas=None) -> 
 
 def _multiplicity_table(ws: Workspace, query: MultiplicityQuery, omegas) -> MultiplicityTable:
     """``multiplicity_table`` of a validated query and a set of checked omegas, or None."""
-    rs, g, p, n = ws.rs, ws.group, query.p, query.n
+    rs, g, p, n, lam, mu = ws.rs, ws.group, query.p, query.n, query.lam, query.mu
+    red_red = query.variant == "red_red"
     if query.variant == "delta_red":
-        dual = _r._star(rs, query.mu), _r._star(rs, query.lam)
-        query = MultiplicityQuery("red_nabla", *dual, n, p)
-    if not n:
-        (lam0, lam1), (mu0, mu1) = (_r._restricted_split(w, p) for w in (query.lam, query.mu))
-        entries = ch.tensor_nabla_multiplicities(rs, _r._star(rs, lam1), mu1) if lam0 == mu0 else {}
-        return MultiplicityTable(
-            (w, m) for w, m in entries.items() if omegas is None or w in omegas
-        )
-    partner, base, kl_factor, weights = _variant_parts(ws, query)
-    reach = lambda w: sum(map(mul, w, rs.two_rho_check))  # <w, 2 rho^vee>
-    # X of the module docstring, theta the highest root
-    theta = rs.positive_roots[-1].fund_coords
-    x = tuple(b + a + 2 * r + p * (n // 2) * t
-              for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta))
-    walk = reach(x) // p
-    if omegas is not None:
-        shift = _r._star(rs, tuple(map(sum, zip(*weights))))  # the sum of the e*
-        # a negative omega is never a constituent
-        tops = [tuple(map(add, omega, shift)) for omega in omegas if min(omega) >= 0]
-        walk = min(walk, max(map(reach, tops), default=-1))
-    max_len = g._dominant_length(base, p) + walk  # base is p-regular
+        lam, mu = _r._star(rs, mu), _r._star(rs, lam)
+    # The KL factor of tau is read between the element z that locates the
+    # shifted weight base + p * tau and the partner's element y: base is
+    # lambda_0, the partner mu_0 for red_red and mu for red_nabla.  A
+    # Frobenius factor of the first slot enters dualized, as
+    # Hom_{G_1}(L(lambda_0) (x) L(lambda_1)^[1], M) = L(lambda_1)^{*[1]} (x)
+    # Hom_{G_1}(L(lambda_0), M), so both variants tensor with lambda_1*, and
+    # red_red with mu_1 too.
+    (base, lam1), (mu0, mu1) = _r._restricted_split(lam, p), _r._restricted_split(mu, p)
+    partner = mu0 if red_red else mu
+    weights = (_r._star(rs, lam1), mu1) if red_red else (_r._star(rs, lam1),)
+    # tau -> its nonzero KL factor; in degree 0 only 1, at the tau with
+    # base + p*tau = partner (the degree-0 law)
+    rest, tau0 = _r._restricted_split(partner, p)
+    factors = {tau0: 1} if not n and rest == base else {}
+    if n:
+        reach = lambda w: sum(map(mul, w, rs.two_rho_check))  # <w, 2 rho^vee>
+        # X of the module docstring, theta the highest root
+        theta = rs.positive_roots[-1].fund_coords
+        x = tuple(b + a + 2 * r + p * (n // 2) * t
+                  for b, a, r, t in zip(_r._star(rs, base), partner, rs.rho, theta))
+        walk = reach(x) // p
+        if omegas is not None:
+            shift = _r._star(rs, tuple(map(sum, zip(*weights))))  # the sum of the e*
+            # a negative omega is never a constituent
+            tops = [tuple(map(add, omega, shift)) for omega in omegas if min(omega) >= 0]
+            walk = min(walk, max(map(reach, tops), default=-1))
+        max_len = g._dominant_length(base, p) + walk  # base is p-regular
 
-    y, rep, ly = g._locate_checked(partner, p)  # the query is validated
+        y, rep, ly = g._locate_checked(partner, p)  # the query is validated
+        for tau, z in g._orbit_congruent(rep, p, max_len, base, (ly + n) % 2).items():
+            if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
+                omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
+            ):
+                k = _big_C_of_elements(ws, z, y, n) if red_red else _c_of_elements(ws, y, z, n)
+                if k:
+                    factors[tau] = k
+
     acc: dict[Weight, int] = {}
-    for tau, z in g._orbit_congruent(rep, p, max_len, base, (ly + n) % 2).items():
-        if _r._dominance_leq(rs, tuple(p * c for c in tau), x) and (
-            omegas is None or any(_r._dominance_leq(rs, tau, top) for top in tops)
-        ):
-            k = kl_factor(z, y)
-            if k:
-                for omega, m in ch.multi_tensor_nabla_multiplicities(rs, *weights, tau).items():
-                    if omegas is None or omega in omegas:
-                        acc[omega] = acc.get(omega, 0) + k * m
-
+    for tau, k in factors.items():
+        for omega, m in ch.multi_tensor_nabla_multiplicities(rs, *weights, tau).items():
+            if omegas is None or omega in omegas:
+                acc[omega] = acc.get(omega, 0) + k * m
     return MultiplicityTable((w, m) for w, m in acc.items() if m)
 
 

@@ -598,6 +598,21 @@ def test_omega_mode_is_capped_by_the_weight_bound(omega, answer):
     assert len(ws.table.memo) <= len(full_ws.table.memo)
 
 
+def partner_and_base(ws, q):
+    """The partner and base weights of a red_red or red_nabla query, by the
+    rule of the ``extmult`` module docstring: (mu0, lam0) for red_red and
+    (mu, lam0) for red_nabla."""
+    (lam0, _), (mu0, _) = (restricted_decompose(ws.rs, w, q.p) for w in (q.lam, q.mu))
+    return (mu0 if q.variant == "red_red" else q.mu), lam0
+
+
+def kl_factor(ws, q, z, y):
+    """The KL factor of the walked element z against the partner's element y."""
+    if q.variant == "red_red":
+        return em._big_C_of_elements(ws, z, y, q.n)
+    return em._c_of_elements(ws, y, z, q.n)
+
+
 def both_classes(g, rep, p, max_len, base):
     """``_orbit_congruent`` over both parity classes of lengths, where a
     table walks the one its parity law allows."""
@@ -625,13 +640,13 @@ def test_every_nonzero_factor_lies_below_the_weight_bound(series, rank, p, queri
         lam, mu = rng.choice(pool), rng.choice(pool)
         q = MultiplicityQuery(rng.choice(em.VARIANTS), lam, mu, rng.randrange(max_n + 1), p)
         q = as_tables_read(ws, q)
-        partner, base, kl_factor, _ = em._variant_parts(ws, q)
+        partner, base = partner_and_base(ws, q)
         top = friedlander_parshall_top(ws, q)
         den = rs.inverse_cartan_den * p
         reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
         loc = g.locate(partner, p)
         for t, z in both_classes(g, loc.antidominant_rep, p, reach + 6, base).items():
-            if kl_factor(z, loc.element):
+            if kl_factor(ws, q, z, loc.element):
                 nonzero += 1
                 assert r.dominance_leq(rs, tuple(p * c for c in t), top), (q, t, top)
     assert nonzero
@@ -658,7 +673,7 @@ def test_the_walk_skips_only_elements_whose_factor_is_zero(series, rank, p, quer
         for variant in em.VARIANTS:
             for n in range(5):
                 q = as_tables_read(ws, MultiplicityQuery(variant, lam, mu, n, p))
-                partner, base, _, _ = em._variant_parts(ws, q)
+                partner, base = partner_and_base(ws, q)
                 top = friedlander_parshall_top(ws, q)
                 den = rs.inverse_cartan_den * p
                 reach = g.dominant_length(base, p) + 2 * sum(r._scaled_root_coords(rs, top)) // den
@@ -964,11 +979,19 @@ def test_a_degree_zero_table_computes_no_kl_entry():
         ("D", 5, 11, "delta_red", (2, 3, 0, 1, 12), (2, 3, 0, 1, 1), {(0, 0, 0, 1, 0): 1}),
         ("E", 6, 13, "delta_red", (13, 1, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0), {(0, 0, 0, 0, 0, 1): 1}),
         ("E", 6, 13, "red_nabla", (0,) * 6, (7,) * 6, {}),
+        # red_red with lam0 = mu0 and mu1 != 0 tensors nabla(lam1*) (x) nabla(mu1) with nabla(0)
+        ("D", 5, 11, "red_red", (2, 3, 0, 1, 12), (2, 3, 0, 12, 1),
+         {(0, 0, 0, 2, 0): 1, (0, 0, 1, 0, 0): 1, (1, 0, 0, 0, 0): 1}),
+        ("E", 6, 13, "red_red", (13, 1, 0, 1, 0, 0), (13, 1, 0, 1, 0, 0),
+         {(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0): 1, (0,) * 6: 1}),
     ]:
         rs = r.build_root_system(series, rank)
         g = AffineWeylGroup(rs)
         ws = em.Workspace(rs, g, KLTable(g))
         assert table_dict(ws, variant, lam, mu, 0, p) == expected
+        if variant == "red_red":
+            lam1, mu1 = (restricted_decompose(rs, w, p)[1] for w in (lam, mu))
+            assert expected == ch.tensor_nabla_multiplicities(rs, r.star(rs, lam1), mu1)
         assert ws.stats()["kl_entries"] == ws.stats()["ids"] == 0, series
 
 

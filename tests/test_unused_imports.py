@@ -12,14 +12,21 @@ class assigns (``self._x = ...``) counts as used when the package reads an
 attribute of that name: storing into it (``self._x[k] = v``) or calling a
 method of it as a statement (``self._x.append(v)``) is no read, so a memo
 that nothing looks up any more is found.
+
+The prose names no private name that is gone: every private name that a
+module of the library quotes in double backticks (``_x``, ``mod._x``,
+``Cls._x``; dunders excepted), and every one that README quotes in single
+backticks, is defined in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "goodfilt"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "goodfilt"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -148,3 +155,75 @@ def test_the_checker_sees_a_write_only_attribute():
 def test_every_private_attribute_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert write_only_attributes(sources) == []
+
+
+def _binds(node) -> set[str]:
+    """The names that a definition or an assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+    return set()
+
+
+def defined_names(sources: dict[str, str]) -> set[str]:
+    """What a quoted name may resolve to in ``sources`` ({file name:
+    source}): every function, class, assigned name and stored attribute,
+    bare; a module-level one also as ``mod.name``; a member of a class (a
+    method, a class attribute or ``self.name``) also as ``Cls.name``."""
+    names = set()
+    for file_name, source in sources.items():
+        tree, mod = ast.parse(source), Path(file_name).stem
+        for node in ast.walk(tree):
+            names |= _binds(node)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        for node in tree.body:
+            names |= {f"{mod}.{name}" for name in _binds(node)}
+            if isinstance(node, ast.ClassDef):
+                members = set().union(*map(_binds, node.body)) | {
+                    n.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                }
+                names |= {f"{node.name}.{name}" for name in members}
+    return names
+
+
+def stale_private_names(texts: dict[str, str], quote: str, defined: set[str]) -> list[str]:
+    """The private names that ``texts`` ({file name: text}) quote between
+    ``quote`` marks and that ``defined`` lacks, as 'file line n: name'."""
+    pattern = re.compile(rf"{quote}((?:\w+\.)*_\w+){quote}")
+    return [
+        f"{name} line {text.count(chr(10), 0, m.start()) + 1}: {m.group(1)}"
+        for name, text in texts.items()
+        for m in pattern.finditer(text)
+        if not m.group(1).split(".")[-1].endswith("__") and m.group(1) not in defined
+    ]
+
+
+def test_the_checker_sees_a_stale_private_name():
+    source = (
+        '"""See ``_kept``, ``a._kept``, ``C._method``, ``C._slot`` and ``__init__``;\n'
+        'not ``_gone`` or ``b._kept``."""\n'
+        "_kept = 1\n"
+        "class C:\n"
+        "    def _method(self):\n        self._slot = 0  # ``a._gone``\n"
+    )
+    defined = defined_names({"a.py": source})
+    assert stale_private_names({"a.py": source}, "``", defined) == [
+        "a.py line 2: _gone", "a.py line 2: b._kept", "a.py line 6: a._gone"
+    ]
+    assert stale_private_names({"README.md": "`_kept` and\n`C._gone`"}, "`", defined) == [
+        "README.md line 2: C._gone"
+    ]
+
+
+def test_the_docs_quote_no_stale_private_name():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    defined = defined_names(sources)
+    readme = {"README.md": (ROOT / "README.md").read_text()}
+    assert stale_private_names(sources, "``", defined) == []
+    assert stale_private_names(readme, "`", defined) == []
