@@ -28,9 +28,11 @@ alcove C_p^- (the alcove whose shifted points m satisfy
   coroot).
 
 Each wall is kept once, in ``_gens``, as f = <., gamma^vee> + k p with
-f > 0 inside C_p^-; it is the one wall list that row fills, ``locate``
-(which reflects m across the lowest-indexed wall with f(m) < 0 until none
-is left) and ``in_antidominant_alcove`` (every f(m) > 0) read.
+f > 0 inside C_p^-; it is the one wall list that row fills, ``locate`` and
+``in_antidominant_alcove`` (every f(m) > 0) read.  ``locate`` carries the
+wall values f_i(m), not m: it reflects across the lowest-indexed wall with
+f_i(m) < 0 until none is left, and the reflection moves each f_j by
+-f_i(m) <gamma_i, gamma_j^vee>, an entry of the affine Cartan matrix.
 
 With this choice the Coxeter length of x equals the number of affine
 hyperplanes ``<m, beta^vee> = kp`` separating the alcove x(C_p^-) from
@@ -144,6 +146,9 @@ class AffineWeylGroup:
         # <m, gamma^vee> + k p = 0 of C_p^- it reflects in, positive inside
         walls = [(a0.fund_coords, 1)] + [(tuple(-c for c in v), 0) for v in rs.simple_columns]
         self._gens = tuple((gamma, self._coroot[gamma], k) for gamma, k in walls)
+        # the affine Cartan matrix: row i holds <gamma_i, gamma_j^vee> over j, by
+        # which a reflection in wall i moves every wall value (see locate)
+        self._wall_cartan = [_r._mat_vec([c for _, c, _ in self._gens], g) for g, _ in walls]
         # finite part w -> per generator (w(gamma), its coroot, the coroot's
         # coordinate sum, the neighbour's finite part, k), see _steps_of
         self._steps: dict[Matrix, tuple] = {}
@@ -390,12 +395,17 @@ class AffineWeylGroup:
                 raise SingularWeightError(lam, beta.coroot, val, p)
 
     def in_antidominant_alcove(self, weight, p: int) -> bool:
-        """Whether weight lies in the open alcove C_p^-: every wall of
-        ``_gens`` is positive at m = weight + rho, i.e. <m, alpha_i^vee> < 0
-        for each simple coroot and <m, alpha_0^vee> > -p.  p is only
-        compared against, so any p is taken."""
-        m = _r._vec_add(check_weight(self.rs, weight), self.rs.rho)
-        return all(sum(map(mul, m, c)) + k * p > 0 for _, c, k in self._gens)
+        """Whether weight lies in the open alcove C_p^-: every wall value is
+        positive at m = weight + rho, i.e. <m, alpha_i^vee> < 0 for each
+        simple coroot and <m, alpha_0^vee> > -p.  p is only compared
+        against, so any p is taken."""
+        return min(self._wall_values(check_weight(self.rs, weight), p)) > 0
+
+    def _wall_values(self, lam: Weight, p: int) -> list[int]:
+        """The values f_i(m) = <m, gamma_i^vee> + k_i p of the walls of
+        ``_gens`` at m = lam + rho, positive inside C_p^-; as rho is all
+        ones, <rho, gamma_i^vee> is the coordinate sum of gamma_i^vee."""
+        return [sum(map(mul, lam, c)) + sum(c) + k * p for _, c, k in self._gens]
 
     def locate(self, weight, p: int) -> AlcoveLocation:
         """Write a p-regular weight as x . (antidominant representative).
@@ -403,6 +413,9 @@ class AffineWeylGroup:
         Walks the shifted weight into C_p^- by reflecting across violated
         walls of C_p^- (lowest wall index first; index 0 is the affine
         wall), and x from the identity along its row by each wall's generator.
+        The walk carries the r + 1 wall values, not the weight: a reflection
+        in wall i moves them by a multiple of row i of the affine Cartan
+        matrix, and the representative is read back from the finite walls.
         Each crossing strips one separating hyperplane, so the steps count l(x).
         """
         return self._locate_checked(check_weight(self.rs, weight), check_prime(p))
@@ -414,20 +427,22 @@ class AffineWeylGroup:
         if cached is not None:
             return cached
         self._assert_p_regular(lam, p)
-        m = _r._vec_add(lam, self.rs.rho)
-        element, steps, gens = self.identity, 0, self._gens
+        f = self._wall_values(lam, p)
+        element, steps, cartan = self.identity, 0, self._wall_cartan
         while True:
-            # the lowest wall f = <., gamma^vee> + k p negative at m; its
-            # reflection is m -> m - f(m) gamma, as <gamma, gamma^vee> = 2
-            for i, (gamma, c, k) in enumerate(gens):
-                f = sum(map(mul, m, c)) + k * p
-                if f < 0:
+            # the lowest wall i negative at m; its reflection m -> m - f_i gamma_i
+            # moves each f_j by -f_i <gamma_i, gamma_j^vee>
+            for i, fi in enumerate(f):
+                if fi < 0:
                     break
             else:
                 break
-            m = [v - f * g for v, g in zip(m, gamma)]
+            f = [fj - fi * a for fj, a in zip(f, cartan[i])]
             element, steps = self.row(element)[i], steps + 1
-        rep = _r._vec_sub(m, self.rs.rho)
+        if 0 in f:
+            raise InternalInvariantError(f"alcove walk of {lam} at p={p} ended on a wall")
+        # f_j = -<m, alpha_j^vee> = -m_j on the finite walls, and rho is all ones
+        rep = tuple(-v - 1 for v in f[1:])
         if self._dot(element, rep, p) != lam:
             raise InternalInvariantError(f"alcove walk failed to invert for {lam}")
         length = self.length(element)

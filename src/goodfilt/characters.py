@@ -280,6 +280,8 @@ def multi_tensor_nabla_multiplicities(rs: RootSystem, *weights) -> dict[Weight, 
     if not weights:
         raise PreconditionError("tensor decomposition needs at least one weight")
     weights = [_r.check_dominant(rs, w, "tensor decomposition") for w in weights]
+    # nabla(0) is the unit of the product: fold only the other weights
+    weights = [w for w in weights if any(w)] or weights[:1]
     out = {weights[0]: 1}
     for c in weights[1:]:
         folded: dict[Weight, int] = {}

@@ -74,14 +74,6 @@ def _mat_vec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -144,7 +136,9 @@ class RootSystem(NamedTuple):
     coroot_columns: Matrix
     coxeter_number: int
     highest_short_root: Root
-    longest_element_action: Matrix  # w0 acting on fundamental coordinates
+    # sigma with -w0(omega_j) = omega_sigma(j): the opposition involution of
+    # the Dynkin diagram, so star(w)_i = w_sigma(i)
+    star_permutation: tuple[int, ...]
     simple_columns: tuple[Weight, ...]  # alpha_i in fundamental coordinates
     # per i, the (j, c) with c = simple_columns[i][j] != 0: s_i moves only these
     simple_moves: tuple[tuple[tuple[int, int], ...], ...]
@@ -312,19 +306,20 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         coroot_columns=coroot_columns,
         coxeter_number=coxeter,
         highest_short_root=top_short,
-        longest_element_action=(),  # set below, from the chamber walk
+        star_permutation=(),  # set below, from the chamber walk
         simple_columns=columns,
         simple_moves=tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in columns),
         inverse_cartan=tuple(tuple(x // common for x in row) for row in adjugate),
         inverse_cartan_den=det // common,
     )
-    # w0 sends the dominant chamber to the antidominant one, so -w0(omega_j),
-    # minus the j-th column of w0, is the dominant conjugate of -omega_j
-    stars = [to_dominant_chamber(rs, tuple(-x for x in e))[0] for e in _identity_matrix(rank)]
-    w0 = tuple(tuple(-x for x in row) for row in zip(*stars))
-    if _mat_mul(w0, w0) != _identity_matrix(rank):
-        raise InternalInvariantError(f"{series}{rank}: w0 action is not an involution")
-    return rs._replace(longest_element_action=w0)
+    # w0 sends the dominant chamber to the antidominant one, so -w0(omega_j)
+    # is the dominant conjugate of -omega_j, which must be some omega_sigma(j)
+    omegas = _identity_matrix(rank)
+    stars = [to_dominant_chamber(rs, tuple(-x for x in e))[0] for e in omegas]
+    sigma = tuple(map(omegas.index, stars)) if set(stars) <= set(omegas) else ()
+    if tuple(map(sigma.__getitem__, sigma)) != tuple(range(rank)):
+        raise InternalInvariantError(f"{series}{rank}: -w0 is not an involution of the omega_j")
+    return rs._replace(star_permutation=sigma)
 
 
 def _restricted_split(w: Weight, p: int) -> tuple[Weight, Weight]:
@@ -359,8 +354,8 @@ def star(rs: RootSystem, weight) -> Weight:
 
 
 def _star(rs: RootSystem, w: Weight) -> Weight:
-    """``star`` of a checked weight."""
-    return tuple(-x for x in _mat_vec(rs.longest_element_action, w))
+    """``star`` of a checked weight: -w0 permutes its coordinates."""
+    return tuple(map(w.__getitem__, rs.star_permutation))
 
 
 def check_dominant(rs: RootSystem, weight, what: str) -> Weight:

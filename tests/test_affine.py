@@ -4,8 +4,13 @@ from operator import mul
 
 import pytest
 
-from goodfilt.affine import get_group, restricted_decompose
-from goodfilt.errors import ConfigurationError, PreconditionError, SingularWeightError
+from goodfilt.affine import AffineWeylGroup, get_group, restricted_decompose
+from goodfilt.errors import (
+    ConfigurationError,
+    InternalInvariantError,
+    PreconditionError,
+    SingularWeightError,
+)
 from goodfilt.roots import build_root_system
 
 
@@ -263,6 +268,54 @@ def test_locate_and_alcove_against_brute_force_every_type(series, rank):
                 near = tuple(a + rng.randint(-1, 1) for a in centre)
                 assert g.in_antidominant_alcove(near, p) == brute_inside(rs, near, p), (near, p)
             located += 1
+
+
+def seeded_singular_weights(rs, p, count, seed):
+    """``count`` seeded random p-singular weights with coordinates in [-3p, 3p]."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        lam = tuple(rng.randint(-3 * p, 3 * p) for _ in range(rs.rank))
+        m = tuple(a + b for a, b in zip(lam, rs.rho))
+        if any(sum(map(mul, beta.coroot, m)) % p == 0 for beta in rs.positive_roots):
+            found.append(lam)
+    return found
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 8), ("B", 3), ("B", 8), ("C", 3), ("C", 8), ("D", 4), ("D", 8),
+     ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_locate_refuses_a_p_singular_weight_before_its_walk(series, rank):
+    """At the two smallest primes p >= h, on seeded random p-singular weights:
+    locate raises the error of assert_p_regular, naming the same coroot and
+    pairing, and creates no id in a fresh group."""
+    rs = build_root_system(series, rank)
+    g, h = AffineWeylGroup(rs), rs.coxeter_number
+    for p in [q for q in range(h, 3 * h + 3) if is_prime(q)][:2]:
+        for lam in seeded_singular_weights(rs, p, 5, f"singular {series}{rank} {p}"):
+            with pytest.raises(SingularWeightError) as expected:
+                g.assert_p_regular(lam, p)
+            ids = g.stats()["ids"]
+            with pytest.raises(SingularWeightError) as refused:
+                g.locate(lam, p)
+            assert (refused.value.coroot, refused.value.pairing) == (
+                expected.value.coroot,
+                expected.value.pairing,
+            ), (lam, p)
+            assert g.stats()["ids"] == ids, (lam, p)
+
+
+@pytest.mark.parametrize("series,rank,p", [("A", 2, 7), ("B", 2, 7), ("G", 2, 13), ("D", 4, 7)])
+def test_locate_refuses_a_walk_that_ends_on_a_wall(monkeypatch, series, rank, p):
+    """With the up-front regularity check made a no-op, the walk of a
+    p-singular weight ends on a wall of C_p^-, which locate's endpoint check
+    refuses: the inversion and length checks pass on such a walk."""
+    g = AffineWeylGroup(build_root_system(series, rank))
+    monkeypatch.setattr(g, "_assert_p_regular", lambda lam, p: None)
+    for lam in seeded_singular_weights(g.rs, p, 20, f"wall {series}{rank}"):
+        with pytest.raises(InternalInvariantError, match="ended on a wall"):
+            g.locate(lam, p)
 
 
 def test_bruhat_basics(a1, a2):

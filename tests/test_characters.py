@@ -18,7 +18,7 @@ BOX_CAP = 60000  # largest box of a chosen weight
 
 def box_bound(rs, lam):
     """Simple-root coordinates of lam - w0(lam), the far corner of the box."""
-    w0_lam = r._mat_vec(rs.longest_element_action, lam)
+    w0_lam = tuple(-x for x in r.star(rs, lam))  # w0 = -star
     return r.root_lattice_coords(rs, tuple(a - b for a, b in zip(lam, w0_lam)))
 
 
@@ -364,7 +364,7 @@ def test_weyl_orbit_matches_reference_on_every_type():
             if size > ORBIT_CAP:
                 continue
             s1_lam = tuple(a - lam[0] * c for a, c in zip(lam, rs.simple_columns[0]))
-            w0_lam = r._mat_vec(rs.longest_element_action, lam)
+            w0_lam = tuple(-x for x in r.star(rs, lam))  # w0 = -star
             for v in (lam, s1_lam, w0_lam):
                 orbit = r.weyl_orbit(rs, v)
                 assert orbit == reference_weyl_orbit(rs, v), (rs, v)
@@ -618,3 +618,15 @@ def test_triple_tensor(a1, a2):
             for om, m in ch.tensor_nabla_multiplicities(a2, a, nu).items():
                 other[om] = other.get(om, 0) + k * m
         assert {w: m for w, m in other.items() if m} == base
+
+
+def test_multi_tensor_folds_no_unit_factor(a2):
+    # nabla(0) is the unit: zero weights are dropped before folding, one kept
+    # when every weight is zero, and each is still checked for dominance
+    zero = (0, 0)
+    assert ch.multi_tensor_nabla_multiplicities(a2, zero, zero) == {zero: 1}
+    base = ch.multi_tensor_nabla_multiplicities(a2, (1, 0), (0, 1))
+    for weights in [(zero, (1, 0), (0, 1)), ((1, 0), zero, (0, 1)), ((1, 0), (0, 1), zero)]:
+        assert ch.multi_tensor_nabla_multiplicities(a2, *weights) == base
+    with pytest.raises(PreconditionError):
+        ch.multi_tensor_nabla_multiplicities(a2, (1, 0), zero, (-1, 0))

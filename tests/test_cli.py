@@ -11,7 +11,9 @@ import pytest
 
 import goodfilt
 from goodfilt import cli
+from goodfilt.characters import tensor_nabla_multiplicities
 from goodfilt.cli import main
+from goodfilt.roots import build_root_system, star
 
 
 def run(argv):
@@ -526,6 +528,22 @@ def test_extmult_stats_locates_only_the_partner():
         "ids": 44, "flagged_ids": 26, "bruhat_memo": 66,
         "ideal_memo": 0, "kl_entries": 63, "locate_memo": 1,
     }
+
+
+def test_red_red_degree_zero_tensors_no_unit_factor():
+    # lambda = (1,1,3) + 5 (1,0,0) and mu = (1,1,3) + 5 (0,0,1): the one factor
+    # is at tau = 0, and nabla(0), the unit, is folded in by no tensor pair
+    argv = [
+        "extmult", "--series", "A", "--rank", "3", "--p", "5", "--variant", "red_red",
+        "--lam", "6,1,3", "--mu", "1,1,8", "--n", "0", "--stats",
+    ]
+    done = run_fresh(argv)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stderr.splitlines()[-1])["characters"]
+    assert (counts["tensor_pairs"], counts["dimensions"]) == (1, 1)
+    rs = build_root_system("A", 3)
+    expected = tensor_nabla_multiplicities(rs, star(rs, (1, 0, 0)), (0, 0, 1))
+    assert json.loads(done.stdout) == {",".join(map(str, w)): m for w, m in expected.items()}
 
 
 def test_extmult_omega_stats_locate_only_the_partner():

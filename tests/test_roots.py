@@ -15,6 +15,7 @@ from goodfilt.characters import tensor_nabla_multiplicities
 from goodfilt.errors import (
     ConfigurationError,
     DimensionMismatchError,
+    InternalInvariantError,
     PreconditionError,
 )
 from goodfilt.roots import build_root_system
@@ -194,13 +195,11 @@ def test_star_examples():
 def test_star_is_dominance_preserving_involution(series, rank):
     rs = build_root_system(series, rank)
     rng = random.Random(hash((series, rank)) & 0xFFFF)
-    neg_w0 = tuple(
-        tuple(-x for x in row) for row in rs.longest_element_action
-    )
-    # -w0 must permute the fundamental weights
-    assert sorted(sorted(row) for row in neg_w0) == [
-        [0] * (rank - 1) + [1] for _ in range(rank)
-    ]
+    sigma = rs.star_permutation
+    # -w0 must permute the fundamental weights, -w0(omega_j) = omega_sigma(j)
+    assert sorted(sigma) == list(range(rank))
+    for j, omega in enumerate(roots._identity_matrix(rank)):
+        assert roots.star(rs, omega) == tuple(int(i == sigma[j]) for i in range(rank))
     for _ in range(1000):
         lam = tuple(rng.randint(0, 12) for _ in range(rank))
         st = roots.star(rs, lam)
@@ -219,7 +218,10 @@ def rho_walk_longest_element(rs):
     v, m = [1] * n, roots._identity_matrix(n)
     while any(c > 0 for c in v):
         i = next(i for i, c in enumerate(v) if c > 0)
-        m = roots._mat_mul(refl[i], m)
+        m = tuple(  # refl[i] times m
+            tuple(sum(refl[i][a][k] * m[k][b] for k in range(n)) for b in range(n))
+            for a in range(n)
+        )
         v = list(roots._mat_vec(refl[i], v))
     return m
 
@@ -229,8 +231,28 @@ def rho_walk_longest_element(rs):
     [(s, n) for s, (lo, hi) in sorted(roots._RANK_RANGE.items()) for n in range(lo, hi + 1)],
 )
 def test_longest_element_matches_the_rho_walk(series, rank):
+    # w0 = -P_sigma: column j of -w0 is omega_sigma(j)
     rs = build_root_system(series, rank)
-    assert rs.longest_element_action == rho_walk_longest_element(rs)
+    sigma = rs.star_permutation
+    minus_p_sigma = tuple(
+        tuple(-int(i == sigma[j]) for j in range(rank)) for i in range(rank)
+    )
+    assert rho_walk_longest_element(rs) == minus_p_sigma
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda v: (tuple(2 * x for x in v), 1),  # -w0(omega_j) = 2 omega_j
+        lambda v: (v[-1:] + v[:-1], 1),  # a permutation that is no involution
+    ],
+)
+def test_star_permutation_check_refuses_a_wrong_chamber_walk(monkeypatch, wrong):
+    # the build reads sigma off the dominant conjugates of the -omega_j and
+    # refuses one that is not a fundamental weight or not an involution
+    monkeypatch.setattr(roots, "to_dominant_chamber", lambda rs, v: wrong(tuple(-x for x in v)))
+    with pytest.raises(InternalInvariantError, match="A3: -w0 is not an involution"):
+        build_root_system.__wrapped__("A", 3)
 
 
 def root_string_closure(cartan):
