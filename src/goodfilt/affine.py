@@ -5,9 +5,11 @@ Coxeter length and its row ``(x s_0, ..., x s_r)`` of the
 right-multiplication table, whose shorter entries are its right descents.
 A row is filled on first use, creating the ids of neighbours not met
 before, so a group holds only what a computation reaches.  Products,
-reduced words, Bruhat order and lower ideals are walks in this table;
-canonical words and lower ideals share one walk down by the lowest right
-descent (``_strip_to``), each extending a value it already holds.
+reduced words, Bruhat order and lower ideals are walks in this table.
+Every walk down the group strips one descent per element (``descent``):
+Bruhat order and ``KLTable.kl`` take it, and canonical words and lower
+ideals share one walk by it (``_strip_to``), each extending a value it
+already holds.
 
 Each id also keeps its matrix form, used only where weights are touched
 (``dot``, ``locate``) and to recognise an element reached along two paths:
@@ -63,9 +65,13 @@ longer neighbour xs of a flagged x is flagged, a shorter one is flagged or
 equals t'x with t' finite, and every flagged id above w_0 has a shorter
 flagged neighbour.  ``dominant_up_to_length`` is therefore the walk up
 from w_0 by lengthening steps, which never fills the row of an unflagged
-id, and ``bruhat_leq`` and ``KLTable.kl`` strip from a flagged y a descent
-s with ys flagged (``descent``), so between flagged ids they stay flagged.
-That descent is fixed when y's row is filled, and read as a list entry.
+id, and every walk down strips from a flagged y a descent s with ys
+flagged (``descent``), so between flagged ids ``bruhat_leq`` and
+``KLTable.kl`` stay flagged.  Stripped down to w_0 and then inside the
+finite Weyl group, a flagged id's canonical word is w_0's word followed by
+a gallery of flagged ids; so a cache's words, saved or loaded, name only
+flagged ids and finite elements.  That descent is fixed when y's row is
+filled, and read as a list entry.
 
 The kept levels of flagged ids are the group's one index of the dominant
 part of an orbit: ``dominant_orbit`` and ``_orbit_congruent`` slice them as
@@ -280,12 +286,15 @@ class AffineWeylGroup:
         return self._dominant[x]
 
     def right_descents(self, x: int) -> tuple[int, ...]:
-        """The s with l(xs) < l(x), read from x's row."""
+        """The s with l(xs) < l(x), read from x's row.  A walk down takes
+        one of them, ``descent``."""
         lengths, lx = self._length, self._length[x]
         return tuple(s for s, y in enumerate(self.row(x)) if lengths[y] < lx)
 
     def descent(self, y: int) -> int:
-        """The right descent that walks down from y strip (y not the identity).
+        """The right descent that every walk down from y strips (y not the
+        identity): Bruhat order, the KL recursion, canonical words and
+        lower ideals.
 
         For a flagged y the lowest s with ys flagged, which exists unless
         y = w_0; otherwise the lowest right descent.  Fixed when y's row is
@@ -295,9 +304,13 @@ class AffineWeylGroup:
         return self._descent[y]
 
     def canonical_word(self, x: int) -> tuple[int, ...]:
-        """Reduced word obtained by stripping the lowest-indexed right descent.
+        """Reduced word obtained by stripping ``descent`` down to the identity.
 
         Deterministic, so words are stable cache keys across runs and primes.
+        A flagged x strips flagged ids down to w_0, then finite ones, so its
+        word is w_0's word followed by a gallery of flagged ids: every longer
+        prefix names a flagged id.  An unflagged x strips its lowest right
+        descent at every step, as a shorter neighbour of it is unflagged.
         """
         return self.canonical_words((x,))[x]
 
@@ -317,12 +330,14 @@ class AffineWeylGroup:
         return words
 
     def _strip_to(self, x: int, known) -> tuple[int, list[tuple[int, int]]]:
-        """Strip the lowest right descent from x until an id in ``known`` or
-        the identity is reached: that id, and the (id, letter) steps taken,
-        shortest id first, so each step extends the value of the one before."""
+        """Strip ``descent`` from x until an id in ``known`` or the identity
+        is reached: that id, and the (id, letter) steps taken, shortest id
+        first, so each step extends the value of the one before.  From a
+        flagged x the walk meets only flagged ids and the finite Weyl group,
+        so it fills no other row."""
         chain = []
         while x not in known and self._length[x]:
-            i = self.right_descents(x)[0]
+            i = self.descent(x)
             chain.append((x, i))
             x = self._rmul[x][i]
         return x, chain[::-1]
@@ -354,7 +369,8 @@ class AffineWeylGroup:
 
     def lower_ideal(self, y: int) -> frozenset:
         """The set {z : z <= y} in Bruhat order (finite for every y): the
-        ideal of ys, s the lowest right descent, and its image under s."""
+        ideal of ys, s = ``descent(y)``, and its image under s.  Any right
+        descent gives the same set; this one shares ``canonical_word``'s walk."""
         y, chain = self._strip_to(y, self._ideal)
         ideal = self._ideal.setdefault(y, frozenset((y,)))
         for z, s in chain:

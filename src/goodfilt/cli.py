@@ -58,20 +58,23 @@ CHARACTER_FORMULA_NOTE = (
 )
 
 
-def weight_arg(text: str) -> tuple[int, ...]:
+# argparse reads "--weight -3,-2" as a missing value followed by an option
+WEIGHT_HELP = "comma-separated ints; a negative first coordinate is passed as --%(dest)s=-3,-2"
+
+
+def _ints_arg(kind: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad weight {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad {kind} {text!r}: {exc}") from exc
+
+
+def weight_arg(text: str) -> tuple[int, ...]:
+    return _ints_arg("weight", text)
 
 
 def word_arg(text: str) -> tuple[int, ...]:
-    if text.strip() in ("", "e"):
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad word {text!r}: {exc}") from exc
+    return () if text.strip() in ("", "e") else _ints_arg("word", text)
 
 
 def fmt_weight(w) -> str:
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loc = sub.add_parser("locate", help="alcove location of a weight")
     common(p_loc)
-    p_loc.add_argument("--weight", required=True, type=weight_arg)
+    p_loc.add_argument("--weight", required=True, type=weight_arg, help=WEIGHT_HELP)
 
     p_kl = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial of two words")
     common(p_kl, need_p=False)
@@ -132,10 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_e = sub.add_parser("extmult", help="constituent multiplicities of an Ext group")
     common(p_e)
     p_e.add_argument("--variant", required=True, choices=em.VARIANTS)
-    p_e.add_argument("--lam", required=True, type=weight_arg)
-    p_e.add_argument("--mu", required=True, type=weight_arg)
+    p_e.add_argument("--lam", required=True, type=weight_arg, help=WEIGHT_HELP)
+    p_e.add_argument("--mu", required=True, type=weight_arg, help=WEIGHT_HELP)
     p_e.add_argument("--n", required=True, type=int)
-    p_e.add_argument("--omega", type=weight_arg, action="append", default=None)
+    p_e.add_argument("--omega", type=weight_arg, action="append", default=None, help=WEIGHT_HELP)
 
     p_c = sub.add_parser(
         "check-identity",

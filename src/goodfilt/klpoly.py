@@ -70,7 +70,10 @@ are benign under CPython's atomic dict assignment.
 The memo is keyed on pairs of the group's integer element ids.
 Persistence is JSON lines: a header record followed by one record per
 entry keyed by canonical reduced words, so caches are independent of the
-prime and of id numbering, and stable across runs.  Records are ordered by
+prime and of id numbering, and stable across runs.  A canonical word strips
+the recursion's descent, so a flagged id's word is w_0's word followed by a
+gallery of flagged ids: a save or a load of flagged pairs walks only flagged
+ids and the finite Weyl group.  Records are ordered by
 y's (length, word), then x's, and written from one string per id and per
 polynomial, each encoded once.  A save replaces its target atomically.
 """

@@ -473,6 +473,17 @@ def test_usage_errors_and_help_go_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_a_negative_first_coordinate_is_passed_with_an_equals_sign():
+    # "--weight=-3,-2" itself is a golden case of test_cli_golden_commands.py
+    argv = ["locate", "--series", "A", "--rank", "2", "--p", "5"]
+    code, out, err = run(argv + ["--weight", "-3,-2"])
+    assert (code, out) == (2, "") and "argument --weight: expected one argument" in err
+    for command, flags in (("locate", ["--weight"]), ("extmult", ["--lam", "--mu", "--omega"])):
+        _, out, _ = run([command, "--help"])
+        for flag in flags:
+            assert f"passed as {flag}=-3,-2" in " ".join(out.split())
+
+
 def test_usage_error_exits_2():
     assert run(["locate", "--series", "A", "--rank", "1", "--p", "5"])[0] == 2
     assert run(["nonsense"])[0] == 2

@@ -42,10 +42,16 @@ GOLDEN = {
         '{"coroot": "1", "regular": false, "vanishing_pairing": 5, "weight": "4"}\n',
         "",
     ),
+    "locate-negative-weight": (
+        "locate --series A --rank 2 --p 5 --weight=-3,-2",
+        0,
+        '{"antidominant": "-3,-2", "length": 0, "regular": true, "word": []}\n',
+        "",
+    ),
     "locate-tsv": (
         "locate --series A --rank 2 --p 5 --weight 3,7 --format tsv",
         0,
-        "antidominant\t-3,-2\nlength\t6\nregular\ttrue\nword\t[2, 1, 0, 2, 0, 1]\n",
+        "antidominant\t-3,-2\nlength\t6\nregular\ttrue\nword\t[1, 2, 1, 0, 2, 1]\n",
         "",
     ),
     "tensor-tsv": (
@@ -89,7 +95,7 @@ def test_extmult_tsv_with_omegas_saves_then_loads(tmp_path):
     saved = f"cache: saved 82 entries to {cache}\n"
     assert run(argv) == (0, stdout, saved + NOTE)
     assert run(argv) == (0, stdout, f"cache: loaded 82 entries from {cache}\n" + saved + NOTE)
-    assert sha256(cache) == "eeb75729659b5398f6bd0d48ade75a9cec29d721c320709e9e510621c64d89eb"
+    assert sha256(cache) == "7889883aca55e5cf6ff2a276b1af9762da5487ca6ede88c4479ee0b4eeb2b7dd"
 
 
 def test_cache_refused_on_its_second_line(tmp_path):

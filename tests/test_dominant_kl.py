@@ -5,12 +5,17 @@ alcoves) when both ends are flagged.  That rests on a flagged id being the
 longest element of its coset W_fin x, checked here directly, and the values
 are held to ``reference_kl``: the right-descent recursion over all of W,
 with the lowest descent and the full lower ideal, as the table ran before.
+Canonical words strip the same descent, so a flagged id's word is w_0's
+word followed by a gallery of flagged ids, and saving or loading a table of
+flagged pairs fills rows only of flagged ids and the finite Weyl group.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_klpoly import lowest_descent_word
 
+from goodfilt import extmult as em
 from goodfilt.affine import AffineWeylGroup, get_group
 from goodfilt.klpoly import KLTable
 from goodfilt.roots import build_root_system
@@ -133,3 +138,52 @@ def test_random_flagged_pairs_match_the_unrestricted_recursion(case):
     memo = REFERENCE_MEMOS.setdefault(id(g), {})
     assert KLTable(g).kl(x, y) == reference_kl(g, memo, x, y)
     assert g.bruhat_leq(x, y) == (x in g.lower_ideal(y))
+
+
+# types whose elements have several right descents, and a length bound
+# reaching a few dozen flagged ids past w_0
+WORD_BOUNDS = [("A", 2, 12), ("B", 2, 14), ("G", 2, 16), ("A", 3, 13), ("C", 3, 16)]
+
+
+@pytest.mark.parametrize("series,rank,bound", WORD_BOUNDS)
+def test_a_flagged_word_is_w0_then_a_gallery_of_flagged_ids(series, rank, bound):
+    g = AffineWeylGroup(build_root_system(series, rank))
+    elements = g.elements_up_to_length(bound)
+    flagged = [z for z in elements if g.is_dominant(z)]
+    w0 = g.canonical_word(flagged[0])  # the shortest flagged id
+    assert len(w0) == len(g.rs.positive_roots)
+    assert len(flagged) > 15
+    for z in elements:
+        word = g.canonical_word(z)
+        if g.is_dominant(z):
+            assert word[: len(w0)] == w0, word
+            assert all(g.is_dominant(g.from_word(word[:k])) for k in range(len(w0), len(word)))
+        else:
+            assert word == lowest_descent_word(g, z)
+
+
+def filled_rows(g):
+    return {z for z, row in enumerate(g._rmul) if row is not None}
+
+
+def in_w_fin(g, z):
+    return g._form[z][1] == (0,) * g.rs.rank  # translation 0
+
+
+def test_a_save_and_a_load_of_a_dominant_table_stay_on_flagged_ids_and_w_fin(tmp_path):
+    # the table's own walks (locate among them) may fill rows anywhere; saving
+    # its words fills only finite rows, and loading them only flagged or finite ones
+    rs = build_root_system("G", 2)
+    g = AffineWeylGroup(rs)
+    ws = em.Workspace(rs=rs, group=g, table=KLTable(g))
+    em.multiplicity_table(ws, em.MultiplicityQuery("red_nabla", (0, 0), (17, 9), 5, 13))
+    assert len(ws.table.memo) > 1000
+    filled, flagged_ids = filled_rows(g), sum(g._dominant)
+    path = tmp_path / "g2.klcache"
+    ws.table.save(path)
+    assert all(in_w_fin(g, z) for z in filled_rows(g) - filled)
+    assert sum(g._dominant) == flagged_ids
+
+    fresh = AffineWeylGroup(rs)
+    assert KLTable(fresh).load(path) == len(ws.table.memo)
+    assert all(fresh.is_dominant(z) or in_w_fin(fresh, z) for z in filled_rows(fresh))

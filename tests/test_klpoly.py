@@ -201,22 +201,27 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, a2_table, monkeypatch):
     assert KLTable(g).load(path) == len(a2_table.memo)
 
 
-def stripped_word(g, x):
-    """Reference for canonical_word: strip the lowest right descent, one id at a time."""
+def stripped_word(g, x, pick=AffineWeylGroup.descent):
+    """Reference for canonical_word: strip ``descent``, one id at a time."""
     word = []
     while g.length(x):
-        i = g.right_descents(x)[0]
+        i = pick(g, x)
         word.append(i)
         x = g.row(x)[i]
     return tuple(reversed(word))
 
 
-def reference_cache_bytes(table):
+def lowest_descent_word(g, x):
+    """The earlier word rule: strip the lowest right descent at every step."""
+    return stripped_word(g, x, lambda g, x: g.right_descents(x)[0])
+
+
+def reference_cache_bytes(table, word=stripped_word):
     """The cache as written one record at a time, each word walked on its own."""
     g = table.group
     header = {"format": "kltable", "version": 1, "series": g.rs.series, "rank": g.rs.rank}
     records = sorted(
-        ((stripped_word(g, x), stripped_word(g, y), list(p)) for (x, y), p in table.memo.items()),
+        ((word(g, x), word(g, y), list(p)) for (x, y), p in table.memo.items()),
         key=lambda r: (len(r[1]), r[1], len(r[0]), r[0]),
     )
     lines = [json.dumps(header, sort_keys=True)] + [
@@ -289,6 +294,30 @@ def test_save_writes_the_reference_encoder_bytes(tmp_path, build):
     path = tmp_path / "saved.klcache"
     table.save(path)
     assert path.read_bytes() == reference_cache_bytes(table)
+
+
+def b2_dominant_table(tmp_path):
+    rs = build_root_system("B", 2)
+    g = AffineWeylGroup(rs)
+    ws = em.Workspace(rs=rs, group=g, table=KLTable(g))
+    em.multiplicity_table(ws, em.MultiplicityQuery("red_red", (19, 16), (8, 12), 4, 7), [(4, 6)])
+    assert len(ws.table.memo) == 1392
+    return ws.table
+
+
+@pytest.mark.parametrize("build", [g2_ideal_table, b2_dominant_table])
+def test_a_cache_keyed_by_lowest_descent_words_loads_into_the_same_memo(tmp_path, build):
+    # caches written when canonical words stripped the lowest right descent
+    # name the same elements by other words, and keep loading
+    table = build(tmp_path)
+    old, new = tmp_path / "old.klcache", tmp_path / "new.klcache"
+    old.write_bytes(reference_cache_bytes(table, lowest_descent_word))
+    table.save(new)
+    assert old.read_bytes() != new.read_bytes()
+    g = AffineWeylGroup(table.group.rs)
+    from_old, from_new = KLTable(g), KLTable(g)
+    assert from_old.load(old) == from_new.load(new) == len(table.memo)
+    assert from_old.memo == from_new.memo
 
 
 def test_cache_rejects_bad_header(tmp_path, a2_table):
